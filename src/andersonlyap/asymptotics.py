@@ -101,7 +101,14 @@ def log_mittag_leffler(a: float, x: float) -> float:
 def mittag_leffler(a: float, x: float) -> float:
     """E_a(x) = sum x^n / Gamma(a n + 1); exponential-family special
     cases: E_1(x) = exp(x), E_2(x^2) = cosh(x)."""
-    return math.exp(log_mittag_leffler(a, x))
+    log_value = log_mittag_leffler(a, x)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ParameterError(
+            f"E_{a}({x}) exceeds the double range (log value {log_value!r}); "
+            "use log_mittag_leffler"
+        ) from None
 
 
 def at_growth(a: float, c: float, t: float) -> float:
@@ -286,8 +293,10 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
             raise ParameterError(
                 "fractional family needs the functional value e_gamma"
             )
-        if e_gamma <= 0.0:
-            raise ParameterError("e_gamma must be positive")
+        if not (math.isfinite(e_gamma) and e_gamma > 0.0):
+            raise ParameterError(
+                f"e_gamma must be positive and finite, got {e_gamma}"
+            )
         e2 = e_gamma * functional_scaling("E2_over_E_gamma", H=kernel.H)
         rho = e2 ** ((2.0 - alpha) / 2.0)
     elif rho is None:
@@ -295,8 +304,8 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
             rho = 0.5
         else:
             raise ParameterError("Riesz family needs rho")
-    if rho <= 0.0:
-        raise ParameterError(f"rho must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise ParameterError(f"rho must be positive and finite, got {rho}")
 
     a = scaling_exponent(eq, alpha)
     if eq.is_wave:

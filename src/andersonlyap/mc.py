@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = ["MCEstimate", "derive_seed", "chunk_generator", "run_chunked"]
 
 CHUNK_SIZE = 1 << 16
@@ -101,7 +103,7 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
     (mean, std_error).
     """
     if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+        raise ParameterError(f"n_samples must be positive, got {n_samples}")
     n_chunks = (n_samples + chunk_size - 1) // chunk_size
 
     def one_chunk(i):

@@ -18,7 +18,7 @@ by Nystrom discretization and power iteration:
   so the maximizer is taken radial (design assumption) and the problem
   reduces to a dense symmetric kernel in the radius after averaging
   the translation factor over the relative angle (closed form in d = 3,
-  a one-dimensional profile function in d = 2).
+  a spline-tabulated hypergeometric closed form in d = 2).
 
 The integrable diagonal singularity |xi - eta|^(alpha - d) is replaced
 on diagonal cells by its exact cell average, restoring the first-order
@@ -37,7 +37,9 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import ellipkm1, hyp2f1
 
+from .chaos import _sphere_area
 from .errors import ConvergenceError, ParameterError
 from .spectral import dalang_check, riesz_constant
 
@@ -175,81 +177,54 @@ def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):
 # d = 2, 3: radial reduction
 # ----------------------------------------------------------------------
 
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
 def _cell_avg_singular(alpha: float, h: float) -> float:
     """Exact cell average of |u|^(alpha-1) over a width-h cell at 0."""
     return h ** (alpha - 1.0) * 2.0 ** (1.0 - alpha) / alpha
 
 
 class _AngularProfile2D:
-    """g(x) = (1/pi) * integral of (x - cos t)^((alpha-2)/2) dt over
-    [0, pi], so that the angular average of |xi - eta|^(alpha-2) in the
-    plane is (2 r s)^((alpha-2)/2) * g((r^2+s^2)/(2rs)).
+    """g(x) = (1/pi) * integral of (x - cos t)^p dt over [0, pi],
+    p = (alpha-2)/2, so that the angular average of |xi - eta|^(alpha-2)
+    in the plane is (2 r s)^p * g((r^2+s^2)/(2rs)).
 
-    Tabulated once on a log(x-1) grid and spline-interpolated; the
-    (x -> 1) singularity (alpha - 1)/2 power, or a log for alpha = 1)
-    is peeled off analytically for the diagonal cell average.
+    ``exact`` evaluates the closed form (x+1)^p 2F1(-p, 1/2; 1; 2/(x+1))
+    in w = (x-1)/(x+1) = 1 - z by the connection formula DLMF 15.8.4,
+    which keeps full precision as x -> 1; its values on a log(x-1) grid
+    are spline-interpolated for the matrix fill.  As e = x - 1 -> 0 the
+    formula gives g = g_at_1 + c_sing e^((alpha-1)/2) + o(1) for
+    alpha != 1, and g = (sqrt(2)/pi) (c_log - log(e)/2) + o(1) for
+    alpha = 1.
     """
 
     def __init__(self, alpha: float, x_max: float):
         self.alpha = alpha
-        p = (alpha - 2.0) / 2.0
-        y_lo, y_hi = math.log(1e-12), math.log(max(x_max - 1.0, 10.0) * 4.0)
-        ys = np.linspace(y_lo, y_hi, 600)
-        vals = np.array([self._quad(1.0 + math.exp(y), p) for y in ys])
-        self._spline = CubicSpline(ys, np.log(vals))
-        if alpha < 1.0:
-            # g(x) = c_sing (x-1)^((alpha-1)/2) + c_reg + o(1); calibrate
-            # c_sing by Richardson in the known leading power so the
-            # finite part drops out.
-            q = (1.0 - alpha) / 2.0
-            eps = 1e-6
-            g1 = self._quad(1.0 + eps, p) * eps ** q
-            g2 = self._quad(1.0 + eps / 4.0, p) * (eps / 4.0) ** q
-            w = 0.25 ** q
-            self.c_sing = (g2 - w * g1) / (1.0 - w)
-        elif alpha == 1.0:
-            # g(x) ~ (sqrt(2)/pi) * (c_log - log(x-1)/2)
-            x_probe = 1.0 + 1e-10
-            self.c_log = (
-                math.pi * self._quad(x_probe, p) / math.sqrt(2.0)
-                + 0.5 * math.log(x_probe - 1.0)
-            )
+        self.p = p = (alpha - 2.0) / 2.0
+        self.s = s = (alpha - 1.0) / 2.0  # c - a - b of the 2F1
+        if alpha == 1.0:
+            self.c_log = 2.5 * math.log(2.0)
         else:
-            self.g_at_1 = self._quad(1.0, p)
+            # weights of the regular and the w^s branch of DLMF 15.8.4
+            root_pi = math.sqrt(math.pi)
+            self.k_reg = math.gamma(s) / (math.gamma(1.0 + p) * root_pi)
+            self.k_sing = math.gamma(-s) / (math.gamma(-p) * root_pi)
+            self.g_at_1 = 2.0 ** p * self.k_reg
+            # (2+e)^p w^s -> 2^(p-s) e^s = e^s / sqrt(2)
+            self.c_sing = self.k_sing / math.sqrt(2.0)
+        y_hi = math.log(max(x_max - 1.0, 10.0) * 4.0)
+        ys = np.linspace(math.log(1e-12), y_hi, 600)
+        self._spline = CubicSpline(ys, np.log(self.exact(np.exp(ys))))
 
-    @staticmethod
-    def _quad(x: float, p: float) -> float:
-        eps = x - 1.0
-
-        def f(t):
-            # x - cos(t) without the cancellation near t = 0
-            return (eps + 2.0 * math.sin(0.5 * t) ** 2) ** p
-
-        if eps <= 0.0:
-            # x = 1, reachable only for alpha > 1 (p > -1/2): integrable
-            # t^(2p) endpoint; series head + quadrature tail
-            delta = 0.1
-            head = 2.0 ** (-p) * (
-                delta ** (2 * p + 1) / (2 * p + 1)
-                - p * delta ** (2 * p + 3) / (12.0 * (2 * p + 3))
-            )
-            return (head + quad(f, delta, math.pi, limit=200)[0]) / math.pi
-        if eps >= 1e-3:
-            return quad(f, 0.0, math.pi, points=[0.0], limit=200)[0] / math.pi
-        # the integrand varies on the scale sqrt(2 eps) near t = 0;
-        # integrate that neighbourhood in the stretched variable
-        s = math.sqrt(2.0 * eps)
-        w_cut = min(100.0, 0.1 / s)
-        inner = s * quad(lambda w: f(s * w), 0.0, w_cut, limit=200)[0]
-        mid = 0.0
-        if s * w_cut < 0.1:
-            mid = quad(f, s * w_cut, 0.1, limit=200)[0]
-        outer = quad(f, 0.1, math.pi, limit=200)[0]
-        return (inner + mid + outer) / math.pi
+    def exact(self, e: np.ndarray) -> np.ndarray:
+        """g(1 + e) for e > 0, from the closed form."""
+        w = e / (2.0 + e)
+        if self.alpha == 1.0:
+            # 2F1(1/2, 1/2; 1; z) = (2/pi) K(z), and K(1 - w) = ellipkm1(w)
+            f = (2.0 / math.pi) * ellipkm1(w)
+        else:
+            p, s = self.p, self.s
+            f = self.k_reg * hyp2f1(-p, 0.5, 1.0 - s, w) \
+                + self.k_sing * w ** s * hyp2f1(1.0 + p, 0.5, 1.0 + s, w)
+        return (2.0 + e) ** self.p * f
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         y = np.log(np.maximum(x - 1.0, 1e-12))

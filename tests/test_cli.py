@@ -93,6 +93,25 @@ class TestExitCodes:
         assert code == EXIT_CONVERGENCE
         assert "residual" in err
 
+    def test_zero_samples_is_parameter_error(self, capsys):
+        code, _, err = run_cli(capsys, "chaos", "--samples", "0")
+        assert code == EXIT_PARAMETER
+        assert "n_samples" in err
+
+    @pytest.mark.parametrize("rho", ["inf", "nan", "0"])
+    def test_bad_rho_named(self, capsys, rho):
+        code, _, err = run_cli(capsys, "lyapunov", "--family", "riesz",
+                               "--d", "1", "--alpha", "0.5", "--rho", rho)
+        assert code == EXIT_PARAMETER
+        assert "rho must be positive and finite" in err
+
+    def test_bad_functional_named(self, capsys):
+        code, _, err = run_cli(capsys, "lyapunov", "--family", "fractional",
+                               "--H", "0.3", "--eq", "wave",
+                               "--e-gamma", "inf")
+        assert code == EXIT_PARAMETER
+        assert "e_gamma must be positive and finite" in err
+
     def test_verify_injection_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--inject-wrong-exponent",
                                "--format", "json")
@@ -228,3 +247,9 @@ class TestMlCommand:
     def test_needs_argument(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--a", "1.0")
         assert code == EXIT_PARAMETER
+
+    def test_overflow_is_parameter_error(self, capsys):
+        code, _, err = run_cli(capsys, "ml", "--a", "3.9", "--x", "1e300")
+        assert code == EXIT_PARAMETER
+        assert "exceeds the double range" in err
+        assert "log_mittag_leffler" in err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.variational import (
+    _AngularProfile2D,
     _kernel_column_1d,
     _solve_1d,
     _toeplitz_matvec_factory,
@@ -146,6 +147,70 @@ class TestRadialSolver:
         # transpose up to rounding
         lam, vec, _, res = _solve_radial(3, 1.5, 2.0, 20.0, 150, 1e-9, 5000)
         assert lam > 0 and res < 1e-8
+
+
+class TestAngularProfile2D:
+    """The d = 2 angular average g(x) = (x+1)^p 2F1(-p, 1/2; 1; 2/(x+1)),
+    p = (alpha-2)/2, and its x -> 1 constants, against mpmath."""
+
+    ALPHAS = [0.5, 0.9, 1.0, 1.5]
+
+    @staticmethod
+    def _g_mp(mp, alpha, e):
+        p = (mp.mpf(alpha) - 2) / 2
+        return (e + 2) ** p * mp.hyp2f1(-p, mp.mpf(1) / 2, 1, 2 / (e + 2))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_table_values(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        prof = _AngularProfile2D(alpha, x_max=1200.0)
+        es = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e5]
+        got = prof.exact(np.array(es))
+        # z = 2/(2+e) must be exact to resolve 1 - z = e/(2+e)
+        with mp.workdps(45):
+            want = [float(self._g_mp(mp, alpha, mp.mpf(e))) for e in es]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # the spline passes through the table, and between its nodes
+        # stays within the interpolation error of the 600-point grid
+        ys = prof._spline.x
+        np.testing.assert_allclose(np.exp(prof._spline(ys)),
+                                   prof.exact(np.exp(ys)), rtol=1e-13)
+        mid = 0.5 * (ys[1:] + ys[:-1])
+        mid = mid[mid > math.log(1e-3)]
+        np.testing.assert_allclose(prof(1.0 + np.exp(mid)),
+                                   prof.exact(np.exp(mid)), rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    def test_singular_coefficient(self, alpha):
+        # g(1+e) = c_sing e^s + O(1) with s = (alpha-1)/2 < 0: at
+        # e = 10^-k the finite part is 10^-(k|s|) of the leading term
+        mp = pytest.importorskip("mpmath")
+        s = (alpha - 1.0) / 2.0
+        k = int(20 / -s)
+        with mp.workdps(k + 30):
+            e = mp.mpf(10) ** -k
+            limit = self._g_mp(mp, alpha, e) * e ** -mp.mpf(s)
+        prof = _AngularProfile2D(alpha, x_max=1200.0)
+        assert prof.c_sing == pytest.approx(float(limit), rel=1e-13)
+
+    def test_log_coefficient(self):
+        # alpha = 1: g(1+e) = (sqrt(2)/pi) (c_log - log(e)/2) + O(e log e)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(80):
+            e = mp.mpf(10) ** -40
+            limit = mp.pi * self._g_mp(mp, 1.0, e) / mp.sqrt(2) \
+                + mp.log(e) / 2
+        prof = _AngularProfile2D(1.0, x_max=1200.0)
+        assert prof.c_log == pytest.approx(float(limit), rel=1e-14)
+
+    def test_value_at_one(self):
+        # alpha > 1: g(1) = 2^p 2F1(-p, 1/2; 1; 1), finite
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            p = mp.mpf(-0.25)
+            limit = 2 ** p * mp.hyp2f1(-p, mp.mpf(1) / 2, 1, 1)
+        prof = _AngularProfile2D(1.5, x_max=1200.0)
+        assert prof.g_at_1 == pytest.approx(float(limit), rel=1e-14)
 
 
 class TestFunctionalAlgebra:
