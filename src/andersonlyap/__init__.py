@@ -9,26 +9,22 @@ exponents built on the variational constant rho.
 """
 
 from .asymptotics import (
-    FractionalHeat,
     LyapunovReport,
     RieszHeat,
     at_growth,
     beta0_power_law,
     beta0_solve,
     lambda2_closed_form,
-    lambda_beta,
     mittag_leffler,
 )
 from .brownian import tn_bm_oracle
 from .chaos import (
     ChaosQuery,
-    growth_exponent_estimate,
-    j1_heat_exact,
+    exact_moment,
     jn_exp_time_mc,
     jn_fixed_time,
     log_rate_tn,
     scaling_exponent,
-    second_moment_truncated,
     t1_exact,
     wave_heat_factor,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "ChaosQuery",
     "ConvergenceError",
     "EquationKind",
-    "FractionalHeat",
     "FunctionalValues",
     "KernelSpec",
     "LyapunovReport",
@@ -72,15 +67,13 @@ __all__ = [
     "beta0_solve",
     "c_h",
     "dalang_check",
+    "exact_moment",
     "fourier_green_sq",
     "functional_scaling",
     "functionals_from_rho",
-    "growth_exponent_estimate",
-    "j1_heat_exact",
     "jn_exp_time_mc",
     "jn_fixed_time",
     "lambda2_closed_form",
-    "lambda_beta",
     "laplace_green_sq",
     "log_rate_tn",
     "mittag_leffler",
@@ -89,7 +82,6 @@ __all__ = [
     "riesz_constant",
     "run_verification",
     "scaling_exponent",
-    "second_moment_truncated",
     "spectral_density",
     "t1_exact",
     "tn_bm_oracle",

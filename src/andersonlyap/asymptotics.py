@@ -38,8 +38,6 @@ __all__ = [
     "log_mittag_leffler",
     "at_growth",
     "RieszHeat",
-    "FractionalHeat",
-    "lambda_beta",
     "beta0_solve",
     "beta0_power_law",
     "lambda2_closed_form",
@@ -89,12 +87,18 @@ def log_mittag_leffler(a: float, x: float) -> float:
     """log E_a(x) for a in (0, 4), x >= 0, safe against overflow."""
     if not 0.0 < a < 4.0:
         raise ParameterError(f"order a must lie in (0, 4), got {a}")
-    if x < 0.0:
-        raise ParameterError(f"argument must be nonnegative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ParameterError(f"argument must be nonnegative and finite, got {x}")
     if x == 0.0:
         return 0.0
-    if x ** (1.0 / a) <= _SERIES_CUTOFF:
+    try:
+        root = x ** (1.0 / a)
+    except OverflowError:
+        root = math.inf
+    if root <= _SERIES_CUTOFF:
         return _series_log_ml(a, x)
+    if root == math.inf:
+        raise ParameterError(f"log E_{a}({x}) exceeds the double range")
     return _asymptotic_log_ml(a, x)
 
 
@@ -115,9 +119,17 @@ def at_growth(a: float, c: float, t: float) -> float:
     """(1/t) log E_a((c t)^a), the finite-t growth rate whose t -> inf
     limit is c.  The deviation is |log a| / t plus exponentially small
     corrections."""
-    if c <= 0.0 or t <= 0.0:
-        raise ParameterError("c and t must be positive")
-    return log_mittag_leffler(a, (c * t) ** a) / t
+    if not (0.0 < a < 4.0 and 0.0 < c < math.inf and 0.0 < t < math.inf):
+        raise ParameterError(
+            f"need 0 < a < 4 and positive finite c, t; got a={a}, c={c}, t={t}"
+        )
+    try:
+        x = (c * t) ** a
+    except OverflowError:
+        x = math.inf
+    if x == math.inf:
+        raise ParameterError(f"(c t)^a = ({c} * {t})^{a} exceeds the double range")
+    return log_mittag_leffler(a, x) / t
 
 
 # ----------------------------------------------------------------------
@@ -142,35 +154,12 @@ class RieszHeat:
         return 2.0 / (2.0 - self.alpha)
 
     def rate(self, beta: float) -> float:
-        return (2.0 * beta) ** (-self.power) * self.e2
-
-
-@dataclass(frozen=True)
-class FractionalHeat:
-    """lambda(beta) = (2 beta)^(-1/H) * e2 for the rough spatial noise."""
-
-    H: float
-    e2: float
-
-    def __post_init__(self):
-        if not 0.25 < self.H < 0.5:
-            raise ParameterError(f"H must lie in (1/4, 1/2), got {self.H}")
-        if self.e2 <= 0.0:
-            raise ParameterError("functional value must be positive")
-
-    @property
-    def power(self) -> float:
-        return 1.0 / self.H
-
-    def rate(self, beta: float) -> float:
-        return (2.0 * beta) ** (-self.power) * self.e2
-
-
-def lambda_beta(case, beta: float) -> float:
-    """Growth rate of the beta-perturbed heat model for either family."""
-    if beta <= 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    return case.rate(beta)
+        try:
+            return (2.0 * beta) ** (-self.power) * self.e2
+        except OverflowError:
+            # near alpha = 2 the power is large enough to leave the
+            # double range at small beta; the rate is then +inf
+            return math.inf
 
 
 def beta0_power_law(c: float, p: float) -> float:
@@ -313,6 +302,9 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
             + math.log(rho)
     else:
         gamma = math.log(rho)
+    if not abs(gamma / a) < 709.0:  # exp would leave the normal range
+        raise ParameterError(f"lambda_2 = exp({gamma / a!r}) is outside the "
+                             f"double range for rho={rho!r}")
     lam2 = math.exp(gamma / a)
 
     lam1 = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,10 +34,8 @@ __all__ = [
     "jn_fixed_time",
     "scaling_exponent",
     "log_rate_tn",
-    "second_moment_truncated",
-    "growth_exponent_estimate",
     "t1_exact",
-    "j1_heat_exact",
+    "exact_moment",
     "wave_heat_factor",
 ]
 
@@ -67,8 +65,8 @@ class ChaosQuery:
     def __post_init__(self):
         if self.n < 0:
             raise ParameterError(f"chaos order n must be >= 0, got {self.n}")
-        if self.t is not None and self.t <= 0:
-            raise ParameterError(f"t must be positive, got {self.t}")
+        if self.t is not None and not 0.0 < self.t < math.inf:
+            raise ParameterError(f"t must be positive and finite, got {self.t}")
         if not dalang_check(self.kernel.alpha_eff, self.eq.beta_l):
             raise ParameterError(
                 "admissibility violated: alpha_eff="
@@ -112,20 +110,30 @@ def t1_exact(kernel: KernelSpec, beta_l: float = 2.0) -> float:
     )
 
 
-def j1_heat_exact(kernel: KernelSpec, t: float, beta_l: float = 2.0) -> float:
-    """Closed form of the first fixed-time heat term J_1(t)."""
-    a = kernel.alpha_eff
-    b = beta_l
-    if not dalang_check(a, b):
-        raise ParameterError("admissibility violated")
-    return (
-        kernel.constant
-        * _sphere_area(kernel.d)
-        * math.gamma(a / b)
-        / b
-        * t ** (1.0 - a / b)
-        / (1.0 - a / b)
-    )
+def exact_moment(query: ChaosQuery) -> Optional[float]:
+    """Closed form of the chaos term a query names, or None.
+
+    The exponential-time heat moment T_n is 2^-n for white noise and
+    ``t1_exact`` at n = 1 for every family; the wave moment is T_n times
+    ``wave_heat_factor``.  A fixed-time target follows from the scaling
+    law J_n(t) = t^(a n) J_n(1) as J_n(t) = t^(a n) E[J_n(tau)] /
+    Gamma(a n + 1), with a = ``scaling_exponent``.
+    """
+    eq, kernel, n = query.eq, query.kernel, query.n
+    if n == 0:
+        return 1.0
+    if kernel.family == "white":
+        moment = 0.5 ** n
+    elif n == 1:
+        moment = t1_exact(kernel, eq.beta_l)
+    else:
+        return None
+    if eq.is_wave:
+        moment *= wave_heat_factor(n, kernel.alpha_eff, eq.beta_l)
+    if query.t is None:
+        return moment
+    a = scaling_exponent(eq, kernel.alpha_eff)
+    return query.t ** (a * n) * moment / math.gamma(a * n + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -380,55 +388,3 @@ def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
             raise ParameterError(f"nonpositive moment estimate at n={n}")
         rows.append((n, math.log(est.mean) / n, est.std_error / (n * est.mean)))
     return rows
-
-
-def second_moment_truncated(eq: EquationKind, kernel: KernelSpec, t: float,
-                            n_max: int, n_samples: int, seed: int, *,
-                            threads: int = 1) -> MCEstimate:
-    """Truncated second-moment series 1 + sum_{n<=n_max} J_n(t).
-
-    Each order runs on its own derived sub-stream, so the standard
-    errors add in quadrature; the size of the last retained term is
-    reported as truncation metadata (the tail has no rigorous bound).
-    """
-    if n_max < 0:
-        raise ParameterError("n_max must be >= 0")
-    total = 1.0
-    var = 0.0
-    last = 0.0
-    for n in range(1, n_max + 1):
-        est = jn_fixed_time(ChaosQuery(eq, kernel, n, t), n_samples, seed,
-                            threads=threads)
-        total += est.mean
-        var += est.std_error ** 2
-        last = est.mean
-    label = f"second_moment/{eq.kind}/{_kernel_tag(kernel)}/t{t:g}/nmax{n_max}"
-    params = {
-        "t": t,
-        "n_max": n_max,
-        "last_term": last,
-        "eq": eq.kind,
-        "family": kernel.family,
-    }
-    return MCEstimate(total, math.sqrt(var), n_samples, seed, label, params)
-
-
-def growth_exponent_estimate(samples: Sequence) -> float:
-    """Least-squares exponential growth rate from (t, h(t)) samples.
-
-    Fits log h against t over the largest-t half of the data -- the desk
-    estimator of limsup (1/t) log h(t) for nondecreasing h.
-    """
-    pts = sorted(samples)
-    if len(pts) < 3:
-        raise ParameterError("need at least 3 samples")
-    ts = np.array([p[0] for p in pts], dtype=float)
-    hs = np.array([p[1] for p in pts], dtype=float)
-    if np.any(np.diff(ts) <= 0):
-        raise ParameterError("t values must be strictly increasing")
-    if np.any(hs <= 0):
-        raise ParameterError("h values must be positive")
-    keep = max(2, (len(pts) + 1) // 2)
-    ts, hs = ts[-keep:], hs[-keep:]
-    slope = np.polyfit(ts, np.log(hs), 1)[0]
-    return float(slope)

@@ -7,7 +7,8 @@ Subcommands:
   kernels unless ``--rho`` is supplied);
 * ``chaos``    -- a table of chaos-moment Monte-Carlo estimates with
   oracle values and z-scores where closed forms exist;
-* ``rho``      -- the variational constant with discretization metadata;
+* ``rho``      -- the variational constant with discretization metadata
+  (exit 3 when the grid refinement misses its Richardson tolerance);
 * ``verify``   -- the machine-checkable invariant suite (exit 4 on any
   failure);
 * ``ml``       -- Mittag-Leffler point values and growth rates.
@@ -24,28 +25,19 @@ Exit codes: 0 success, 2 parameter error, 3 convergence error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, get_args, get_type_hints
 
-from .asymptotics import lambda2_closed_form
+from .asymptotics import at_growth, lambda2_closed_form, mittag_leffler
 from .brownian import tn_bm_oracle
-from .chaos import (
-    ChaosQuery,
-    j1_heat_exact,
-    jn_exp_time_mc,
-    jn_fixed_time,
-    scaling_exponent,
-    t1_exact,
-    wave_heat_factor,
-)
+from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc, jn_fixed_time
 from .errors import ConvergenceError, ParameterError
 from .propagators import EquationKind
 from .reporting import csv_render, flatten, json_render, table_render
 from .spectral import KernelSpec, dalang_check
-from .variational import rho_eigen
+from .variational import RhoEstimate, rho_eigen
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -83,17 +75,6 @@ class RunConfig:
     method: str = "fourier"
     time_step: float = 2e-3
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
     def kernel(self) -> KernelSpec:
         if self.family == "riesz":
             return KernelSpec("riesz", d=self.d, alpha=self.alpha)
@@ -107,38 +88,41 @@ class RunConfig:
         return EquationKind(self.eq, self.beta_l)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"d", "n", "samples", "seed", "grid_points", "threads",
-             "max_iters"}
-_FLOAT_KEYS = {"alpha", "H", "beta_l", "t", "grid_radius", "tol", "rho",
-               "e_gamma", "time_step"}
-
-
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+# key -> int / float / str, from the annotations (Optional[X] reads as X)
+_FIELD_TYPES = {
+    name: next((a for a in get_args(hint) if a is not type(None)), hint)
+    for name, hint in get_type_hints(RunConfig).items()
+}
 
 
 def load_config_file(path: str) -> dict:
     """Parse the flat key = value config format."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(
-                    f"{path}:{lineno}: expected key = value, got {line!r}"
-                )
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _FIELD_TYPES:
-                raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, raw.strip())
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(
+                f"{path}:{lineno}: expected key = value, got {line!r}"
+            )
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _FIELD_TYPES:
+            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = _FIELD_TYPES[key]
+        try:
+            values[key] = kind(raw.strip())
+        except ValueError:
+            raise ParameterError(
+                f"{path}:{lineno}: {key} needs a {kind.__name__} value, "
+                f"got {raw.strip()!r}"
+            ) from None
     return values
 
 
@@ -181,9 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="Fourier-side sampler or Brownian oracle")
             p.add_argument("--time-step", dest="time_step", type=float,
                            help="Brownian oracle step size")
-        if name == "verify":
-            p.add_argument("--inject-wrong-exponent", action="store_true",
-                           help=argparse.SUPPRESS)
         if name == "ml":
             p.add_argument("--a", type=float, required=True,
                            help="Mittag-Leffler order in (0, 4)")
@@ -230,15 +211,29 @@ def _emit(cfg: RunConfig, payload, rows=None, title=""):
         sys.stdout.write(text)
 
 
+def _solve_rho(cfg: RunConfig, profile: str = "riesz") -> RhoEstimate:
+    """The eigensolver at the configured grid; a Richardson pair that
+    still disagrees after the last refinement is a convergence error."""
+    est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l, R=cfg.grid_radius,
+                    m=cfg.grid_points, tol=cfg.tol, max_iters=cfg.max_iters,
+                    profile=profile)
+    gap, refine_tol = est.params["richardson_gap"], est.params["refine_tol"]
+    if not gap <= refine_tol:
+        raise ConvergenceError(
+            f"rho grid refinement stopped at {est.grid_points} points with "
+            f"richardson_gap {gap:.3e} above refine_tol {refine_tol:.3e}",
+            gap,
+        )
+    return est
+
+
 def cmd_lyapunov(cfg: RunConfig) -> int:
     kernel = cfg.kernel()
     eq = cfg.equation()
     rho = cfg.rho
     rho_meta = None
     if kernel.family == "riesz" and rho is None:
-        est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l, R=cfg.grid_radius,
-                        m=cfg.grid_points, tol=cfg.tol,
-                        max_iters=cfg.max_iters)
+        est = _solve_rho(cfg)
         rho = est.value
         rho_meta = est.to_dict()
     report = lambda2_closed_form(eq, kernel, rho=rho, e_gamma=cfg.e_gamma)
@@ -247,35 +242,6 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
         payload["rho_solver"] = rho_meta
     _emit(cfg, payload, title="second-order Lyapunov exponent")
     return EXIT_OK
-
-
-def _chaos_oracle(cfg: RunConfig, kernel: KernelSpec, eq: EquationKind,
-                  n: int) -> Optional[float]:
-    """Closed-form reference for a chaos row, where one exists."""
-    if n == 0:
-        return 1.0
-    a_eff = kernel.alpha_eff
-    if cfg.t is None:
-        heat_tn = None
-        if kernel.family == "white":
-            heat_tn = 0.5 ** n
-        elif n == 1:
-            heat_tn = t1_exact(kernel, eq.beta_l)
-        if heat_tn is None:
-            return None
-        if eq.is_wave:
-            return wave_heat_factor(n, a_eff, eq.beta_l) * heat_tn
-        return heat_tn
-    # fixed time: J_n(t) = t^(a n) T_n / Gamma(a n + 1) via the
-    # exponential-moment identity
-    a = scaling_exponent(eq, a_eff)
-    if kernel.family == "white":
-        tn = wave_heat_factor(n, a_eff, eq.beta_l) * 0.5 ** n if eq.is_wave \
-            else 0.5 ** n
-        return cfg.t ** (a * n) * tn / math.gamma(a * n + 1.0)
-    if n == 1 and not eq.is_wave:
-        return j1_heat_exact(kernel, cfg.t, eq.beta_l)
-    return None
 
 
 def cmd_chaos(cfg: RunConfig) -> int:
@@ -290,24 +256,26 @@ def cmd_chaos(cfg: RunConfig) -> int:
             raise ParameterError(
                 "the Brownian oracle is defined for the Riesz family only"
             )
+        if cfg.t is not None:
+            raise ParameterError(
+                f"t = {cfg.t} does not apply to the Brownian oracle, which "
+                "estimates the exponential-time moments T_n"
+            )
         # the path functional estimates the heat-side moments T_n
         eq = EquationKind("heat")
     rows = []
-    for n in range(0, cfg.n + 1):
+    for n in range(1 if cfg.method == "bm" else 0, cfg.n + 1):
+        query = ChaosQuery(eq, kernel, n, cfg.t)
         if cfg.method == "bm":
-            if n == 0:
-                continue
             est = tn_bm_oracle(cfg.d, cfg.alpha, n, cfg.samples,
                                cfg.time_step, cfg.seed, threads=cfg.threads)
+        elif cfg.t is None:
+            est = jn_exp_time_mc(query, cfg.samples, cfg.seed,
+                                 threads=cfg.threads)
         else:
-            query = ChaosQuery(eq, kernel, n, cfg.t)
-            if cfg.t is None:
-                est = jn_exp_time_mc(query, cfg.samples, cfg.seed,
-                                     threads=cfg.threads)
-            else:
-                est = jn_fixed_time(query, cfg.samples, cfg.seed,
-                                    threads=cfg.threads)
-        oracle = _chaos_oracle(cfg, kernel, eq, n)
+            est = jn_fixed_time(query, cfg.samples, cfg.seed,
+                                threads=cfg.threads)
+        oracle = exact_moment(query)
         row = {
             "n": n,
             "mean": est.mean,
@@ -332,25 +300,19 @@ def cmd_chaos(cfg: RunConfig) -> int:
 
 
 def cmd_rho(cfg: RunConfig) -> int:
-    profile = "flat" if cfg.family == "white" else "riesz"
-    est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l, R=cfg.grid_radius,
-                    m=cfg.grid_points, tol=cfg.tol,
-                    max_iters=cfg.max_iters, profile=profile)
+    est = _solve_rho(cfg, "flat" if cfg.family == "white" else "riesz")
     _emit(cfg, est.to_dict(), title="variational constant")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, inject: bool = False) -> int:
-    report = run_verification(seed=cfg.seed, threads=cfg.threads,
-                              inject_wrong_exponent=inject)
+def cmd_verify(cfg: RunConfig) -> int:
+    report = run_verification(seed=cfg.seed, threads=cfg.threads)
     rows = report["checks"]
     _emit(cfg, report, rows=rows, title="verification")
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY
 
 
 def cmd_ml(cfg: RunConfig, a: float, xs, growth_c: Optional[float]) -> int:
-    from .asymptotics import at_growth, mittag_leffler
-
     rows = []
     if growth_c is not None:
         t = cfg.t if cfg.t is not None else 50.0
@@ -385,7 +347,7 @@ def main(argv=None) -> int:
         if args.command == "rho":
             return cmd_rho(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, inject=args.inject_wrong_exponent)
+            return cmd_verify(cfg)
         if args.command == "ml":
             return cmd_ml(cfg, args.a, args.x, args.growth_c)
         raise ParameterError(f"unknown command {args.command!r}")

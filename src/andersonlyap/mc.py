@@ -11,7 +11,6 @@ threads executed the chunks, or in which order they finished.
 from __future__ import annotations
 
 import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,19 +51,6 @@ class MCEstimate:
         if err == 0.0:
             return 0.0 if self.mean == reference else float("inf")
         return (self.mean - reference) / err
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "params": self.params,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def derive_seed(seed: int, label: str) -> int:

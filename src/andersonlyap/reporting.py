@@ -121,11 +121,7 @@ def csv_render(rows: list) -> str:
     ``rows`` is a list of dicts; the header is the union of keys in
     first-appearance order.
     """
-    header = []
-    for row in rows:
-        for k in row:
-            if k not in header:
-                header.append(k)
+    header = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
@@ -138,11 +134,7 @@ def table_render(rows: list, title: str = "") -> str:
     """Aligned fixed-width text table from a list of dicts."""
     if not rows:
         return (title + "\n") if title else ""
-    header = []
-    for row in rows:
-        for k in row:
-            if k not in header:
-                header.append(k)
+    header = list(dict.fromkeys(k for row in rows for k in row))
 
     def cell(v):
         if v is None:

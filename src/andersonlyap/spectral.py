@@ -144,17 +144,6 @@ class KernelSpec:
             cfg["H"] = self.H
         return cfg
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "KernelSpec":
-        family = cfg.get("family")
-        if family == "riesz":
-            return cls("riesz", d=int(cfg["d"]), alpha=float(cfg["alpha"]))
-        if family == "fractional":
-            return cls("fractional", H=float(cfg["H"]))
-        if family == "white":
-            return cls("white")
-        raise ParameterError(f"unknown kernel family {family!r}")
-
 
 def spectral_density(spec: KernelSpec, xi) -> float:
     """Density of the spectral measure mu at the point xi (scalar |xi| is

@@ -169,8 +169,7 @@ def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):
         return h * w * tmv(w * v)
 
     v0 = 1.0 / (1.0 + xi * xi)
-    lam, vec, iters, res = power_iteration(matvec, v0, tol, max_iters)
-    return lam, vec, iters, res
+    return power_iteration(matvec, v0, tol, max_iters)
 
 
 # ----------------------------------------------------------------------
@@ -300,9 +299,7 @@ def _solve_radial(d, alpha, beta_l, R, m, tol, max_iters):
     mat = (h * area * c) * ang * half_pow * (w[:, None] * w[None, :])
 
     v0 = r ** ((d - 1) / 2.0) / (1.0 + r * r)
-    lam, vec, iters, res = power_iteration(lambda v: mat @ v, v0, tol,
-                                           max_iters)
-    return lam, vec, iters, res
+    return power_iteration(lambda v: mat @ v, v0, tol, max_iters)
 
 
 # ----------------------------------------------------------------------
@@ -428,11 +425,19 @@ def functionals_from_rho(alpha: float, rho: float) -> FunctionalValues:
     """Exact power-law conversion rho -> functional values."""
     if not 0.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    if rho <= 0:
-        raise ParameterError(f"rho must be positive, got {rho}")
-    e_a1 = rho ** (2.0 / (2.0 - alpha))
-    e = 2.0 ** (-alpha / (alpha - 2.0)) * e_a1
-    e2 = 2.0 ** (-alpha / (2.0 - alpha)) * e
+    if not 0.0 < rho < math.inf:
+        raise ParameterError(f"rho must be positive and finite, got {rho}")
+    try:
+        e_a1 = rho ** (2.0 / (2.0 - alpha))
+        e = 2.0 ** (-alpha / (alpha - 2.0)) * e_a1
+        e2 = 2.0 ** (-alpha / (2.0 - alpha)) * e
+    except OverflowError:
+        e_a1 = e = e2 = math.inf
+    if not all(0.0 < v < math.inf for v in (e_a1, e, e2)):
+        raise ParameterError(
+            f"rho={rho!r} at alpha={alpha!r} puts the functional values "
+            "outside the double range"
+        )
     return FunctionalValues(e_a1=e_a1, e=e, e2=e2, alpha=alpha)
 
 

@@ -5,10 +5,6 @@ statistical contracts from scratch with seeded inputs and reports a
 pass/fail record.  Everything is deterministic for a fixed (seed,
 thread count), so two runs emit byte-identical JSON -- itself one of
 the checks' contracts.
-
-The ``inject_wrong_exponent`` hook deliberately mis-states one exponent
-in the identity cross-check; it exists so the test suite can confirm
-the suite actually has teeth.
 """
 
 from __future__ import annotations
@@ -27,14 +23,14 @@ from .asymptotics import (
     lambda2_closed_form,
     mittag_leffler,
 )
-from .chaos import ChaosQuery, jn_exp_time_mc
+from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc
 from .mc import derive_seed
 from .propagators import EquationKind, fourier_green_sq, laplace_green_sq, \
     wave_heat_link_residual
 from .spectral import KernelSpec, riesz_constant
 from .variational import functionals_from_rho, remark14_residual, rho_eigen
 
-__all__ = ["run_verification"]
+__all__ = ["run_verification", "j1_quadrature"]
 
 
 def _check(name, value, tolerance, detail=""):
@@ -58,22 +54,10 @@ def _white_exact():
                   "closed-form wave/heat exponents at the flat kernel")
 
 
-def _remark_identity(rng, inject):
+def _remark_identity(rng):
     alphas = rng.uniform(0.05, 1.95, 100)
     rhos = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 100))
-    worst = 0.0
-    for a, r in zip(alphas, rhos):
-        if inject:
-            # test hook: deliberately wrong denominator exponent
-            e = functionals_from_rho(a, r).e
-            lhs = (2.0 ** (1.0 - a) * r) ** (1.0 / (3.0 - a))
-            rhs = 2.0 ** ((2.0 - 3.0 * a) / (6.0 - 3.0 * a)) * e ** (
-                (2.0 - a) / (6.0 - 2.0 * a)
-            )
-            resid = lhs - rhs
-        else:
-            resid = remark14_residual(a, r)
-        worst = max(worst, abs(resid))
+    worst = max(abs(remark14_residual(a, r)) for a, r in zip(alphas, rhos))
     return _check("exponent_identity_residual", worst, 1e-10,
                   "rho-route vs functional-route wave exponent, 100 draws")
 
@@ -141,25 +125,26 @@ def _growth_rate():
                   "at_growth within |log a|/t of c at t = 50")
 
 
-def _scaling_law():
-    # independent nested quadrature of the first heat chaos term,
-    # Riesz d=1 alpha=1/2
+def j1_quadrature(t: float) -> float:
+    """J_1(t) of the heat equation with Riesz d=1 alpha=1/2 noise by
+    nested quadrature, independent of the chaos module's closed forms."""
     c = riesz_constant(1, 0.5)
 
-    def j1(t):
-        def inner(s):
-            # substitute xi = v^2 to absorb the |xi|^(-1/2) endpoint;
-            # the cutoff tracks the 1/s^(1/4) spread of the integrand
-            v_max = (36.0 / s) ** 0.25
-            return 4.0 * quad(
-                lambda v: math.exp(-s * v ** 4), 0.0, v_max, limit=400
-            )[0]
+    def inner(s):
+        # substitute xi = v^2 to absorb the |xi|^(-1/2) endpoint;
+        # the cutoff tracks the 1/s^(1/4) spread of the integrand
+        v_max = (36.0 / s) ** 0.25
+        return 4.0 * quad(
+            lambda v: math.exp(-s * v ** 4), 0.0, v_max, limit=400
+        )[0]
 
-        return c * quad(inner, 0.0, t, limit=200)[0]
+    return c * quad(inner, 0.0, t, limit=200)[0]
 
-    base = j1(1.0)
+
+def _scaling_law():
+    base = j1_quadrature(1.0)
     worst = max(
-        abs(j1(t) - t ** 0.75 * base) / (t ** 0.75 * base)
+        abs(j1_quadrature(t) - t ** 0.75 * base) / (t ** 0.75 * base)
         for t in (0.5, 2.0, 4.0)
     )
     return _check("chaos_time_scaling", worst, 1e-6,
@@ -206,7 +191,7 @@ def _white_moments(seed, threads):
     for n in (1, 2, 3):
         q = ChaosQuery(EquationKind("heat"), KernelSpec("white"), n)
         est = jn_exp_time_mc(q, 100_000, seed, threads=threads)
-        ref = 0.5 ** n
+        ref = exact_moment(q)
         slack = 3.0 * est.std_error + 16.0 * np.finfo(float).eps * ref
         worst = max(worst, abs(est.mean - ref) - slack)
     return _check("white_noise_chaos_moments", max(worst, 0.0), 0.0,
@@ -221,13 +206,12 @@ def _flat_control():
                   "rank-one control against its truncated closed form")
 
 
-def run_verification(seed: int = 0, threads: int = 1,
-                     inject_wrong_exponent: bool = False) -> dict:
+def run_verification(seed: int = 0, threads: int = 1) -> dict:
     """Run the whole invariant suite; returns a serializable report."""
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "verify")))
     checks = [
         _white_exact(),
-        _remark_identity(rng, inject_wrong_exponent),
+        _remark_identity(rng),
         _wave_heat_link(rng),
         _laplace_quadrature(rng),
         _ml_values(),

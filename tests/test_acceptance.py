@@ -26,9 +26,9 @@ from andersonlyap.cli import main
 from andersonlyap.propagators import EquationKind, fourier_green_sq, \
     laplace_green_sq, wave_heat_link_residual
 from andersonlyap.reporting import json_render
-from andersonlyap.spectral import KernelSpec, riesz_constant
+from andersonlyap.spectral import KernelSpec
 from andersonlyap.variational import remark14_residual, rho_eigen
-from andersonlyap.verify import run_verification
+from andersonlyap.verify import j1_quadrature, run_verification
 
 WAVE = EquationKind("wave")
 HEAT = EquationKind("heat")
@@ -135,22 +135,11 @@ def test_criterion_4_oracle_equivalence(capsys):
         )
 
 
-def _j1_quadrature(t):
-    c = riesz_constant(1, 0.5)
-
-    def inner(s):
-        v_max = (36.0 / s) ** 0.25
-        return 4.0 * quad(lambda v: math.exp(-s * v ** 4), 0.0, v_max,
-                          limit=400)[0]
-
-    return c * quad(inner, 0.0, t, limit=200)[0]
-
-
 def test_criterion_5_time_scaling_law(capsys):
     t0 = time.monotonic()
-    base = _j1_quadrature(1.0)
+    base = j1_quadrature(1.0)
     worst = max(
-        abs(_j1_quadrature(t) - t ** 0.75 * base) / (t ** 0.75 * base)
+        abs(j1_quadrature(t) - t ** 0.75 * base) / (t ** 0.75 * base)
         for t in (0.5, 2.0, 4.0)
     )
     ok = worst < 1e-6

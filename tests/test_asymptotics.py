@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andersonlyap.asymptotics import (
-    FractionalHeat,
     RieszHeat,
     _asymptotic_log_ml,
     _series_log_ml,
@@ -15,7 +14,6 @@ from andersonlyap.asymptotics import (
     beta0_power_law,
     beta0_solve,
     lambda2_closed_form,
-    lambda_beta,
     log_mittag_leffler,
     mittag_leffler,
 )
@@ -92,24 +90,18 @@ class TestAtGrowth:
 class TestLambdaBeta:
     def test_riesz_reference(self):
         case = RieszHeat(alpha=1.0, e2=0.25)
-        assert lambda_beta(case, 0.5) == pytest.approx(0.25, rel=1e-14)
+        assert case.rate(0.5) == pytest.approx(0.25, rel=1e-14)
 
     def test_power_law_limits(self):
         case = RieszHeat(alpha=1.0, e2=0.25)
-        assert lambda_beta(case, 1e6) < 1e-10
-        assert lambda_beta(case, 1e-6) > 1e6
-
-    def test_fractional_unit_prefactor(self):
-        case = FractionalHeat(H=1 / 3, e2=1.0)
-        assert lambda_beta(case, 0.5) == pytest.approx(1.0, rel=1e-14)
+        assert case.rate(1e6) < 1e-10
+        assert case.rate(1e-6) > 1e6
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             RieszHeat(alpha=2.5, e2=1.0)
         with pytest.raises(ParameterError):
-            FractionalHeat(H=0.6, e2=1.0)
-        with pytest.raises(ParameterError):
-            lambda_beta(RieszHeat(1.0, 1.0), 0.0)
+            RieszHeat(alpha=1.0, e2=0.0)
 
 
 class TestBeta0:

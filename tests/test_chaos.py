@@ -8,19 +8,18 @@ from scipy.special import gamma as spgamma
 
 from andersonlyap.chaos import (
     ChaosQuery,
-    growth_exponent_estimate,
-    j1_heat_exact,
+    exact_moment,
     jn_exp_time_mc,
     jn_fixed_time,
     log_rate_tn,
     scaling_exponent,
-    second_moment_truncated,
     t1_exact,
     wave_heat_factor,
 )
 from andersonlyap.errors import ParameterError
 from andersonlyap.propagators import EquationKind
 from andersonlyap.spectral import KernelSpec, riesz_constant
+from andersonlyap.verify import j1_quadrature
 
 WAVE = EquationKind("wave")
 HEAT = EquationKind("heat")
@@ -34,7 +33,7 @@ T2_QUAD = 2.733946  # frozen 2-D quadrature value, +/- 3e-7
 
 # ----------------------------------------------------------------------
 # independent quadrature oracles (kept apart from the library's closed
-# forms on purpose)
+# forms on purpose; J_1(t) comes from verify.j1_quadrature)
 # ----------------------------------------------------------------------
 
 def t1_oracle_quad() -> float:
@@ -42,18 +41,6 @@ def t1_oracle_quad() -> float:
     c = riesz_constant(1, 0.5)
     val = quad(lambda v: 4.0 / (1.0 + v ** 4), 0.0, 2000.0, limit=400)[0]
     return c * val
-
-
-def j1_oracle_quad(t: float) -> float:
-    """J_1(t) for the heat/Riesz(1/2) case by nested quadrature."""
-    c = riesz_constant(1, 0.5)
-
-    def inner(s):
-        v_max = (36.0 / s) ** 0.25
-        return 4.0 * quad(lambda v: math.exp(-s * v ** 4), 0.0, v_max,
-                          limit=400)[0]
-
-    return c * quad(inner, 0.0, t, limit=200)[0]
 
 
 def within(est, ref, sigmas=3.0):
@@ -68,10 +55,20 @@ class TestClosedForms:
     def test_t1_white(self):
         assert t1_exact(WHITE) == pytest.approx(0.5, rel=1e-14)
 
-    def test_j1_heat_exact(self):
-        assert j1_heat_exact(RIESZ, 1.0) == pytest.approx(J1_AT_1, rel=1e-13)
-        assert j1_heat_exact(RIESZ, 1.0) == pytest.approx(j1_oracle_quad(1.0),
-                                                          rel=1e-8)
+    def test_j1_exact_moment(self):
+        j1 = exact_moment(ChaosQuery(HEAT, RIESZ, 1, t=1.0))
+        assert j1 == pytest.approx(J1_AT_1, rel=1e-13)
+        assert j1 == pytest.approx(j1_quadrature(1.0), rel=1e-8)
+
+    def test_exact_moment_cases(self):
+        assert exact_moment(ChaosQuery(WAVE, RIESZ, 0, t=2.0)) == 1.0
+        assert exact_moment(ChaosQuery(HEAT, RIESZ, 1)) == t1_exact(RIESZ)
+        assert exact_moment(ChaosQuery(WAVE, WHITE, 3)) == 0.5 ** 3
+        assert exact_moment(ChaosQuery(WAVE, RIESZ, 2)) is None
+        assert exact_moment(ChaosQuery(HEAT, RIESZ, 2, t=1.0)) is None
+        # J_n(1) = 2^-n / Gamma(n/2 + 1) for the flat heat kernel
+        assert exact_moment(ChaosQuery(HEAT, WHITE, 3, t=1.0)) == \
+            pytest.approx(0.125 / spgamma(2.5), rel=1e-14)
 
     def test_scaling_exponent_values(self):
         assert scaling_exponent(WAVE, 0.5) == pytest.approx(2.5)
@@ -87,18 +84,18 @@ class TestClosedForms:
 
 class TestScalingLaw:
     def test_quadrature_scaling(self):
-        base = j1_oracle_quad(1.0)
+        base = j1_quadrature(1.0)
         a = scaling_exponent(HEAT, 0.5)
         assert a == pytest.approx(0.75)
         for t in (0.5, 2.0, 4.0):
-            assert j1_oracle_quad(t) == pytest.approx(t ** a * base, rel=1e-6)
+            assert j1_quadrature(t) == pytest.approx(t ** a * base, rel=1e-6)
 
     def test_laplace_identity_order_one(self):
         # Gamma(a+1) beta^-(a+1) J_1(1) equals (1/beta) x the spectral
         # integral of the rate-beta transform, both by quadrature
         a = 0.75
         c = riesz_constant(1, 0.5)
-        j1 = j1_oracle_quad(1.0)
+        j1 = j1_quadrature(1.0)
         for beta in (0.5, 1.0, 2.0):
             lhs = spgamma(a + 1.0) * beta ** (-(a + 1.0)) * j1
             rhs = quad(
@@ -199,50 +196,17 @@ class TestFixedTimeMC:
         est = jn_fixed_time(ChaosQuery(HEAT, WHITE, 2, t=1.0), 200_000, 13)
         assert within(est, 0.25 / spgamma(2.0))
 
+    def test_riesz_wave_j1_oracle(self):
+        # the wave oracle comes from T_1 through the fixed-time identity;
+        # the sin^2 weights are heavy-tailed, so this runs at 1e6 samples
+        q = ChaosQuery(WAVE, RIESZ, 1, t=2.0)
+        est = jn_fixed_time(q, 1_000_000, 13)
+        assert within(est, exact_moment(q))
+
     def test_needs_time(self):
-        with pytest.raises(ParameterError):
-            ChaosQuery(HEAT, RIESZ, 1, t=-1.0)
-
-
-class TestSecondMoment:
-    def test_white_truncated_series(self):
-        est = second_moment_truncated(HEAT, WHITE, 1.0, 4, 150_000, 17)
-        ref = 1.0 + sum(0.5 ** n / spgamma(n / 2.0 + 1.0) for n in (1, 2, 3, 4))
-        assert abs(est.mean - ref) <= 3.0 * est.std_error + 1e-3 * ref
-        assert est.params["n_max"] == 4
-        assert est.params["last_term"] > 0
-
-    def test_nmax_zero(self):
-        est = second_moment_truncated(HEAT, WHITE, 1.0, 0, 10, 17)
-        assert est.mean == 1.0 and est.std_error == 0.0
-
-    def test_small_time_near_one(self):
-        est = second_moment_truncated(HEAT, WHITE, 1e-6, 3, 50_000, 17)
-        assert abs(est.mean - 1.0) < 1e-2
-
-
-class TestGrowthEstimator:
-    def test_pure_exponential(self):
-        pts = [(t, math.exp(3.0 * t)) for t in range(1, 11)]
-        assert growth_exponent_estimate(pts) == pytest.approx(3.0, abs=1e-9)
-
-    def test_polynomial_prefactor(self):
-        # the t^2 prefactor biases the half-window slope by roughly
-        # 2/t_mid ~ 0.054 at t <= 50 (oracle-run value); frozen at 0.06
-        pts = [(t, t * t * math.exp(3.0 * t)) for t in range(5, 51, 5)]
-        assert growth_exponent_estimate(pts) == pytest.approx(3.0, abs=0.06)
-
-    def test_constant(self):
-        pts = [(float(t), 2.5) for t in range(1, 8)]
-        assert growth_exponent_estimate(pts) == pytest.approx(0.0, abs=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(ParameterError):
-            growth_exponent_estimate([(1.0, 1.0), (2.0, 2.0)])
-        with pytest.raises(ParameterError):
-            growth_exponent_estimate([(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
-        with pytest.raises(ParameterError):
-            growth_exponent_estimate([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0)])
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                ChaosQuery(HEAT, RIESZ, 1, t=t)
 
 
 class TestLogRateTn:

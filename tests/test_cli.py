@@ -1,20 +1,24 @@
 """Command-line behavior: formats, precedence, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import andersonlyap.verify
 from andersonlyap.cli import (
     EXIT_CONVERGENCE,
     EXIT_PARAMETER,
     EXIT_VERIFY,
-    RunConfig,
     load_config_file,
     main,
 )
+from andersonlyap.variational import functionals_from_rho
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +59,14 @@ class TestLyapunovCommand:
         data = json.loads(out)
         assert "rho_solver" not in data
         assert data["rho"] == 1.5
+
+    def test_alpha_near_two_wave(self, capsys):
+        # the fixed-point bracket puts (2 beta)^-p past the double range
+        code, out, _ = run_cli(capsys, "lyapunov", "--family", "riesz",
+                               "--d", "2", "--alpha", "1.995", "--rho", "1",
+                               "--eq", "wave", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["consistency_gap"] < 1e-10
 
     def test_fractional_needs_functional(self, capsys):
         code, _, err = run_cli(capsys, "lyapunov", "--family", "fractional",
@@ -112,9 +124,41 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER
         assert "e_gamma must be positive and finite" in err
 
-    def test_verify_injection_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--inject-wrong-exponent",
-                               "--format", "json")
+    @pytest.mark.parametrize("argv", [
+        ("--d", "1", "--alpha", "0.5", "--rho", "1e308", "--eq", "wave"),
+        ("--d", "3", "--alpha", "1.999", "--rho", "1e300", "--eq", "heat"),
+    ])
+    def test_out_of_range_rho_named(self, capsys, argv):
+        code, _, err = run_cli(capsys, "lyapunov", "--family", "riesz", *argv)
+        assert code == EXIT_PARAMETER
+        assert "rho=1e+30" in err and "double range" in err
+
+    def test_unconverged_rho_grid(self, capsys):
+        code, _, err = run_cli(capsys, "rho", "--family", "riesz", "--d", "1",
+                               "--alpha", "0.5", "--grid-points", "1")
+        assert code == EXIT_CONVERGENCE
+        assert "richardson_gap" in err and "refine_tol 1.000e-03" in err
+
+    def test_bm_method_rejects_fixed_time(self, capsys):
+        code, _, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                               "1", "--alpha", "0.5", "--method", "bm",
+                               "--t", "2", "--n", "1", "--samples", "100")
+        assert code == EXIT_PARAMETER
+        assert "t = 2.0" in err
+
+    def test_verify_injection_fails(self, capsys, monkeypatch):
+        def wrong_residual(a, r):
+            # the remark-14 identity with a wrong denominator exponent
+            e = functionals_from_rho(a, r).e
+            lhs = (2.0 ** (1.0 - a) * r) ** (1.0 / (3.0 - a))
+            rhs = 2.0 ** ((2.0 - 3.0 * a) / (6.0 - 3.0 * a)) * e ** (
+                (2.0 - a) / (6.0 - 2.0 * a)
+            )
+            return lhs - rhs
+
+        monkeypatch.setattr(andersonlyap.verify, "remark14_residual",
+                            wrong_residual)
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == EXIT_VERIFY
         data = json.loads(out)
         failed = [c["name"] for c in data["checks"] if not c["passed"]]
@@ -214,10 +258,21 @@ class TestConfigPrecedence:
         with pytest.raises(Exception):
             load_config_file(str(cfg))
 
-    def test_run_config_round_trip(self):
-        cfg = RunConfig(command="chaos", family="riesz", d=2, alpha=1.3,
-                        seed=99, t=2.5)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    def test_bad_value_names_line_and_key(self, capsys, tmp_path,
+                                          monkeypatch):
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text("family = riesz\nd = abc\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        code, _, err = run_cli(capsys, "lyapunov")
+        assert code == EXIT_PARAMETER
+        assert f"{cfg}:2: d needs a int value, got 'abc'" in err
+
+    def test_missing_file_named(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "absent.cfg"
+        monkeypatch.setenv("ANDERSON_CONFIG", str(path))
+        code, _, err = run_cli(capsys, "lyapunov")
+        assert code == EXIT_PARAMETER
+        assert str(path) in err
 
 
 class TestVerifyDeterminism:
@@ -253,3 +308,60 @@ class TestMlCommand:
         assert code == EXIT_PARAMETER
         assert "exceeds the double range" in err
         assert "log_mittag_leffler" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--a", "1.0", "--x", "inf"), "nonnegative and finite"),
+        (("--a", "1e-308", "--x", "974"), "exceeds the double range"),
+        (("--a", "2.0", "--growth-c", "1e308", "--t", "2"), "(c t)^a"),
+        (("--a", "2.0", "--growth-c", "nan"), "positive finite c, t"),
+    ])
+    def test_out_of_range_named(self, capsys, argv, named):
+        code, _, err = run_cli(capsys, "ml", *argv)
+        assert code == EXIT_PARAMETER
+        assert named in err
+
+
+# ----------------------------------------------------------------------
+# fuzzing: no input reaches a traceback
+# ----------------------------------------------------------------------
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, 1.0, 1e308, -1e308,
+                1e-308, -1e-308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, 4.0),
+                    st.floats())
+
+
+def _flag(name, value):
+    # the --name=value form keeps "-1e+308" from reading as a flag
+    return f"--{name}={value!r}"
+
+
+_NOISE = st.one_of(
+    st.just(["--family", "white"]),
+    st.builds(lambda h, e: ["--family", "fractional", _flag("H", h),
+                            _flag("e-gamma", e)], _FLOATS, _FLOATS),
+    st.builds(lambda d, a, r: ["--family", "riesz", f"--d={d}",
+                               _flag("alpha", a), _flag("rho", r)],
+              st.integers(-1, 4), _FLOATS, _FLOATS),
+)
+_LYAPUNOV = st.builds(
+    lambda noise, eq, b: ["lyapunov", f"--eq={eq}"] + noise
+    + ([] if b is None else [_flag("beta-l", b)]),
+    _NOISE, st.sampled_from(["wave", "heat"]), st.none() | _FLOATS,
+)
+_ML = st.builds(
+    lambda a, xs, c, t: ["ml", _flag("a", a)] + [_flag("x", x) for x in xs]
+    + ([] if c is None else [_flag("growth-c", c), _flag("t", t)]),
+    _FLOATS, st.lists(_FLOATS, max_size=2), st.none() | _FLOATS, _FLOATS,
+)
+
+
+@given(st.one_of(_LYAPUNOV, _ML), st.sampled_from(["json", "csv", "table"]))
+def test_fuzz_exit_codes(argv, fmt):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + ["--format", fmt])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, EXIT_PARAMETER, EXIT_CONVERGENCE, EXIT_VERIFY), argv

@@ -1,7 +1,5 @@
 """Monte-Carlo plumbing: streams, stable accumulation, reproducibility."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -57,12 +55,6 @@ class TestRunChunked:
 
 
 class TestMCEstimate:
-    def test_json_round_trip(self):
-        est = MCEstimate(1.5, 0.01, 1000, 42, "demo", {"R": 50.0})
-        data = json.loads(est.to_json())
-        assert data["mean"] == 1.5
-        assert data["params"]["R"] == 50.0
-
     def test_z_score(self):
         est = MCEstimate(1.0, 0.1, 100, 0, "demo")
         assert est.z_score(0.7) == pytest.approx(3.0)

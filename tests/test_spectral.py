@@ -130,17 +130,6 @@ class TestKernelSpec:
         assert KernelSpec("fractional", H=0.3).alpha_eff == pytest.approx(1.4)
         assert KernelSpec("white").alpha_eff == 1.0
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            KernelSpec("riesz", d=3, alpha=1.7),
-            KernelSpec("fractional", H=0.3),
-            KernelSpec("white"),
-        ],
-    )
-    def test_config_round_trip(self, spec):
-        assert KernelSpec.from_config(spec.to_config()) == spec
-
     def test_invalid(self):
         with pytest.raises(ParameterError):
             KernelSpec("riesz", d=1, alpha=1.5)
