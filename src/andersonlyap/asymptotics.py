@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, rgamma
 
 from .chaos import scaling_exponent
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .propagators import EquationKind
 from .spectral import KernelSpec, dalang_check
 from .variational import functional_scaling, functionals_from_rho
@@ -52,34 +51,44 @@ _SERIES_REL_STOP = 1e-17
 
 
 def _series_log_ml(a: float, x: float) -> float:
-    """log E_a(x) by direct summation of x^n / Gamma(a n + 1)."""
+    """log E_a(x) by direct summation of x^n / Gamma(a n + 1).
+
+    Raises ConvergenceError (residual: the last term relative to the
+    largest) when _SERIES_MAX_TERMS terms do not reach the stopping
+    rule, which happens for tiny a, where the terms barely decay.
+    """
     if x == 0.0:
         return 0.0
     log_x = math.log(x)
     # terms are positive; sum in linear space scaled by the largest term
     log_terms = []
-    n = 0
     log_max = -math.inf
-    while n < _SERIES_MAX_TERMS:
-        lt = n * log_x - gammaln(a * n + 1.0)
+    for n in range(_SERIES_MAX_TERMS):
+        lt = n * log_x - math.lgamma(a * n + 1.0)
         log_terms.append(lt)
         log_max = max(log_max, lt)
         # past the peak the terms fall off super-geometrically
         if lt < log_max + math.log(_SERIES_REL_STOP):
             break
-        n += 1
+    else:
+        raise ConvergenceError(
+            f"the series for E_{a}({x}) did not converge in "
+            f"{_SERIES_MAX_TERMS} terms",
+            math.exp(lt - log_max),
+        )
     arr = np.array(log_terms)
     return float(log_max + math.log(np.exp(arr - log_max).sum()))
 
 
 def _asymptotic_log_ml(a: float, x: float) -> float:
     """log of (1/a) exp(x^(1/a)) - x^(-1)/Gamma(1-a), the two-term
-    expansion valid for a in (0, 4) and large x (rgamma vanishes at the
+    expansion valid for a in (0, 4) and large x (1/Gamma vanishes at the
     poles, so integer a loses the algebraic term exactly as it should)."""
     root = x ** (1.0 / a)
+    rgamma = 0.0 if a == int(a) else 1.0 / math.gamma(1.0 - a)
     # relative size of the algebraic term against the exponential one;
     # underflows cleanly to zero for large root
-    corr = -a * float(rgamma(1.0 - a)) / x * math.exp(-min(root, 745.0))
+    corr = -a * rgamma / x * math.exp(-min(root, 745.0))
     return root - math.log(a) + math.log1p(corr)
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import ParameterError
 from .mc import MCEstimate, derive_seed, run_chunked
@@ -117,7 +115,8 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
     ``t1_exact`` at n = 1 for every family; the wave moment is T_n times
     ``wave_heat_factor``.  A fixed-time target follows from the scaling
     law J_n(t) = t^(a n) J_n(1) as J_n(t) = t^(a n) E[J_n(tau)] /
-    Gamma(a n + 1), with a = ``scaling_exponent``.
+    Gamma(a n + 1), with a = ``scaling_exponent``; where a factor of it
+    leaves the double range the identity is evaluated in log space.
     """
     eq, kernel, n = query.eq, query.kernel, query.n
     if n == 0:
@@ -132,8 +131,26 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
         moment *= wave_heat_factor(n, kernel.alpha_eff, eq.beta_l)
     if query.t is None:
         return moment
-    a = scaling_exponent(eq, kernel.alpha_eff)
-    return query.t ** (a * n) * moment / math.gamma(a * n + 1.0)
+    an, t = scaling_exponent(eq, kernel.alpha_eff) * n, query.t
+    try:
+        value = t ** an * moment / math.gamma(an + 1.0)
+    except OverflowError:
+        value = math.inf
+    if value < math.inf:
+        return value
+    if moment == 0.0:
+        raise ParameterError(
+            f"fixed-time moment at n={n}, t={t!r}: E[J_n(tau)] underflows "
+            "the double range"
+        )
+    log_value = an * math.log(t) + math.log(moment) - math.lgamma(an + 1.0)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ParameterError(
+            f"fixed-time moment at n={n}, t={t!r} is exp({log_value:.6g}), "
+            "beyond the double range"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +225,8 @@ class _SpatialSampler:
     def _z_radial(self, R: float) -> float:
         # integral of r^(a-1)/(1+r^2) over (0, R]; the (0,1] part is
         # regularized by r = v^(1/a).
+        from scipy.integrate import quad
+
         a = self.alpha
         head = quad(lambda v: 1.0 / (1.0 + v ** (2.0 / a)), 0.0, 1.0)[0] / a
         body = quad(lambda r: r ** (a - 1.0) / (1.0 + r * r), 1.0, R)[0]
@@ -217,6 +236,8 @@ class _SpatialSampler:
         # n * (per-factor tail) / (per-factor full), with the actual
         # propagator decay 1/(1+r^beta_l) so fractional dispersion is
         # covered too.
+        from scipy.integrate import quad
+
         a, b = self.alpha, self.beta_l
         full = (math.pi / b) / math.sin(math.pi * a / b)
         head = quad(lambda v: 1.0 / (1.0 + v ** (b / a)), 0.0, 1.0)[0] / a
@@ -350,7 +371,7 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
     if t is None:
         raise ParameterError("fixed-time target needs t")
     sampler = _SpatialSampler(kernel, n, eq.beta_l, R=R, tail_frac=tail_frac)
-    log_vol = float(n * math.log(t) - gammaln(n + 1))
+    log_vol = n * math.log(t) - math.log(math.factorial(n))
 
     def draw(rng, m):
         times = np.sort(rng.random((m, n)), axis=1) * t

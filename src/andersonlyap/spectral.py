@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import ParameterError, SingularPointError
 
@@ -49,8 +48,8 @@ def riesz_constant(d: int, alpha: float) -> float:
     return (
         math.pi ** (-d / 2.0)
         * 2.0 ** (-alpha)
-        * _gamma((d - alpha) / 2.0)
-        / _gamma(alpha / 2.0)
+        * math.gamma((d - alpha) / 2.0)
+        / math.gamma(alpha / 2.0)
     )
 
 
@@ -59,7 +58,7 @@ def c_h(H: float) -> float:
     fractional family, defined for 1/4 < H < 1/2."""
     if not 0.25 < H < 0.5:
         raise ParameterError(f"H must lie in (1/4, 1/2), got {H}")
-    return _gamma(2.0 * H + 1.0) * math.sin(math.pi * H) / (2.0 * math.pi)
+    return math.gamma(2.0 * H + 1.0) * math.sin(math.pi * H) / (2.0 * math.pi)
 
 
 def dalang_check(alpha_eff: float, beta_l: float = 2.0) -> bool:

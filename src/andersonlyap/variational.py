@@ -35,9 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.special import ellipkm1, hyp2f1
 
 from .chaos import _sphere_area
 from .errors import ConvergenceError, ParameterError
@@ -196,6 +193,8 @@ class _AngularProfile2D:
     """
 
     def __init__(self, alpha: float, x_max: float):
+        from scipy.interpolate import CubicSpline
+
         self.alpha = alpha
         self.p = p = (alpha - 2.0) / 2.0
         self.s = s = (alpha - 1.0) / 2.0  # c - a - b of the 2F1
@@ -215,6 +214,8 @@ class _AngularProfile2D:
 
     def exact(self, e: np.ndarray) -> np.ndarray:
         """g(1 + e) for e > 0, from the closed form."""
+        from scipy.special import ellipkm1, hyp2f1
+
         w = e / (2.0 + e)
         if self.alpha == 1.0:
             # 2F1(1/2, 1/2; 1; z) = (2/pi) K(z), and K(1 - w) = ellipkm1(w)
@@ -308,18 +309,27 @@ def _solve_radial(d, alpha, beta_l, R, m, tol, max_iters):
 
 def _truncation_bound_1d(profile, d, alpha, beta_l, R) -> float:
     """Schur-type bound on the operator mass beyond the grid: the
-    kernel row integral over |eta| > R at the worst grid point xi = R."""
+    kernel row integral over |eta| > R at the worst grid point xi = R,
+
+        c * integral of u^(alpha-1) (1 + (R+u)^beta_l)^(-1/2) du, u > 0,
+
+    bounded through (1 + (R+u)^beta_l)^(-1/2) <= (R+u)^(-beta_l/2) by
+    the Beta integral c R^(alpha-b) Gamma(alpha) Gamma(b-alpha) / Gamma(b),
+    b = beta_l/2.  The integral diverges for alpha >= b: +inf there."""
     if profile == "flat":
         # rank-one case: the truncation deficit of the eigenvalue is
         # exactly 1/2 - arctan(R)/pi
         return 0.5 - math.atan(R) / math.pi
-    c = riesz_constant(d, alpha)
-
-    def f(u):
-        return u ** (alpha - 1.0) / math.sqrt(1.0 + (R + u) ** beta_l)
-
-    im = quad(f, 0.0, 1.0)[0] + quad(f, 1.0, math.inf)[0]
-    return c * im
+    b = beta_l / 2.0
+    if alpha >= b:
+        return math.inf
+    return (
+        riesz_constant(d, alpha)
+        * R ** (alpha - b)
+        * math.gamma(alpha)
+        * math.gamma(b - alpha)
+        / math.gamma(b)
+    )
 
 
 def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,

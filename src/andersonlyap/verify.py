@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import (
     _asymptotic_log_ml,
@@ -73,6 +72,8 @@ def _wave_heat_link(rng):
 
 
 def _laplace_quadrature(rng):
+    from scipy.integrate import quad
+
     worst = 0.0
     for _ in range(12):
         beta = float(rng.uniform(0.3, 3.0))
@@ -128,6 +129,8 @@ def _growth_rate():
 def j1_quadrature(t: float) -> float:
     """J_1(t) of the heat equation with Riesz d=1 alpha=1/2 noise by
     nested quadrature, independent of the chaos module's closed forms."""
+    from scipy.integrate import quad
+
     c = riesz_constant(1, 0.5)
 
     def inner(s):

@@ -17,7 +17,7 @@ from andersonlyap.asymptotics import (
     log_mittag_leffler,
     mittag_leffler,
 )
-from andersonlyap.errors import ParameterError
+from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.propagators import EquationKind
 from andersonlyap.spectral import KernelSpec
 
@@ -53,6 +53,13 @@ class TestMittagLeffler:
         assert _series_log_ml(a, x) == pytest.approx(
             _asymptotic_log_ml(a, x), rel=1e-8
         )
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-4])
+    def test_series_term_cap(self, a):
+        # E_a(1) >= 1/a: the terms barely decay, so the capped series
+        # must not return its partial sum
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            mittag_leffler(a, 1.0)
 
     def test_no_overflow_far_out(self):
         # x^(1/a) = 1e20 exponent territory: the log form stays finite

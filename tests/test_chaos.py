@@ -70,6 +70,17 @@ class TestClosedForms:
         assert exact_moment(ChaosQuery(HEAT, WHITE, 3, t=1.0)) == \
             pytest.approx(0.125 / spgamma(2.5), rel=1e-14)
 
+    def test_exact_moment_log_space(self):
+        # white wave: a = 2, so Gamma(2n + 1) overflows from n = 86 on
+        direct = exact_moment(ChaosQuery(WAVE, WHITE, 85, t=10.0))
+        assert direct == 10.0 ** 170 * 0.5 ** 85 / math.gamma(171.0)
+        value = exact_moment(ChaosQuery(WAVE, WHITE, 90, t=10.0))
+        log_ref = 180 * math.log(10.0) + 90 * math.log(0.5) - math.lgamma(181)
+        assert value == pytest.approx(math.exp(log_ref), rel=1e-13)
+        assert 0.0 < value < 1e-100
+        with pytest.raises(ParameterError, match=r"n=6, t=1e\+30"):
+            exact_moment(ChaosQuery(WAVE, WHITE, 6, t=1e30))
+
     def test_scaling_exponent_values(self):
         assert scaling_exponent(WAVE, 0.5) == pytest.approx(2.5)
         assert scaling_exponent(HEAT, 1.0) == pytest.approx(0.5)

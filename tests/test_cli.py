@@ -5,11 +5,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import andersonlyap
 import andersonlyap.verify
 from andersonlyap.cli import (
     EXIT_CONVERGENCE,
@@ -206,6 +210,25 @@ class TestChaosCommand:
         assert row["n"] == 1
         assert abs(row["z"]) <= 4.0
 
+    def test_fixed_time_oracle_past_gamma_overflow(self, capsys):
+        # Gamma(2n + 1) overflows from n = 86 on; the oracle goes to log
+        # space there instead of raising
+        code, out, _ = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                               "wave", "--t", "1", "--n", "90", "--samples",
+                               "200", "--threads", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["n"] for r in rows] == list(range(91))
+        assert all(r["oracle"] is not None and r["oracle"] >= 0.0
+                   for r in rows)
+
+    def test_fixed_time_oracle_overflow_named(self, capsys):
+        code, _, err = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                               "wave", "--t", "1e30", "--n", "6",
+                               "--samples", "10", "--threads", "1")
+        assert code == EXIT_PARAMETER
+        assert "n=6, t=1e+30" in err
+
 
 class TestFormats:
     def test_csv_output(self, capsys):
@@ -309,6 +332,11 @@ class TestMlCommand:
         assert "exceeds the double range" in err
         assert "log_mittag_leffler" in err
 
+    def test_series_cap_is_convergence_error(self, capsys):
+        code, _, err = run_cli(capsys, "ml", "--a", "1e-300", "--x", "1")
+        assert code == EXIT_CONVERGENCE
+        assert "did not converge" in err
+
     @pytest.mark.parametrize("argv, named", [
         (("--a", "1.0", "--x", "inf"), "nonnegative and finite"),
         (("--a", "1e-308", "--x", "974"), "exceeds the double range"),
@@ -319,6 +347,45 @@ class TestMlCommand:
         code, _, err = run_cli(capsys, "ml", *argv)
         assert code == EXIT_PARAMETER
         assert named in err
+
+
+# ----------------------------------------------------------------------
+# import cost: closed-form commands never load scipy
+# ----------------------------------------------------------------------
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import andersonlyap
+from andersonlyap.cli import main
+runs = [
+    ["lyapunov", "--family", "white", "--eq", "wave"],
+    ["lyapunov", "--family", "white", "--eq", "heat"],
+    ["lyapunov", "--family", "fractional", "--e-gamma", "1.0"],
+    ["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
+    ["rho", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
+    ["ml", "--a", "1", "--x", "1"],
+    ["chaos", "--family", "white", "--eq", "heat", "--samples", "2000"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv + ["--format", "json"]))
+print(codes)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_closed_form_commands_skip_scipy():
+    # a fresh interpreter: this one has long since imported scipy
+    src = os.path.dirname(os.path.dirname(andersonlyap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("ANDERSON_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = proc.stdout.splitlines()
+    assert codes == str([0] * 7)
+    assert scipy_modules == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -354,14 +421,45 @@ _ML = st.builds(
     + ([] if c is None else [_flag("growth-c", c), _flag("t", t)]),
     _FLOATS, st.lists(_FLOATS, max_size=2), st.none() | _FLOATS, _FLOATS,
 )
+# tiny orders near x = 1, where the series terms barely decay
+_ML_SERIES = st.builds(
+    lambda a, x: ["ml", _flag("a", a), _flag("x", x)],
+    st.floats(1e-300, 1e-2), st.floats(0.999, 1.0),
+)
+_CHAOS = st.builds(
+    lambda eq, n, samples, t: ["chaos", "--family", "white", f"--eq={eq}",
+                               f"--n={n}", f"--samples={samples}",
+                               "--threads=1"]
+    + ([] if t is None else [_flag("t", t)]),
+    st.sampled_from(["wave", "heat"]), st.integers(-1, 120),
+    st.integers(-1, 500), st.none() | _FLOATS,
+)
 
 
-@given(st.one_of(_LYAPUNOV, _ML), st.sampled_from(["json", "csv", "table"]))
+def _ml_floor(a, x):
+    """Lower bound on E_a(x), x >= 0: the sum of x^n over n <= 1/a, where
+    Gamma(a n + 1) <= 1.  A series cut off early at tiny a falls below."""
+    if x >= 1.0:
+        return 1.0 / a
+    return (1.0 - x ** (1.0 / a)) / (1.0 - x)
+
+
+@given(st.one_of(_LYAPUNOV, _ML, _ML_SERIES, _CHAOS),
+       st.sampled_from(["json", "csv", "table"]))
 def test_fuzz_exit_codes(argv, fmt):
-    with contextlib.redirect_stdout(io.StringIO()), \
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv + ["--format", fmt])
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in (0, EXIT_PARAMETER, EXIT_CONVERGENCE, EXIT_VERIFY), argv
+    if code == 0 and argv[0] == "ml" and fmt != "table":
+        text = out.getvalue()
+        rows = json.loads(text)["rows"] if fmt == "json" else \
+            list(csv.DictReader(io.StringIO(text)))
+        for row in rows:
+            if row.get("x") not in (None, ""):
+                a, x, value = (float(row[k]) for k in ("a", "x", "value"))
+                assert value >= _ml_floor(a, x) * (1.0 - 1e-12), argv

@@ -1,18 +1,24 @@
 """Eigensolver controls, grid convergence and the exact functional algebra."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
+from andersonlyap.cli import main
 from andersonlyap.errors import ConvergenceError, ParameterError
+from andersonlyap.spectral import riesz_constant
 from andersonlyap.variational import (
     _AngularProfile2D,
     _kernel_column_1d,
     _solve_1d,
     _toeplitz_matvec_factory,
+    _truncation_bound_1d,
     functional_scaling,
     functionals_from_rho,
     power_iteration,
@@ -130,6 +136,35 @@ class TestRieszSolver:
         with pytest.raises(ConvergenceError) as err:
             rho_eigen(1, 0.5, m=256, tol=1e-15, max_iters=3)
         assert err.value.residual is not None
+
+
+class TestTruncationBound:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_bounds_quadrature(self, alpha):
+        # the row integral itself, c * int u^(a-1) (1 + (R+u)^2)^(-1/2)
+        R = 50.0
+
+        def f(u):
+            return u ** (alpha - 1.0) / math.sqrt(1.0 + (R + u) ** 2)
+
+        ref = riesz_constant(1, alpha) * (
+            quad(f, 0.0, 1.0)[0] + quad(f, 1.0, math.inf)[0]
+        )
+        bound = _truncation_bound_1d("riesz", 1, alpha, 2.0, R)
+        assert ref <= bound <= ref * (1.0 + 1e-3)
+
+    def test_divergent_row_integral(self, capsys):
+        # alpha >= beta_l / 2: the row integral diverges, so no finite bound
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["rho", "--family", "riesz", "--d", "1", "--alpha",
+                         "0.9", "--beta-l", "1.5", "--format", "json"])
+        out = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out.out)["params"]["truncation_bound"] is None
+        assert "IntegrationWarning" not in out.err
+        assert not [w for w in caught
+                    if issubclass(w.category, IntegrationWarning)]
 
 
 class TestRadialSolver:
