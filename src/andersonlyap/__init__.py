@@ -28,7 +28,7 @@ from .chaos import (
     t1_exact,
     wave_heat_factor,
 )
-from .errors import ConvergenceError, ParameterError, SingularPointError
+from .errors import ConvergenceError, ParameterError
 from .mc import MCEstimate
 from .propagators import (
     EquationKind,
@@ -36,8 +36,7 @@ from .propagators import (
     laplace_green_sq,
     wave_heat_link_residual,
 )
-from .spectral import KernelSpec, c_h, dalang_check, riesz_constant, \
-    spectral_density
+from .spectral import KernelSpec, c_h, dalang_check, riesz_constant
 from .variational import (
     FunctionalValues,
     RhoEstimate,
@@ -61,7 +60,6 @@ __all__ = [
     "ParameterError",
     "RhoEstimate",
     "RieszHeat",
-    "SingularPointError",
     "at_growth",
     "beta0_power_law",
     "beta0_solve",
@@ -82,7 +80,6 @@ __all__ = [
     "riesz_constant",
     "run_verification",
     "scaling_exponent",
-    "spectral_density",
     "t1_exact",
     "tn_bm_oracle",
     "wave_heat_factor",

@@ -177,7 +177,6 @@ class _SpatialSampler:
     """
 
     def __init__(self, kernel: KernelSpec, n: int, beta_l: float,
-                 R: Optional[float] = None, tail_frac: float = DEFAULT_TAIL_FRAC,
                  prefer_untruncated: bool = False):
         if kernel.family not in ("riesz", "white"):
             raise ParameterError(
@@ -189,17 +188,13 @@ class _SpatialSampler:
         self.beta_l = beta_l
         self.n = n
         self.eta_mode = kernel.family == "white"
-        if self.eta_mode and prefer_untruncated and R is None:
+        if self.eta_mode and prefer_untruncated:
             self.R = math.inf
             self.weight_const = kernel.constant * math.pi  # full Cauchy mass
             self.tail_frac_bound = 0.0
             return
 
-        if R is None:
-            R = self._radius_rule(tail_frac)
-        if R <= 1.0:
-            raise ParameterError(f"truncation radius must exceed 1, got {R}")
-        self.R = float(R)
+        self.R = self._radius_rule(DEFAULT_TAIL_FRAC)
 
         a = self.alpha
         # Envelope masses: r^(a-1) on (0,1], r^(a-3) on (1,R].
@@ -332,8 +327,7 @@ def _kernel_tag(kernel: KernelSpec) -> str:
 
 
 def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
-                   threads: int = 1, R: Optional[float] = None,
-                   tail_frac: float = DEFAULT_TAIL_FRAC) -> MCEstimate:
+                   threads: int = 1) -> MCEstimate:
     """Monte-Carlo estimate of E[J_n(tau)], tau a unit-mean exponential
     time, i.e. the n*d-dimensional integral of the rate-1 Laplace
     propagator factors at the partial sums against mu^(x)n."""
@@ -341,8 +335,7 @@ def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
     label = f"jn_exp_time/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}"
     if n == 0:
         return _finalize(1.0, 0.0, 1, seed, label, query, None)
-    sampler = _SpatialSampler(kernel, n, eq.beta_l, R=R, tail_frac=tail_frac,
-                              prefer_untruncated=True)
+    sampler = _SpatialSampler(kernel, n, eq.beta_l, prefer_untruncated=True)
 
     def draw(rng, m):
         eta_norm, log_ratio = sampler.sample(rng, m)
@@ -356,8 +349,7 @@ def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
 
 
 def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
-                  threads: int = 1, R: Optional[float] = None,
-                  tail_frac: float = DEFAULT_TAIL_FRAC) -> MCEstimate:
+                  threads: int = 1) -> MCEstimate:
     """Monte-Carlo estimate of the fixed-time chaos term J_n(t).
 
     The ordered time simplex is sampled by sorted uniforms (volume
@@ -370,7 +362,7 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
         return _finalize(1.0, 0.0, 1, seed, label, query, None)
     if t is None:
         raise ParameterError("fixed-time target needs t")
-    sampler = _SpatialSampler(kernel, n, eq.beta_l, R=R, tail_frac=tail_frac)
+    sampler = _SpatialSampler(kernel, n, eq.beta_l)
     log_vol = n * math.log(t) - math.log(math.factorial(n))
 
     def draw(rng, m):

@@ -10,10 +10,6 @@ class ParameterError(ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
-class SingularPointError(ParameterError):
-    """Evaluation requested exactly at a non-integrable singular point."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver ran out of iterations.
 

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SingularPointError
+from .errors import ParameterError
 
 __all__ = [
     "KernelSpec",
     "riesz_constant",
     "c_h",
     "dalang_check",
-    "spectral_density",
 ]
 
 
@@ -124,15 +123,6 @@ class KernelSpec:
             return c_h(self.H)
         return 1.0 / (2.0 * math.pi)
 
-    @property
-    def density_exponent(self) -> float:
-        """Power p in density = constant * |xi|^p (0 for white noise)."""
-        if self.family == "riesz":
-            return self.alpha - self.d
-        if self.family == "fractional":
-            return 1.0 - 2.0 * self.H
-        return 0.0
-
     def to_config(self) -> dict:
         """Flat key-value form (the config-file representation)."""
         cfg = {"family": self.family}
@@ -142,24 +132,3 @@ class KernelSpec:
         elif self.family == "fractional":
             cfg["H"] = self.H
         return cfg
-
-
-def spectral_density(spec: KernelSpec, xi) -> float:
-    """Density of the spectral measure mu at the point xi (scalar |xi| is
-    accepted for d = 1; arrays broadcast).
-
-    Raises SingularPointError at xi = 0 for a family whose density blows
-    up there (Riesz); callers doing quadrature must integrate around it.
-    """
-    xi = np.asarray(xi, dtype=float)
-    r = np.abs(xi) if xi.ndim == 0 or spec.d == 1 else np.linalg.norm(xi, axis=-1)
-    p = spec.density_exponent
-    if p < 0 and np.any(r == 0):
-        raise SingularPointError(
-            f"{spec.family} spectral density is singular at xi = 0"
-        )
-    if p == 0.0:
-        out = spec.constant * np.ones_like(r)
-    else:
-        out = spec.constant * r ** p
-    return float(out) if out.ndim == 0 else out

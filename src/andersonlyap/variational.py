@@ -14,11 +14,17 @@ by Nystrom discretization and power iteration:
   formed; matvecs run through FFT circulant embedding, which is what
   makes the million-point grids needed to beat the slow 1/R truncation
   tail of the flat control case affordable.
-* d = 2, 3: the kernel is rotation invariant and positivity improving,
-  so the maximizer is taken radial (design assumption) and the problem
-  reduces to a dense symmetric kernel in the radius after averaging
-  the translation factor over the relative angle (closed form in d = 3,
-  a spline-tabulated hypergeometric closed form in d = 2).
+* d = 3: the maximizer is taken radial (design assumption: the kernel
+  is rotation invariant and positivity improving).  Averaged over the
+  relative angle, r s times the kernel is
+  (|r - s|^(alpha-1) - (r + s)^(alpha-1)) / (2 (1 - alpha)), which is
+  the d = 1 Toeplitz kernel restricted to odd functions on [-R, R]
+  (log((r + s)/|r - s|)/2 at alpha = 1).  So d = 3 runs on the d = 1
+  FFT operator with the iterate projected onto odd vectors; the
+  positive half of the 2m-point grid is the m-point radial grid.
+* d = 2: the same radial reduction, but the angular average is a
+  hypergeometric closed form, spline-tabulated, and the kernel is
+  assembled as a dense symmetric m x m matrix.
 
 The integrable diagonal singularity |xi - eta|^(alpha - d) is replaced
 on diagonal cells by its exact cell average, restoring the first-order
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -51,8 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_RADIUS = 50.0
-DEFAULT_POINTS = 4096        # FFT path, d = 1
-DEFAULT_POINTS_RADIAL = 600  # dense path, d = 2, 3
+DEFAULT_POINTS = 4096        # d = 1 grid
+DEFAULT_POINTS_RADIAL = 600  # radial grid, d = 2, 3 (d = 3 solves on 2m)
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 5000
 # relative disagreement of the (m, 2m) pair that triggers an automatic
@@ -141,42 +148,54 @@ def _toeplitz_matvec_factory(col: np.ndarray):
     return matvec
 
 
-def _kernel_column_1d(profile: str, d: int, alpha: float, h: float,
-                      m: int) -> np.ndarray:
-    """First column of the translation-invariant kernel factor on the
-    uniform grid, diagonal entry replaced by its exact cell average."""
-    if profile == "flat":
-        return np.full(m, 1.0 / (2.0 * math.pi))
-    c = riesz_constant(d, alpha)
-    k = np.arange(m, dtype=float)
-    with np.errstate(divide="ignore"):
-        col = c * (k * h) ** (alpha - 1.0)
-    col[0] = c * h ** (alpha - 1.0) * 2.0 ** (1.0 - alpha) / alpha
-    return col
-
-
-def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):
-    h = 2.0 * R / m
-    xi = -R + (np.arange(m) + 0.5) * h
-    w = 1.0 / np.sqrt(1.0 + np.abs(xi) ** beta_l)
-    col = _kernel_column_1d(profile, d, alpha, h, m)
-    tmv = _toeplitz_matvec_factory(col)
-
-    def matvec(v):
-        return h * w * tmv(w * v)
-
-    v0 = 1.0 / (1.0 + xi * xi)
-    return power_iteration(matvec, v0, tol, max_iters)
-
-
-# ----------------------------------------------------------------------
-# d = 2, 3: radial reduction
-# ----------------------------------------------------------------------
-
 def _cell_avg_singular(alpha: float, h: float) -> float:
     """Exact cell average of |u|^(alpha-1) over a width-h cell at 0."""
     return h ** (alpha - 1.0) * 2.0 ** (1.0 - alpha) / alpha
 
+
+def _kernel_column_1d(profile: str, d: int, alpha: float, h: float,
+                      m: int) -> np.ndarray:
+    """First column of the translation-invariant kernel factor on the
+    uniform grid, diagonal entry replaced by its exact cell average.
+    d = 3 gives the odd-reduced radial kernel (module docstring)."""
+    if profile == "flat":
+        return np.full(m, 1.0 / (2.0 * math.pi))
+    c = riesz_constant(d, alpha)
+    if d == 3:
+        c *= _sphere_area(3) / (2.0 if alpha == 1.0 else 2.0 * (1.0 - alpha))
+    k = np.arange(m, dtype=float)
+    with np.errstate(divide="ignore"):
+        if d == 3 and alpha == 1.0:
+            col = c * -np.log(k * h)
+            col[0] = c * (1.0 - math.log(h / 2.0))  # cell average of -log|u|
+            return col
+        col = c * (k * h) ** (alpha - 1.0)
+    col[0] = c * _cell_avg_singular(alpha, h)
+    return col
+
+
+def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):
+    # d = 3: m is the radial count; the grid holds 2m points, h = R/m
+    odd = d == 3
+    n = 2 * m if odd else m
+    h = 2.0 * R / n
+    xi = -R + (np.arange(n) + 0.5) * h
+    w = 1.0 / np.sqrt(1.0 + np.abs(xi) ** beta_l)
+    col = _kernel_column_1d(profile, d, alpha, h, n)
+    tmv = _toeplitz_matvec_factory(col)
+
+    def matvec(v):
+        y = h * w * tmv(w * v)
+        # rounding would otherwise feed the larger even eigenvector
+        return 0.5 * (y - y[::-1]) if odd else y
+
+    v0 = (xi if odd else 1.0) / (1.0 + xi * xi)
+    return power_iteration(matvec, v0, tol, max_iters)
+
+
+# ----------------------------------------------------------------------
+# d = 2: radial reduction
+# ----------------------------------------------------------------------
 
 class _AngularProfile2D:
     """g(x) = (1/pi) * integral of (x - cos t)^p dt over [0, pi],
@@ -231,39 +250,25 @@ class _AngularProfile2D:
         return np.exp(self._spline(y))
 
 
-def _angular_average(d, alpha, r, s, profile2d=None):
-    """Angular average of |xi - eta|^(alpha-d) over the relative angle,
+def _angular_average(alpha, r, s, profile2d):
+    """Angular average of |xi - eta|^(alpha-2) over the relative angle,
     for |xi| = r, |eta| = s arrays (r != s)."""
-    if d == 3:
-        if alpha == 1.0:
-            return np.log((r + s) / np.abs(r - s)) / (2.0 * r * s)
-        return ((r + s) ** (alpha - 1.0) - np.abs(r - s) ** (alpha - 1.0)) / (
-            2.0 * r * s * (alpha - 1.0)
-        )
     x = (r * r + s * s) / (2.0 * r * s)
     return (2.0 * r * s) ** ((alpha - 2.0) / 2.0) * profile2d(x)
 
 
-def _diag_angular_avg(d, alpha, r, h, profile2d=None):
+def _diag_angular_avg(alpha, r, h, profile2d):
     """Cell average over s in [r - h/2, r + h/2] of the angular average,
     with the |r-s|^(alpha-1) (or log) singularity averaged exactly and
     smooth cofactors frozen at s = r."""
-    avg0 = _cell_avg_singular(alpha, h)
-    if d == 3:
-        if alpha == 1.0:
-            # log((r+s)/|r-s|): average of -log|u| over the cell is
-            # 1 - log(h/2)
-            return (math.log(2.0 * r) + 1.0 - math.log(h / 2.0)) / (2.0 * r * r)
-        return ((2.0 * r) ** (alpha - 1.0) - avg0) / (
-            2.0 * r * r * (alpha - 1.0)
-        )
     two_rs = 2.0 * r * r
     if alpha < 1.0:
         # singular part c_sing |r-s|^(alpha-1) (2rs)^(-1/2); remainder
         # evaluated at half-cell offset
-        sing_avg = profile2d.c_sing * avg0 / math.sqrt(two_rs)
+        sing_avg = profile2d.c_sing * _cell_avg_singular(alpha, h) \
+            / math.sqrt(two_rs)
         s_off = r + 0.5 * h
-        rem = _angular_average(2, alpha, np.array([r]), np.array([s_off]),
+        rem = _angular_average(alpha, np.array([r]), np.array([s_off]),
                                profile2d)[0]
         rem -= profile2d.c_sing * (0.5 * h) ** (alpha - 1.0) / math.sqrt(
             2.0 * r * s_off
@@ -279,27 +284,24 @@ def _diag_angular_avg(d, alpha, r, h, profile2d=None):
     return two_rs ** ((alpha - 2.0) / 2.0) * profile2d.g_at_1
 
 
-def _solve_radial(d, alpha, beta_l, R, m, tol, max_iters):
+def _solve_radial(alpha, beta_l, R, m, tol, max_iters):
     h = R / m
     r = (np.arange(m) + 0.5) * h
-    c = riesz_constant(d, alpha)
-    area = _sphere_area(d)
-    profile2d = _AngularProfile2D(alpha, x_max=R / h) if d == 2 else None
+    c = riesz_constant(2, alpha)
+    area = _sphere_area(2)
+    profile2d = _AngularProfile2D(alpha, x_max=R / h)
 
     ri = r[:, None]
     rj = r[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ang = _angular_average(d, alpha, ri, rj, profile2d)
-    diag = np.array(
-        [_diag_angular_avg(d, alpha, rk, h, profile2d) for rk in r]
-    )
+        ang = _angular_average(alpha, ri, rj, profile2d)
+    diag = np.array([_diag_angular_avg(alpha, rk, h, profile2d) for rk in r])
     np.fill_diagonal(ang, diag)
 
     w = 1.0 / np.sqrt(1.0 + r ** beta_l)
-    half_pow = (rj * ri) ** ((d - 1) / 2.0)
-    mat = (h * area * c) * ang * half_pow * (w[:, None] * w[None, :])
+    mat = (h * area * c) * ang * np.sqrt(rj * ri) * (w[:, None] * w[None, :])
 
-    v0 = r ** ((d - 1) / 2.0) / (1.0 + r * r)
+    v0 = np.sqrt(r) / (1.0 + r * r)
     return power_iteration(lambda v: mat @ v, v0, tol, max_iters)
 
 
@@ -369,18 +371,15 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
     if R <= 0 or m <= 0 or tol <= 0:
         raise ParameterError("R, m, tol must be positive")
 
-    solve = _solve_1d if d == 1 else _solve_radial
-
-    def run(radius, points):
-        if d == 1:
-            return solve(profile, d, alpha, beta_l, radius, points, tol,
-                         max_iters)
-        return solve(d, alpha, beta_l, radius, points, tol, max_iters)
+    if d == 2:
+        solve = partial(_solve_radial, alpha, beta_l, R)
+    else:
+        solve = partial(_solve_1d, profile, d, alpha, beta_l, R)
 
     refinements = 0
     while True:
-        lam_c, _, it_c, _ = run(R, m)
-        lam_f, _, it_f, res_f = run(R, 2 * m)
+        lam_c, _, it_c, _ = solve(m, tol, max_iters)
+        lam_f, _, it_f, res_f = solve(2 * m, tol, max_iters)
         gap = abs(lam_f - lam_c) / abs(lam_f)
         if gap <= refine_tol or refinements >= MAX_GRID_REFINEMENTS:
             break

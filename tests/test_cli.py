@@ -363,6 +363,9 @@ runs = [
     ["lyapunov", "--family", "fractional", "--e-gamma", "1.0"],
     ["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
     ["rho", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
+    ["rho", "--family", "riesz", "--d", "3", "--alpha", "1.5"],
+    ["lyapunov", "--family", "riesz", "--d", "3", "--alpha", "1.5",
+     "--eq", "heat"],
     ["ml", "--a", "1", "--x", "1"],
     ["chaos", "--family", "white", "--eq", "heat", "--samples", "2000"],
 ]
@@ -384,7 +387,7 @@ def test_closed_form_commands_skip_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()
-    assert codes == str([0] * 7)
+    assert codes == str([0] * 9)
     assert scipy_modules == "[]"
 
 

@@ -1,19 +1,17 @@
-"""Spectral-measure families: constants, admissibility, densities."""
+"""Spectral-measure families: constants and admissibility."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from andersonlyap.errors import ParameterError, SingularPointError
+from andersonlyap.errors import ParameterError
 from andersonlyap.spectral import (
     KernelSpec,
     c_h,
     dalang_check,
     riesz_constant,
-    spectral_density,
 )
 
 # frozen against a 30-digit gamma oracle (mpmath)
@@ -85,50 +83,18 @@ class TestDalang:
             dalang_check(0.0)
 
 
-class TestSpectralDensity:
-    def test_white_flat(self):
-        spec = KernelSpec("white")
-        for xi in (0.0, 1.0, -3.7, 100.0):
-            assert spectral_density(spec, xi) == pytest.approx(
-                1 / (2 * math.pi), rel=1e-15
-            )
-
-    def test_riesz_at_one(self):
-        spec = KernelSpec("riesz", d=1, alpha=0.5)
-        assert spectral_density(spec, 1.0) == pytest.approx(C_1_HALF, rel=1e-13)
-
-    def test_fractional_value(self):
-        spec = KernelSpec("fractional", H=1 / 3)
-        assert spectral_density(spec, 2.0) == pytest.approx(
-            0.156768689485482008415408284757, rel=1e-13
-        )
-
-    def test_riesz_singularity(self):
-        spec = KernelSpec("riesz", d=1, alpha=0.5)
-        with pytest.raises(SingularPointError):
-            spectral_density(spec, 0.0)
-
-    @given(st.floats(0.01, 100.0), st.floats(0.01, 50.0))
-    @settings(max_examples=40)
-    def test_riesz_homogeneity(self, c, xi):
-        spec = KernelSpec("riesz", d=1, alpha=0.5)
-        lhs = spectral_density(spec, c * xi)
-        rhs = c ** (spec.alpha - spec.d) * spectral_density(spec, xi)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_vectorized(self):
-        spec = KernelSpec("riesz", d=1, alpha=0.5)
-        xs = np.array([0.5, 1.0, 2.0])
-        out = spectral_density(spec, xs)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(C_1_HALF, rel=1e-13)
-
-
 class TestKernelSpec:
     def test_alpha_eff(self):
         assert KernelSpec("riesz", d=2, alpha=1.3).alpha_eff == 1.3
         assert KernelSpec("fractional", H=0.3).alpha_eff == pytest.approx(1.4)
         assert KernelSpec("white").alpha_eff == 1.0
+
+    def test_constant(self):
+        assert KernelSpec("riesz", d=1, alpha=0.5).constant == pytest.approx(
+            C_1_HALF, rel=1e-13)
+        assert KernelSpec("fractional", H=1 / 3).constant == pytest.approx(
+            CH_THIRD, rel=1e-13)
+        assert KernelSpec("white").constant == 1 / (2 * math.pi)
 
     def test_invalid(self):
         with pytest.raises(ParameterError):

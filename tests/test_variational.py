@@ -176,12 +176,52 @@ class TestRadialSolver:
         gap = abs(est.richardson_pair[1] - est.richardson_pair[0])
         assert gap / est.value < 0.02
 
-    def test_radial_matvec_symmetry(self):
-        from andersonlyap.variational import _solve_radial
-        # symmetry is structural: the assembled matrix equals its
-        # transpose up to rounding
-        lam, vec, _, res = _solve_radial(3, 1.5, 2.0, 20.0, 150, 1e-9, 5000)
-        assert lam > 0 and res < 1e-8
+    @staticmethod
+    def _dense_d3(alpha, R, m):
+        # the closed-form d = 3 radial matrix: angular average of
+        # |xi - eta|^(alpha-3) times (r s) on the midpoint grid, diagonal
+        # cells averaged exactly over the |r - s| singularity
+        h = R / m
+        r = (np.arange(m) + 0.5) * h
+        ri, rj = r[:, None], r[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if alpha == 1.0:
+                ang = np.log((ri + rj) / np.abs(ri - rj)) / (2 * ri * rj)
+                diag = (np.log(2 * r) + 1 - math.log(h / 2)) / (2 * r * r)
+            else:
+                ang = ((ri + rj) ** (alpha - 1)
+                       - np.abs(ri - rj) ** (alpha - 1)) \
+                    / (2 * ri * rj * (alpha - 1))
+                cell = h ** (alpha - 1) * 2 ** (1 - alpha) / alpha
+                diag = ((2 * r) ** (alpha - 1) - cell) \
+                    / (2 * r * r * (alpha - 1))
+        np.fill_diagonal(ang, diag)
+        w = 1 / np.sqrt(1 + r * r)
+        mat = h * 4 * math.pi * riesz_constant(3, alpha) * ang * ri * rj \
+            * np.outer(w, w)
+        return np.linalg.eigvalsh(mat)[-1]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_d3_matches_dense_radial_matrix(self, alpha):
+        est = rho_eigen(3, alpha, R=20.0, m=150, refine_tol=1.0)
+        assert est.grid_points == 300
+        coarse, fine = est.richardson_pair
+        assert coarse == pytest.approx(self._dense_d3(alpha, 20.0, 150),
+                                       rel=1e-12)
+        assert fine == pytest.approx(self._dense_d3(alpha, 20.0, 300),
+                                     rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,value,points,refinements", [
+        (0.5, 0.5356237121276748, 4800, 2),
+        (1.0, 0.4995138030925721, 2400, 1),
+        (1.5, 0.7364190063341642, 1200, 0),
+    ])
+    def test_d3_default_grid(self, alpha, value, points, refinements):
+        # values of the dense radial solver this path replaced
+        est = rho_eigen(3, alpha)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.grid_points == points
+        assert est.params["grid_refinements"] == refinements
 
 
 class TestAngularProfile2D:
