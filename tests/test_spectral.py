@@ -83,6 +83,30 @@ class TestDalang:
             dalang_check(0.0)
 
 
+def _density(spec, xi):
+    """The density the module docstring gives: constant * |xi|^(alpha_eff - d)."""
+    return spec.constant * abs(xi) ** (spec.alpha_eff - spec.d)
+
+
+class TestSpectralDensity:
+    def test_white_flat(self):
+        spec = KernelSpec("white")
+        for xi in (0.0, 1.0, -3.7, 100.0):
+            assert _density(spec, xi) == pytest.approx(
+                1 / (2 * math.pi), rel=1e-15
+            )
+
+    def test_riesz_at_one(self):
+        spec = KernelSpec("riesz", d=1, alpha=0.5)
+        assert _density(spec, 1.0) == pytest.approx(C_1_HALF, rel=1e-13)
+
+    def test_fractional_value(self):
+        spec = KernelSpec("fractional", H=1 / 3)
+        assert _density(spec, 2.0) == pytest.approx(
+            0.156768689485482008415408284757, rel=1e-13
+        )
+
+
 class TestKernelSpec:
     def test_alpha_eff(self):
         assert KernelSpec("riesz", d=2, alpha=1.3).alpha_eff == 1.3
