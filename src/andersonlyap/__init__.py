@@ -40,7 +40,6 @@ from .spectral import KernelSpec, c_h, dalang_check, riesz_constant
 from .variational import (
     FunctionalValues,
     RhoEstimate,
-    functional_scaling,
     functionals_from_rho,
     remark14_residual,
     rho_eigen,
@@ -67,7 +66,6 @@ __all__ = [
     "dalang_check",
     "exact_moment",
     "fourier_green_sq",
-    "functional_scaling",
     "functionals_from_rho",
     "jn_exp_time_mc",
     "jn_fixed_time",

@@ -29,7 +29,7 @@ from .chaos import scaling_exponent
 from .errors import ConvergenceError, ParameterError
 from .propagators import EquationKind
 from .spectral import KernelSpec, dalang_check
-from .variational import functional_scaling, functionals_from_rho
+from .variational import functionals_from_rho
 
 __all__ = [
     "LyapunovReport",
@@ -46,7 +46,8 @@ __all__ = [
 # At the threshold the dropped remainder (O(x^-2) against exp(30)) is
 # far below double precision.
 _SERIES_CUTOFF = 30.0
-_SERIES_MAX_TERMS = 10_000
+# The band needs about 90/a terms: every order a >= 1e-3 converges.
+_SERIES_MAX_TERMS = 100_000
 _SERIES_REL_STOP = 1e-17
 
 
@@ -295,7 +296,7 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
             raise ParameterError(
                 f"e_gamma must be positive and finite, got {e_gamma}"
             )
-        e2 = e_gamma * functional_scaling("E2_over_E_gamma", H=kernel.H)
+        e2 = e_gamma * 2.0 ** (-(1.0 - kernel.H) / kernel.H)
         rho = e2 ** ((2.0 - alpha) / 2.0)
     elif rho is None:
         if kernel.family == "white":

@@ -9,8 +9,8 @@ proposal with radial density proportional to r^(alpha-1) / (1 + r^2)
 truncated to r <= R, matching both the spectral singularity at 0 and
 the Lorentzian decay of the Laplace-transformed propagators; for the
 flat white-noise density the eta_i decouple and are drawn directly.
-Any truncation bias is bounded analytically and reported with each
-estimate.
+Any truncation bias is bounded in closed form, like the proposal's
+normalizer, and reported with each estimate: the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -94,18 +94,33 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def _radial_mass(a: float, b: float) -> float:
+    """Radial Lorentzian mass: the integral over r > 0 of
+    r^(a-1) / (1 + r^b) dr = (pi/b) / sin(pi a/b), for 0 < a < b."""
+    return (math.pi / b) / math.sin(math.pi * a / b)
+
+
+def _radial_tail(a: float, b: float, R: float) -> float:
+    """Part of ``_radial_mass`` beyond r = R > 1: with u = r^b, B(x; p, 1-p)/b
+    at x = 1/(1+R^b), p = 1 - a/b, summed as sum_k (p)_k/k! x^(k+p)/(k+p),
+    whose positive terms fall by x < 1/2 or faster for any b (the
+    alternating series in R^-b needs about 40/(b log R) terms)."""
+    p, x = 1.0 - a / b, 1.0 / (1.0 + R ** b)
+    coef, total, k = x ** p, 0.0, 0
+    while coef / (k + p) > 1e-17 * total:
+        total += coef / (k + p)
+        coef *= x * (k + p) / (k + 1)
+        k += 1
+    return total / b
+
+
 def t1_exact(kernel: KernelSpec, beta_l: float = 2.0) -> float:
     """Closed form of the first exponential-time heat moment
     E[J_1^heat(tau)] = integral of mu(dxi) / (1 + |xi|^beta_l)."""
     a = kernel.alpha_eff
     if not dalang_check(a, beta_l):
         raise ParameterError("admissibility violated")
-    return (
-        kernel.constant
-        * _sphere_area(kernel.d)
-        * (math.pi / beta_l)
-        / math.sin(math.pi * a / beta_l)
-    )
+    return kernel.constant * _sphere_area(kernel.d) * _radial_mass(a, beta_l)
 
 
 def exact_moment(query: ChaosQuery) -> Optional[float]:
@@ -165,9 +180,10 @@ class _SpatialSampler:
     spectral singularity, so the increments eta_i - eta_{i-1} are drawn
     from an isotropic proposal with radial density proportional to
     r^(alpha-1) / (1+r^2) truncated to r <= R (two-piece power-law
-    envelope, exact rejection).  For the flat white-noise density the
-    integrand factorizes over the eta_i themselves, so each eta_i is
-    drawn independently from the same Lorentzian-shaped proposal --
+    envelope, exact rejection; normalizer and ``tail_frac_bound`` in
+    closed form).  For the flat white-noise density the integrand
+    factorizes over the eta_i themselves, so each eta_i is drawn
+    independently from the same Lorentzian-shaped proposal --
     untruncated where the integrand factors are themselves Lorentzian
     (exponential-time targets), which removes the truncation bias
     entirely and makes the heat-side weights exactly constant.
@@ -182,10 +198,8 @@ class _SpatialSampler:
             raise ParameterError(
                 f"chaos Monte Carlo supports riesz/white kernels, got {kernel.family}"
             )
-        self.kernel = kernel
         self.d = kernel.d
-        self.alpha = kernel.alpha_eff
-        self.beta_l = beta_l
+        self.alpha = a = kernel.alpha_eff
         self.n = n
         self.eta_mode = kernel.family == "white"
         if self.eta_mode and prefer_untruncated:
@@ -196,49 +210,32 @@ class _SpatialSampler:
 
         self.R = self._radius_rule(DEFAULT_TAIL_FRAC)
 
-        a = self.alpha
         # Envelope masses: r^(a-1) on (0,1], r^(a-3) on (1,R].
         self._mass1 = 1.0 / a
         self._mass2 = (1.0 - self.R ** (a - 2.0)) / (2.0 - a)
         self._p1 = self._mass1 / (self._mass1 + self._mass2)
 
-        self.z_full = _sphere_area(self.d) * self._z_radial(self.R)
-        # constant * Z * (1 + r^2) is the density ratio mu / proposal.
-        self.weight_const = kernel.constant * self.z_full
-        self.tail_frac_bound = self._tail_bound()
+        # mu / proposal = constant * Z * (1 + r^2), Z = area * mass up to R;
+        # mass and tail cancel as a -> 2, where tail_frac_bound nears 1.
+        z_radial = _radial_mass(a, 2.0) - _radial_tail(a, 2.0, self.R)
+        if not z_radial > 0.0:
+            raise ParameterError(f"alpha={a!r} is too close to 2 for the proposal")
+        self.weight_const = kernel.constant * (_sphere_area(self.d) * z_radial)
+        # n * tail / full per factor, at the propagator decay 1/(1+r^beta_l)
+        tail = _radial_tail(a, beta_l, self.R)
+        self.tail_frac_bound = n * tail / _radial_mass(a, beta_l)
 
     def _radius_rule(self, tail_frac: float) -> float:
-        # From n * I_tail(R) / I_full <= tail_frac with the analytic
-        # bound I_tail(R) <= R^(alpha-2) / (2-alpha) on the Lorentzian
-        # per-factor integral I_full = (pi/2)/sin(pi*alpha/2).
+        # n * I_tail(R) / I_full <= tail_frac, with I_tail(R) <= R^(a-2)/(2-a)
+        # and I_full = _radial_mass(a, 2).  The power overflows near a = 2,
+        # past any cap.
         a = self.alpha
-        i_full = (math.pi / 2.0) / math.sin(math.pi * a / 2.0)
-        target = tail_frac * i_full * (2.0 - a) / max(self.n, 1)
-        r = target ** (1.0 / (a - 2.0))
+        target = tail_frac * _radial_mass(a, 2.0) * (2.0 - a) / max(self.n, 1)
+        try:
+            r = target ** (1.0 / (a - 2.0))
+        except OverflowError:
+            r = R_CAP
         return float(min(max(r, R_FLOOR), R_CAP))
-
-    def _z_radial(self, R: float) -> float:
-        # integral of r^(a-1)/(1+r^2) over (0, R]; the (0,1] part is
-        # regularized by r = v^(1/a).
-        from scipy.integrate import quad
-
-        a = self.alpha
-        head = quad(lambda v: 1.0 / (1.0 + v ** (2.0 / a)), 0.0, 1.0)[0] / a
-        body = quad(lambda r: r ** (a - 1.0) / (1.0 + r * r), 1.0, R)[0]
-        return head + body
-
-    def _tail_bound(self) -> float:
-        # n * (per-factor tail) / (per-factor full), with the actual
-        # propagator decay 1/(1+r^beta_l) so fractional dispersion is
-        # covered too.
-        from scipy.integrate import quad
-
-        a, b = self.alpha, self.beta_l
-        full = (math.pi / b) / math.sin(math.pi * a / b)
-        head = quad(lambda v: 1.0 / (1.0 + v ** (b / a)), 0.0, 1.0)[0] / a
-        body = quad(lambda r: r ** (a - 1.0) / (1.0 + r ** b), 1.0, self.R)[0]
-        tail = max(full - head - body, 0.0)
-        return self.n * tail / full
 
     def _radii(self, rng: np.random.Generator, count: int) -> np.ndarray:
         a, R = self.alpha, self.R

@@ -40,16 +40,21 @@ class MCEstimate:
     params: dict = field(default_factory=dict)
 
     def error_bound(self) -> float:
-        """Standard error plus the deterministic truncation-bias bound
-        carried in params, when the sampler reported one."""
-        bias = abs(self.mean) * float(self.params.get("tail_frac_bound") or 0.0)
-        return self.std_error + bias
+        """Standard error plus the bias bound |mean| f / (1 - f): the
+        sampler's ``tail_frac_bound`` f bounds the share of the full
+        integral lost beyond its radius, the mean estimates the rest."""
+        f = float(self.params.get("tail_frac_bound") or 0.0)
+        if f >= 1.0:
+            return float("inf")
+        return self.std_error + abs(self.mean) * f / (1.0 - f)
 
     def z_score(self, reference: float) -> float:
         """Deviation from a reference in units of the total error bound."""
         err = self.error_bound()
         if err == 0.0:
             return 0.0 if self.mean == reference else float("inf")
+        if err == float("inf"):
+            return float("nan")
         return (self.mean - reference) / err
 
 

@@ -19,6 +19,7 @@ the admissibility check depend on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ def riesz_constant(d: int, alpha: float) -> float:
         raise ParameterError(f"d must be a positive integer, got {d!r}")
     if not 0.0 < alpha < d:
         raise ParameterError(f"alpha must lie in (0, d) = (0, {d}), got {alpha}")
+    if alpha < sys.float_info.min:
+        raise ParameterError(f"alpha={alpha!r} is subnormal: Gamma(alpha/2) overflows")
     return (
         math.pi ** (-d / 2.0)
         * 2.0 ** (-alpha)

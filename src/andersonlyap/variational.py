@@ -31,7 +31,7 @@ on diagonal cells by its exact cell average, restoring the first-order
 accuracy the point rule loses there.
 
 Exact power laws connect rho to the Schroedinger-type variational
-functionals; those conversions and their scaling factors live here too.
+functionals; those conversions live here too.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "FunctionalValues",
     "rho_eigen",
     "functionals_from_rho",
-    "functional_scaling",
     "remark14_residual",
     "power_iteration",
 ]
@@ -448,45 +447,6 @@ def functionals_from_rho(alpha: float, rho: float) -> FunctionalValues:
             "outside the double range"
         )
     return FunctionalValues(e_a1=e_a1, e=e, e2=e2, alpha=alpha)
-
-
-def functional_scaling(which: str, theta: float = 1.0,
-                       alpha: Optional[float] = None,
-                       H: Optional[float] = None) -> float:
-    """Multiplicative scaling factors of the variational functionals.
-
-    which = "E"           : coupling theta*f scales E (and E2) by
-                            theta^(2/(2-alpha));
-    which = "E_gamma"     : the rough-noise functional scales by
-                            theta^(1/H);
-    which = "E_A"         : gradient weight A (passed as theta) scales
-                            E(f, A) by A^(alpha/(alpha-2));
-    which = "E2_over_E"   : fixed ratio 2^(-alpha/(2-alpha));
-    which = "E2_over_E_gamma": fixed ratio 2^(-(1-H)/H).
-    """
-    if which in ("E", "E_A"):
-        if alpha is None or not 0.0 < alpha < 2.0:
-            raise ParameterError("need alpha in (0, 2)")
-        if theta <= 0:
-            raise ParameterError("scale factor must be positive")
-        if which == "E":
-            return theta ** (2.0 / (2.0 - alpha))
-        return theta ** (alpha / (alpha - 2.0))
-    if which == "E_gamma":
-        if H is None or not 0.25 < H < 0.5:
-            raise ParameterError("need H in (1/4, 1/2)")
-        if theta <= 0:
-            raise ParameterError("scale factor must be positive")
-        return theta ** (1.0 / H)
-    if which == "E2_over_E":
-        if alpha is None or not 0.0 < alpha < 2.0:
-            raise ParameterError("need alpha in (0, 2)")
-        return 2.0 ** (-alpha / (2.0 - alpha))
-    if which == "E2_over_E_gamma":
-        if H is None or not 0.25 < H < 0.5:
-            raise ParameterError("need H in (1/4, 1/2)")
-        return 2.0 ** (-(1.0 - H) / H)
-    raise ParameterError(f"unknown scaling kind {which!r}")
 
 
 def remark14_residual(alpha: float, rho: float) -> float:

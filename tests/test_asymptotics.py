@@ -61,6 +61,14 @@ class TestMittagLeffler:
         with pytest.raises(ConvergenceError, match="did not converge"):
             mittag_leffler(a, 1.0)
 
+    def test_small_order_series(self):
+        # the series needs about 90/a terms: 89,745 at a = 1e-3
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.nsum(lambda n: 1 / mp.gamma(n / 1000 + 1), [0, mp.inf])
+        assert mittag_leffler(1e-3, 1.0) == pytest.approx(float(ref),
+                                                          rel=1e-9)
+
     def test_no_overflow_far_out(self):
         # x^(1/a) = 1e20 exponent territory: the log form stays finite
         assert log_mittag_leffler(0.5, 1e10) == pytest.approx(1e20,

@@ -7,7 +7,11 @@ from scipy.integrate import quad
 from scipy.special import gamma as spgamma
 
 from andersonlyap.chaos import (
+    R_CAP,
     ChaosQuery,
+    _radial_mass,
+    _radial_tail,
+    _SpatialSampler,
     exact_moment,
     jn_exp_time_mc,
     jn_fixed_time,
@@ -91,6 +95,45 @@ class TestClosedForms:
     def test_wave_heat_factor(self):
         assert wave_heat_factor(1, 1.0) == 1.0
         assert wave_heat_factor(2, 0.5) == pytest.approx(2.0)
+
+
+class TestRadialMass:
+    """The closed form behind t1_exact and the proposal normalizers,
+    against mpmath quadrature in y = log r, where the integrand
+    r^a / (1 + r^b) decays exponentially at both ends."""
+
+    @pytest.mark.parametrize("a, b, R", [
+        (0.5, 2.0, 50.0), (0.9, 2.0, 800.0), (1.5, 2.0, 50.0),
+        (0.3, 1.5, 60.0), (1.2, 2.0, 5.0), (1.0, 2.0, 800.0),
+        (0.5, 0.6, 208.0), (1e-7, 2e-7, 50.0),
+    ])
+    def test_matches_mpmath(self, a, b, R):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            def f(y):
+                return mp.exp(a * y) / (1 + mp.exp(b * y))
+            full = float(mp.quad(f, [-mp.inf, 0, mp.inf]))
+            tail = float(mp.quad(f, [mp.log(R), mp.inf]))
+        assert _radial_mass(a, b) == pytest.approx(full, rel=1e-12)
+        assert _radial_tail(a, b, R) == pytest.approx(tail, rel=1e-12)
+
+    def test_radius_rule_near_alpha_two(self):
+        # the tail rule's power overflows the double range here
+        sampler = _SpatialSampler(KernelSpec("riesz", d=3, alpha=1.99), 1, 2.0)
+        assert sampler.R == R_CAP
+
+    def test_proposal_mass_cancels_at_two(self):
+        # the normalizer, mass less tail, rounds to <= 0 this close to 2
+        with pytest.raises(ParameterError, match="too close to 2"):
+            _SpatialSampler(KernelSpec("riesz", d=2, alpha=2 - 1e-15), 1, 2.0)
+
+    @pytest.mark.parametrize("d, alpha", [(3, 1.5), (3, 1.9), (2, 1.9)])
+    def test_heat_order_one_one_tail_low(self, d, alpha):
+        # constant weights: the mean is the truncated integral, exactly
+        # one tail below t1_exact, so the bias bound is met with z = -1
+        kernel = KernelSpec("riesz", d=d, alpha=alpha)
+        est = jn_exp_time_mc(ChaosQuery(HEAT, kernel, 1), 20_000, 0)
+        assert abs(est.z_score(t1_exact(kernel))) <= 1.0 + 1e-9
 
 
 class TestScalingLaw:

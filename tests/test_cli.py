@@ -368,6 +368,14 @@ runs = [
      "--eq", "heat"],
     ["ml", "--a", "1", "--x", "1"],
     ["chaos", "--family", "white", "--eq", "heat", "--samples", "2000"],
+    ["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5", "--eq",
+     "heat", "--n", "2", "--samples", "2000"],
+    ["chaos", "--family", "riesz", "--d", "2", "--alpha", "1.5", "--eq",
+     "wave", "--n", "2", "--samples", "2000"],
+    ["chaos", "--family", "white", "--eq", "wave", "--t", "1.0",
+     "--samples", "2000"],
+    ["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+     "--method", "bm", "--samples", "200"],
 ]
 codes = []
 for argv in runs:
@@ -387,7 +395,7 @@ def test_closed_form_commands_skip_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()
-    assert codes == str([0] * 9)
+    assert codes == str([0] * 13)
     assert scipy_modules == "[]"
 
 
@@ -429,13 +437,23 @@ _ML_SERIES = st.builds(
     lambda a, x: ["ml", _flag("a", a), _flag("x", x)],
     st.floats(1e-300, 1e-2), st.floats(0.999, 1.0),
 )
-_CHAOS = st.builds(
-    lambda eq, n, samples, t: ["chaos", "--family", "white", f"--eq={eq}",
-                               f"--n={n}", f"--samples={samples}",
-                               "--threads=1"]
-    + ([] if t is None else [_flag("t", t)]),
-    st.sampled_from(["wave", "heat"]), st.integers(-1, 120),
-    st.integers(-1, 500), st.none() | _FLOATS,
+_CHAOS = st.one_of(
+    st.builds(
+        lambda eq, n, samples, t: ["chaos", "--family", "white", f"--eq={eq}",
+                                   f"--n={n}", f"--samples={samples}",
+                                   "--threads=1"]
+        + ([] if t is None else [_flag("t", t)]),
+        st.sampled_from(["wave", "heat"]), st.integers(-1, 120),
+        st.integers(-1, 500), st.none() | _FLOATS,
+    ),
+    st.builds(
+        lambda d, a, eq, n, samples: ["chaos", "--family", "riesz",
+                                      f"--d={d}", _flag("alpha", a),
+                                      f"--eq={eq}", f"--n={n}",
+                                      f"--samples={samples}", "--threads=1"],
+        st.integers(-1, 4), _FLOATS, st.sampled_from(["wave", "heat"]),
+        st.integers(-1, 3), st.integers(-1, 500),
+    ),
 )
 
 

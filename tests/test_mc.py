@@ -1,5 +1,7 @@
 """Monte-Carlo plumbing: streams, stable accumulation, reproducibility."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,5 +64,10 @@ class TestMCEstimate:
     def test_error_bound_includes_bias(self):
         est = MCEstimate(2.0, 0.0, 100, 0, "demo",
                          {"tail_frac_bound": 1e-3})
-        assert est.error_bound() == pytest.approx(2e-3)
+        assert est.error_bound() == pytest.approx(2e-3 / 0.999)
         assert est.z_score(2.0) == 0.0
+
+    def test_error_bound_unbounded_tail(self):
+        est = MCEstimate(2.0, 0.1, 100, 0, "demo", {"tail_frac_bound": 1.0})
+        assert est.error_bound() == math.inf
+        assert math.isnan(est.z_score(1.0))

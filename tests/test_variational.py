@@ -19,7 +19,6 @@ from andersonlyap.variational import (
     _solve_1d,
     _toeplitz_matvec_factory,
     _truncation_bound_1d,
-    functional_scaling,
     functionals_from_rho,
     power_iteration,
     remark14_residual,
@@ -309,27 +308,6 @@ class TestFunctionalAlgebra:
         assert fv.e2 == pytest.approx(
             2.0 ** (-alpha / (2.0 - alpha)) * fv.e, rel=1e-12
         )
-
-    def test_scaling_factors(self):
-        assert functional_scaling("E", theta=4.0, alpha=1.0) == \
-            pytest.approx(16.0, rel=1e-14)
-        assert functional_scaling("E_A", theta=0.5, alpha=1.0) == \
-            pytest.approx(2.0, rel=1e-14)
-        for which, kw in (("E", {"alpha": 0.7}), ("E_gamma", {"H": 0.3}),
-                          ("E_A", {"alpha": 1.3})):
-            assert functional_scaling(which, theta=1.0, **kw) == 1.0
-        assert functional_scaling("E2_over_E", alpha=1.0) == \
-            pytest.approx(0.5, rel=1e-14)
-        assert functional_scaling("E2_over_E_gamma", H=1 / 3) == \
-            pytest.approx(0.25, rel=1e-14)
-
-    def test_scaling_errors(self):
-        with pytest.raises(ParameterError):
-            functional_scaling("E", theta=2.0)
-        with pytest.raises(ParameterError):
-            functional_scaling("E_gamma", theta=2.0, H=0.7)
-        with pytest.raises(ParameterError):
-            functional_scaling("nope", theta=1.0)
 
 
 class TestRemarkIdentity:
