@@ -10,9 +10,12 @@ heat propagator exp(-t |xi|^2); a standard-speed motion would produce
 meant to cross-check.
 
 The singular integrand is accumulated by a midpoint rule with
-Brownian-bridge subsampling: any substep whose endpoints come within
-sqrt(substep) of the origin is halved (bridging the midpoint), up to 8
-times, so passages near the singularity are resolved at step/256.
+Brownian-bridge subsampling: an interval of length L is halved at its
+bridged midpoint whenever either endpoint lies within
+REFINE_MULT * sqrt(L) of the origin, up to MAX_REFINE_DEPTH = 8 times,
+so passages near the singularity are resolved at step/256.  The
+midpoint does not enter that test: an interval kept only when its own
+midpoint lands far from the origin would bias zeta low.
 This path estimator shares zero machinery with the Fourier-side Monte
 Carlo, which is the point.
 """
@@ -33,8 +36,8 @@ MAX_TIME_STEP = 0.1
 # Exponential horizons above this are clipped; the discarded mass is
 # exp(-40) ~ 4e-18, far below any achievable standard error.
 TAU_CLIP = 40.0
-PATH_CHUNK = 512
-# Refine any substep of length L whose path comes within
+PATH_CHUNK = 128
+# Refine any substep of length L with an endpoint within
 # REFINE_MULT * sqrt(L) of the origin.  The bridged midpoint carries
 # noise of std sqrt(L/2), so a unit multiple leaves a percent-level
 # Jensen (convexity) bias in |x|^(-alpha) just outside the cutoff;
@@ -48,109 +51,47 @@ def _norms(x, d):
     return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
-def _refined_contribution(rng, alpha, left, right, lengths, depth, path_idx,
-                          out, d):
-    """Resolve flagged intervals by adaptive bisection with bridged
-    midpoints, accumulating midpoint-rule contributions into ``out``."""
-    while left.shape[0]:
-        L = lengths
-        split = (depth < MAX_REFINE_DEPTH) & (
-            np.minimum(_norms(left, d), _norms(right, d))
-            < REFINE_MULT * np.sqrt(L)
-        )
-        # Midpoint of a bridge over length L has variance L/2 per
-        # coordinate for the speed-2 diffusion.
-        mid = 0.5 * (left + right) + rng.standard_normal(left.shape) * np.sqrt(
-            0.5 * L
-        )[:, None]
-        stop = ~split
-        if np.any(stop):
-            radii = _norms(mid[stop], d)
-            out += np.bincount(
-                path_idx[stop],
-                weights=L[stop] * radii ** (-alpha),
-                minlength=out.size,
-            )
-        if not np.any(split):
-            break
-        l_s, r_s, m_s = left[split], right[split], mid[split]
-        left = np.concatenate([l_s, m_s])
-        right = np.concatenate([m_s, r_s])
-        half = 0.5 * lengths[split]
-        lengths = np.concatenate([half, half])
-        d_s = depth[split] + 1
-        depth = np.concatenate([d_s, d_s])
-        p_s = path_idx[split]
-        path_idx = np.concatenate([p_s, p_s])
-
-
-def _zeta_group(rng, d, alpha, dt, tau, n_steps, zeta, idx):
-    """Accumulate zeta for one group of paths sharing a step-count range."""
-    m = tau.size
-    s_max = int(n_steps.max())
-    j = np.arange(s_max)[None, :]
-    k = n_steps[:, None]
-    steplen = np.where(j < k - 1, dt, 0.0) + np.where(
-        j == k - 1, tau[:, None] - (k - 1) * dt, 0.0
-    )
-    # positions at substep boundaries; variance 2 * steplen per coordinate
-    inc = rng.standard_normal((m, s_max, d)) * np.sqrt(2.0 * steplen)[:, :, None]
-    b = np.concatenate([np.zeros((m, 1, d)), np.cumsum(inc, axis=1)], axis=1)
-    b_l, b_r = b[:, :-1], b[:, 1:]
-    mid = 0.5 * (b_l + b_r) + rng.standard_normal((m, s_max, d)) * np.sqrt(
-        0.5 * steplen
-    )[:, :, None]
-
-    active = steplen > 0.0
-    r_l = _norms(b_l, d)
-    r_r = _norms(b_r, d)
-    r_m = _norms(mid, d)
-    near = np.minimum(np.minimum(r_l, r_r), r_m) < REFINE_MULT * np.sqrt(steplen)
-    flagged = active & near
-    plain = active & ~near
-
-    with np.errstate(divide="ignore"):
-        contrib = np.where(plain, steplen * r_m ** (-alpha), 0.0)
-    zeta[idx] += contrib.sum(axis=1)
-
-    if np.any(flagged):
-        path_idx, step_idx = np.nonzero(flagged)
-        # the flagged interval's bridged midpoint is already drawn; its
-        # halves enter the bisection queue at depth 1
-        l0 = b_l[path_idx, step_idx]
-        r0 = b_r[path_idx, step_idx]
-        m0 = mid[path_idx, step_idx]
-        half = 0.5 * steplen[path_idx, step_idx]
-        _refined_contribution(
-            rng,
-            alpha,
-            np.concatenate([l0, m0]),
-            np.concatenate([m0, r0]),
-            np.concatenate([half, half]),
-            np.ones(2 * path_idx.size, dtype=int),
-            idx[np.concatenate([path_idx, path_idx])],
-            zeta,
-            d,
-        )
-
-
 def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
                 dt: float) -> np.ndarray:
     """Simulate m independent paths to an exponential horizon and return
     the accumulated singular functional zeta for each.
 
-    Paths are processed in step-count quartiles so the short-horizon
-    majority is not padded out to the longest path in the chunk.
+    Every step of every path is one row of a flat queue; each pass over
+    the queue bridges all midpoints, halves the intervals flagged near
+    the origin and retires the rest.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
+    path = np.repeat(np.arange(m), n_steps)
+    ends = np.cumsum(n_steps)
+    first = ends - n_steps
+    L = np.full(ends[-1], dt)
+    L[ends - 1] = tau - (n_steps - 1) * dt
+    # positions at step boundaries; variance 2 L per coordinate
+    inc = rng.standard_normal((L.size, d)) * np.sqrt(2.0 * L)[:, None]
+    right = np.cumsum(inc, axis=0)
+    right -= (right[first] - inc[first])[path]
+    left = right - inc
+
     zeta = np.zeros(m)
-    order = np.argsort(n_steps, kind="stable")
-    n_groups = 4 if m >= 8 else 1
-    for block in np.array_split(order, n_groups):
-        if block.size:
-            _zeta_group(rng, d, alpha, dt, tau[block], n_steps[block],
-                        zeta, block)
+    for depth in range(MAX_REFINE_DEPTH + 1):
+        # the midpoint of a bridge over length L has variance L/2 per
+        # coordinate for the speed-2 diffusion
+        mid = 0.5 * (left + right) + rng.standard_normal(left.shape) * np.sqrt(
+            0.5 * L
+        )[:, None]
+        split = (depth < MAX_REFINE_DEPTH) & (
+            np.minimum(_norms(left, d), _norms(right, d))
+            < REFINE_MULT * np.sqrt(L)
+        )
+        stop = ~split
+        zeta += np.bincount(path[stop],
+                            weights=L[stop] * _norms(mid[stop], d) ** (-alpha),
+                            minlength=m)
+        left, mid, right = left[split], mid[split], right[split]
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+        L = np.tile(0.5 * L[split], 2)
+        path = np.tile(path[split], 2)
     return zeta
 
 

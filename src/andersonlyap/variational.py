@@ -365,6 +365,12 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
             )
         if not dalang_check(alpha, beta_l):
             raise ParameterError("admissibility violated")
+        if d == 2 and alpha - 2.0 == -2.0:
+            # the angular profile's exponent (alpha - 2)/2 rounds to -1,
+            # a pole of its Gamma(1 + p) weight
+            raise ParameterError(
+                f"alpha={alpha} is below the d = 2 solver's resolution"
+            )
     if m is None:
         m = DEFAULT_POINTS if d == 1 else DEFAULT_POINTS_RADIAL
     if R <= 0 or m <= 0 or tol <= 0:

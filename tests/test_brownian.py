@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from andersonlyap.brownian import tn_bm_oracle
+from andersonlyap.brownian import PATH_CHUNK, tn_bm_oracle
 from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc
 from andersonlyap.errors import ParameterError
 from andersonlyap.propagators import EquationKind
@@ -43,9 +43,12 @@ class TestPathOracle:
         assert abs(est.mean - 1.0) <= 3.0 * est.error_bound()
 
     def test_deterministic(self):
-        a = tn_bm_oracle(1, 0.5, 1, 2_000, 2e-3, 5)
-        b = tn_bm_oracle(1, 0.5, 1, 2_000, 2e-3, 5)
-        assert a.mean == b.mean and a.std_error == b.std_error
+        # a one-path chunk and a ragged last chunk, at 1 and 2 threads
+        for n_paths in (1, 2 * PATH_CHUNK + 1):
+            a = tn_bm_oracle(1, 0.5, 1, n_paths, 2e-3, 5)
+            b = tn_bm_oracle(1, 0.5, 1, n_paths, 2e-3, 5, threads=2)
+            assert math.isfinite(a.mean) and a.mean > 0
+            assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     @pytest.mark.parametrize(
         "d,alpha,n,dt",

@@ -96,6 +96,12 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER
         assert "alpha" in err
 
+    def test_d2_alpha_below_resolution(self, capsys):
+        code, _, err = run_cli(capsys, "rho", "--family", "riesz", "--d",
+                               "2", "--alpha", "1e-300")
+        assert code == EXIT_PARAMETER
+        assert "d = 2" in err
+
     def test_dalang_violation_named(self, capsys):
         code, _, err = run_cli(capsys, "lyapunov", "--family", "riesz",
                                "--d", "3", "--alpha", "2.5", "--eq", "heat")
