@@ -15,7 +15,8 @@ bridged midpoint whenever either endpoint lies within
 REFINE_MULT * sqrt(L) of the origin, up to MAX_REFINE_DEPTH = 8 times,
 so passages near the singularity are resolved at step/256.  The
 midpoint does not enter that test: an interval kept only when its own
-midpoint lands far from the origin would bias zeta low.
+midpoint lands far from the origin would bias zeta low.  Rows are
+scalars in d = 1, and the halved intervals are gathered once per depth.
 This path estimator shares zero machinery with the Fourier-side Monte
 Carlo, which is the point.
 """
@@ -33,6 +34,9 @@ __all__ = ["tn_bm_oracle"]
 
 MAX_REFINE_DEPTH = 8
 MAX_TIME_STEP = 0.1
+# Finer steps lay out too many rows: a d = 1 chunk holds about 1.3e7 at
+# this floor, and far below it the step counts overflow.
+MIN_TIME_STEP = 1e-5
 # Exponential horizons above this are clipped; the discarded mass is
 # exp(-40) ~ 4e-18, far below any achievable standard error.
 TAU_CLIP = 40.0
@@ -45,20 +49,20 @@ PATH_CHUNK = 128
 REFINE_MULT = 3.0
 
 
-def _norms(x, d):
-    if d == 1:
-        return np.abs(x[..., 0])
+def _norms(x):
+    if x.ndim == 1:
+        return np.abs(x)
     return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
 def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
-                dt: float) -> np.ndarray:
-    """Simulate m independent paths to an exponential horizon and return
-    the accumulated singular functional zeta for each.
+                dt: float) -> tuple[np.ndarray, list]:
+    """Simulate m independent paths to an exponential horizon; return
+    each path's zeta and the number of intervals scored at each depth.
 
-    Every step of every path is one row of a flat queue; each pass over
-    the queue bridges all midpoints, halves the intervals flagged near
-    the origin and retires the rest.
+    Every step of every path is one row of a flat queue, a scalar in
+    d = 1; each pass bridges all midpoints, retires the intervals not
+    flagged near the origin and gathers the flagged ones once.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
@@ -67,32 +71,32 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     first = ends - n_steps
     L = np.full(ends[-1], dt)
     L[ends - 1] = tau - (n_steps - 1) * dt
+    shape, row = (L.shape, ...) if d == 1 else ((L.size, d), np.s_[:, None])
     # positions at step boundaries; variance 2 L per coordinate
-    inc = rng.standard_normal((L.size, d)) * np.sqrt(2.0 * L)[:, None]
+    inc = rng.standard_normal(shape) * np.sqrt(2.0 * L)[row]
     right = np.cumsum(inc, axis=0)
     right -= (right[first] - inc[first])[path]
     left = right - inc
 
     zeta = np.zeros(m)
+    scored = []
     for depth in range(MAX_REFINE_DEPTH + 1):
         # the midpoint of a bridge over length L has variance L/2 per
         # coordinate for the speed-2 diffusion
-        mid = 0.5 * (left + right) + rng.standard_normal(left.shape) * np.sqrt(
-            0.5 * L
-        )[:, None]
+        mid = rng.standard_normal(left.shape) * np.sqrt(0.5 * L)[row]
+        mid += 0.5 * (left + right)
         split = (depth < MAX_REFINE_DEPTH) & (
-            np.minimum(_norms(left, d), _norms(right, d))
-            < REFINE_MULT * np.sqrt(L)
+            np.minimum(_norms(left), _norms(right)) < REFINE_MULT * np.sqrt(L)
         )
-        stop = ~split
-        zeta += np.bincount(path[stop],
-                            weights=L[stop] * _norms(mid[stop], d) ** (-alpha),
-                            minlength=m)
-        left, mid, right = left[split], mid[split], right[split]
-        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-        L = np.tile(0.5 * L[split], 2)
-        path = np.tile(path[split], 2)
-    return zeta
+        idx, stop = np.flatnonzero(split), np.flatnonzero(~split)
+        zeta += np.bincount(
+            path[stop], L[stop] * _norms(mid[stop]) ** -alpha, minlength=m)
+        scored.append(stop.size)
+        pts = np.concatenate([left[idx], mid[idx], right[idx]])
+        left, right = pts[:2 * idx.size], pts[idx.size:]
+        L = np.tile(0.5 * L[idx], 2)
+        path = np.tile(path[idx], 2)
+    return zeta, scored
 
 
 def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
@@ -109,16 +113,19 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
         )
     if n < 1:
         raise ParameterError(f"moment order n must be >= 1, got {n}")
-    if not 0.0 < time_step <= MAX_TIME_STEP:
+    if not MIN_TIME_STEP <= time_step <= MAX_TIME_STEP:
         raise ParameterError(
-            f"time_step must lie in (0, {MAX_TIME_STEP}] for the sqrt-scale "
-            f"refinement rule to resolve the singularity, got {time_step}"
+            f"time_step must lie in [{MIN_TIME_STEP:g}, {MAX_TIME_STEP:g}]: "
+            "coarser steps defeat the sqrt-scale refinement rule, finer "
+            f"ones lay out too many rows, got {time_step}"
         )
 
     log_nfact = math.lgamma(n + 1)
+    scored = []
 
     def draw(rng, m):
-        zeta = _zeta_paths(rng, m, d, alpha, time_step)
+        zeta, per_depth = _zeta_paths(rng, m, d, alpha, time_step)
+        scored.append(per_depth)
         return np.exp(n * np.log(np.maximum(zeta, 1e-300)) - log_nfact)
 
     label = f"tn_bm/d{d}_a{alpha:g}/n{n}/dt{time_step:g}"
@@ -131,6 +138,8 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
         "n": n,
         "time_step": time_step,
         "max_refine_depth": MAX_REFINE_DEPTH,
+        # intervals retired at each depth, summed over chunks in any order
+        "scored_per_depth": np.sum(scored, axis=0).tolist(),
         "subseed": subseed,
     }
     return MCEstimate(mean, se, n_paths, seed, label, params)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, get_args, get_type_hints
 
 from .asymptotics import at_growth, lambda2_closed_form, mittag_leffler
-from .brownian import tn_bm_oracle
+from .brownian import MAX_TIME_STEP, MIN_TIME_STEP, tn_bm_oracle
 from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc, jn_fixed_time
 from .errors import ConvergenceError, ParameterError
 from .propagators import EquationKind
@@ -164,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=["fourier", "bm"],
                            help="Fourier-side sampler or Brownian oracle")
             p.add_argument("--time-step", dest="time_step", type=float,
-                           help="Brownian oracle step size")
+                           help="Brownian oracle step size, in "
+                           f"[{MIN_TIME_STEP:g}, {MAX_TIME_STEP:g}]")
         if name == "ml":
             p.add_argument("--a", type=float, required=True,
                            help="Mittag-Leffler order in (0, 4)")

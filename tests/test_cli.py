@@ -149,6 +149,15 @@ class TestExitCodes:
         assert code == EXIT_CONVERGENCE
         assert "richardson_gap" in err and "refine_tol 1.000e-03" in err
 
+    @pytest.mark.parametrize("step", ["1e-300", "1e-17"])
+    def test_bm_time_step_below_floor(self, capsys, step):
+        code, _, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                               "1", "--alpha", "0.5", "--method", "bm",
+                               "--n", "1", "--samples", "2000",
+                               "--time-step", step)
+        assert code == EXIT_PARAMETER
+        assert "time_step must lie in [1e-05, 0.1]" in err
+
     def test_bm_method_rejects_fixed_time(self, capsys):
         code, _, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
                                "1", "--alpha", "0.5", "--method", "bm",
