@@ -264,11 +264,14 @@ def cmd_chaos(cfg: RunConfig) -> int:
             )
         # the path functional estimates the heat-side moments T_n
         eq = EquationKind("heat")
+    queries = [ChaosQuery(eq, kernel, n, cfg.t)
+               for n in range(1 if cfg.method == "bm" else 0, cfg.n + 1)]
+    # every oracle first: a moment past the double range exits 2 unsampled
+    oracles = [exact_moment(query) for query in queries]
     rows = []
-    for n in range(1 if cfg.method == "bm" else 0, cfg.n + 1):
-        query = ChaosQuery(eq, kernel, n, cfg.t)
+    for query, oracle in zip(queries, oracles):
         if cfg.method == "bm":
-            est = tn_bm_oracle(cfg.d, cfg.alpha, n, cfg.samples,
+            est = tn_bm_oracle(cfg.d, cfg.alpha, query.n, cfg.samples,
                                cfg.time_step, cfg.seed, threads=cfg.threads)
         elif cfg.t is None:
             est = jn_exp_time_mc(query, cfg.samples, cfg.seed,
@@ -276,9 +279,8 @@ def cmd_chaos(cfg: RunConfig) -> int:
         else:
             est = jn_fixed_time(query, cfg.samples, cfg.seed,
                                 threads=cfg.threads)
-        oracle = exact_moment(query)
         row = {
-            "n": n,
+            "n": query.n,
             "mean": est.mean,
             "std_error": est.std_error,
             "oracle": oracle,

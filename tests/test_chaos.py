@@ -21,9 +21,9 @@ from andersonlyap.chaos import (
     wave_heat_factor,
 )
 from andersonlyap.errors import ParameterError
-from andersonlyap.propagators import EquationKind
+from andersonlyap.propagators import EquationKind, laplace_green_sq
 from andersonlyap.spectral import KernelSpec, riesz_constant
-from andersonlyap.verify import j1_quadrature
+from andersonlyap.verify import _laplace_by_quadrature, j1_quadrature
 
 WAVE = EquationKind("wave")
 HEAT = EquationKind("heat")
@@ -62,7 +62,22 @@ class TestClosedForms:
     def test_j1_exact_moment(self):
         j1 = exact_moment(ChaosQuery(HEAT, RIESZ, 1, t=1.0))
         assert j1 == pytest.approx(J1_AT_1, rel=1e-13)
-        assert j1 == pytest.approx(j1_quadrature(1.0), rel=1e-8)
+        assert j1 == pytest.approx(j1_quadrature(1.0), rel=1e-10)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
+    def test_j1_quadrature_closed_form(self, t):
+        # the composite Gauss-Legendre rule behind verify's scaling check
+        assert j1_quadrature(t) == pytest.approx(J1_AT_1 * t ** 0.75,
+                                                 rel=1e-10)
+
+    @pytest.mark.parametrize("eq", [WAVE, HEAT], ids=["wave", "heat"])
+    @pytest.mark.parametrize("beta, r", [(0.3, 0.0), (0.3, 5.0), (3.0, 0.0),
+                                         (3.0, 5.0)])
+    def test_laplace_quadrature_closed_form(self, eq, beta, r):
+        # verify's time quadrature of the squared propagator, at the
+        # corners of the range its Laplace check draws from
+        assert _laplace_by_quadrature(eq, beta, r) == pytest.approx(
+            laplace_green_sq(eq, beta, r), rel=1e-12)
 
     def test_exact_moment_cases(self):
         assert exact_moment(ChaosQuery(WAVE, RIESZ, 0, t=2.0)) == 1.0

@@ -237,6 +237,7 @@ class TestChaosCommand:
         assert all(r["oracle"] is not None and r["oracle"] >= 0.0
                    for r in rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fixed_time_oracle_overflow_named(self, capsys):
         code, _, err = run_cli(capsys, "chaos", "--family", "white", "--eq",
                                "wave", "--t", "1e30", "--n", "6",
@@ -391,6 +392,7 @@ runs = [
      "--samples", "2000"],
     ["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
      "--method", "bm", "--samples", "200"],
+    ["verify", "--seed", "0"],
 ]
 codes = []
 for argv in runs:
@@ -410,7 +412,7 @@ def test_closed_form_commands_skip_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()
-    assert codes == str([0] * 13)
+    assert codes == str([0] * 14)
     assert scipy_modules == "[]"
 
 
