@@ -179,14 +179,17 @@ class _SpatialSampler:
     Riesz family the integrand couples consecutive eta through the
     spectral singularity, so the increments eta_i - eta_{i-1} are drawn
     from an isotropic proposal with radial density proportional to
-    r^(alpha-1) / (1+r^2) truncated to r <= R (two-piece power-law
-    envelope, exact rejection; normalizer and ``tail_frac_bound`` in
-    closed form).  For the flat white-noise density the integrand
-    factorizes over the eta_i themselves, so each eta_i is drawn
-    independently from the same Lorentzian-shaped proposal --
-    untruncated where the integrand factors are themselves Lorentzian
-    (exponential-time targets), which removes the truncation bias
-    entirely and makes the heat-side weights exactly constant.
+    r^(alpha-1) / (1+r^2) truncated to r <= R: exact rejection from the
+    envelope r^(alpha-1) on (0,1], r^(alpha-3) on (1,R].  One uniform per
+    candidate picks the piece and, rescaled within it, inverts its CDF;
+    a round draws need / ``accept_rate`` candidates and a small margin.
+    Normalizer, ``accept_rate`` and ``tail_frac_bound`` are closed forms.
+    For the flat white-noise density the integrand factorizes over the
+    eta_i themselves, so each eta_i is drawn independently from the same
+    Lorentzian-shaped proposal -- untruncated where the integrand factors
+    are themselves Lorentzian (exponential-time targets), which removes
+    the truncation bias entirely and makes the heat-side weights exactly
+    constant.
 
     ``sample`` returns (eta_norm, log_ratio) where log_ratio is the log
     of the product of mu-density / proposal-density factors.
@@ -220,6 +223,8 @@ class _SpatialSampler:
         z_radial = _radial_mass(a, 2.0) - _radial_tail(a, 2.0, self.R)
         if not z_radial > 0.0:
             raise ParameterError(f"alpha={a!r} is too close to 2 for the proposal")
+        # the accepted share of candidates, above 1/2 on either piece
+        self.accept_rate = z_radial / (self._mass1 + self._mass2)
         self.weight_const = kernel.constant * (_sphere_area(self.d) * z_radial)
         # n * tail / full per factor, at the propagator decay 1/(1+r^beta_l)
         tail = _radial_tail(a, beta_l, self.R)
@@ -237,30 +242,27 @@ class _SpatialSampler:
             r = R_CAP
         return float(min(max(r, R_FLOOR), R_CAP))
 
+    def _envelope_round(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """The radii accepted among k envelope candidates."""
+        a, p1 = self.alpha, self._p1
+        c2 = (1.0 - self.R ** (a - 2.0)) / (1.0 - p1)
+        u = rng.random(k)
+        v = rng.random(k)
+        low = u < p1
+        # both powers are finite for every u; numpy's SIMD pow on the
+        # whole array costs less than gathering and scattering the pieces
+        r = np.where(low, (u / p1) ** (1.0 / a),
+                     (1.0 - (u - p1) * c2) ** (1.0 / (a - 2.0)))
+        r2 = r * r
+        return r[v * (1.0 + r2) < np.where(low, 1.0, r2)]
+
     def _radii(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        a, R = self.alpha, self.R
-        out = np.empty(count)
-        filled = 0
-        c2 = 1.0 - R ** (a - 2.0)
-        while filled < count:
-            need = count - filled
-            k = int(need * 2.5) + 16
-            pick = rng.random(k)
-            u = rng.random(k)
-            v = rng.random(k)
-            low = pick < self._p1
-            r = np.where(
-                low,
-                u ** (1.0 / a),
-                (1.0 - u * c2) ** (1.0 / (a - 2.0)),
-            )
-            r2 = r * r
-            accept = v * (1.0 + r2) < np.where(low, 1.0, r2)
-            r = r[accept]
-            take = min(r.size, need)
-            out[filled:filled + take] = r[:take]
-            filled += take
-        return out
+        parts, need = [], count
+        while need > 0:
+            r = self._envelope_round(rng, int(need / self.accept_rate) + 16)
+            parts.append(r[:need])
+            need -= parts[-1].size
+        return np.concatenate(parts)
 
     def sample(self, rng: np.random.Generator, m: int):
         """Draw m paths of n partial sums; returns (eta_norm, log_ratio)."""
@@ -279,12 +281,12 @@ class _SpatialSampler:
         r = self._radii(rng, m * n).reshape(m, n)
         if self.d == 1:
             sign = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
-            xi = (r * sign)[..., np.newaxis]
+            eta_norm = np.abs(np.cumsum(r * sign, axis=1))
         else:
-            dirs = rng.standard_normal((m, n, self.d))
-            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            xi = r[..., np.newaxis] * dirs
-        eta_norm = np.linalg.norm(np.cumsum(xi, axis=1), axis=-1)
+            x = rng.standard_normal((m, n, self.d))
+            x *= (r / np.sqrt(np.einsum("...i,...i", x, x)))[..., np.newaxis]
+            np.cumsum(x, axis=1, out=x)
+            eta_norm = np.sqrt(np.einsum("...i,...i", x, x))
         log_ratio = (
             n * math.log(self.weight_const)
             + np.log1p(r * r).sum(axis=1)
@@ -311,6 +313,9 @@ def _finalize(mean, se, n_samples, seed, label, query, sampler, extra=None):
         "n": query.n,
         "R": radius,
         "tail_frac_bound": sampler.tail_frac_bound if sampler is not None else 0.0,
+        # white noise draws its proposal directly, with no rejection
+        "accept_rate": None if sampler is None or sampler.eta_mode
+        else sampler.accept_rate,
     }
     if extra:
         params.update(extra)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 
 __all__ = ["MCEstimate", "derive_seed", "chunk_generator", "run_chunked"]
 
@@ -102,7 +102,8 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
         rng = chunk_generator(subseed, i)
         w = np.asarray(sampler(rng, m), dtype=float)
         mean = float(w.mean())
-        m2 = float(((w - mean) ** 2).sum())
+        with np.errstate(over="ignore"):  # checked once, after the merge
+            m2 = float(((w - mean) ** 2).sum())
         return m, mean, m2
 
     if threads > 1 and n_chunks > 1:
@@ -119,4 +120,9 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
         std_error = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n))
     else:
         std_error = 0.0
+    if not np.isfinite(std_error):
+        raise ConvergenceError(
+            f"the weights' second moment overflows the double range (mean "
+            f"{mean:.6g}), so the standard error is not finite"
+        )
     return mean, std_error

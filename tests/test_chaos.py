@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as spgamma
+from scipy.stats import chi2
 
 from andersonlyap.chaos import (
     R_CAP,
@@ -151,6 +153,62 @@ class TestRadialMass:
         assert abs(est.z_score(t1_exact(kernel))) <= 1.0 + 1e-9
 
 
+def _proposal_cdf(alpha, R, x):
+    """P(r <= x) for the radial density r^(alpha-1) / (1 + r^2) on (0, R]:
+    the series sum_k (-1)^k x^(alpha+2k) / (alpha+2k) on (0, 1), the
+    mass less the tail beyond x above 1."""
+    z = _radial_mass(alpha, 2.0) - _radial_tail(alpha, 2.0, R)
+    if x > 1.0:
+        return (_radial_mass(alpha, 2.0) - _radial_tail(alpha, 2.0, x)) / z
+    k = np.arange(4000)
+    return float(np.sum((-1.0) ** k * x ** (alpha + 2 * k) / (alpha + 2 * k))) / z
+
+
+# (d, alpha, n): the order sets the truncation radius; R_CAP binds at all
+# but the first
+PROPOSAL_CASES = [(1, 0.5, 1), (1, 0.5, 8), (2, 0.8, 4), (3, 1.5, 1)]
+
+
+class TestProposal:
+    """The Riesz increments' radial law and its rejection rate."""
+
+    @pytest.mark.parametrize("d, alpha, n", PROPOSAL_CASES)
+    def test_radii_follow_the_law(self, d, alpha, n):
+        sampler = _SpatialSampler(KernelSpec("riesz", d=d, alpha=alpha), n, 2.0)
+        assert (sampler.R < R_CAP) == (n == 1 and alpha == 0.5)
+        count = 200_000
+        r = sampler._radii(np.random.Generator(np.random.Philox(2024)), count)
+        assert r.shape == (count,) and r.min() >= 0.0 and r.max() <= sampler.R
+        edges = [0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 1.05, 1.5, 2.0, 3.0, 5.0,
+                 10.0, 30.0, 100.0]
+        cdf = np.array([0.0] + [_proposal_cdf(alpha, sampler.R, x)
+                                for x in edges] + [1.0])
+        expected = count * np.diff(cdf)
+        observed = np.diff(np.searchsorted(np.sort(r), edges, side="right"),
+                           prepend=0, append=count)
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2.sf(stat, len(expected) - 1) > 1e-3
+
+    @pytest.mark.parametrize("d, alpha, n", PROPOSAL_CASES)
+    def test_accept_rate_is_the_accepted_share(self, d, alpha, n):
+        sampler = _SpatialSampler(KernelSpec("riesz", d=d, alpha=alpha), n, 2.0)
+        p, k = sampler.accept_rate, 200_000
+        assert 0.5 < p < 1.0
+        rng = np.random.Generator(np.random.Philox(2024))
+        share = sampler._envelope_round(rng, k).size / k
+        assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / k)
+
+    def test_accept_rate_reported(self):
+        est = jn_exp_time_mc(ChaosQuery(HEAT, RIESZ, 2), 1000, 0)
+        sampler = _SpatialSampler(RIESZ, 2, 2.0, prefer_untruncated=True)
+        assert est.params["accept_rate"] == sampler.accept_rate
+        # white noise draws its proposal directly
+        for est in (jn_exp_time_mc(ChaosQuery(HEAT, WHITE, 2), 1000, 0),
+                    jn_fixed_time(ChaosQuery(WAVE, WHITE, 2, 1.0), 1000, 0),
+                    jn_exp_time_mc(ChaosQuery(HEAT, RIESZ, 0), 10, 0)):
+            assert est.params["accept_rate"] is None
+
+
 class TestScalingLaw:
     def test_quadrature_scaling(self):
         base = j1_quadrature(1.0)
@@ -221,8 +279,10 @@ class TestExpTimeMC:
         est = jn_exp_time_mc(ChaosQuery(HEAT, RIESZ, 0), 10, 1)
         assert est.mean == 1.0 and est.std_error == 0.0
 
-    def test_determinism_and_threads(self):
-        q = ChaosQuery(HEAT, RIESZ, 2)
+    @pytest.mark.parametrize("d, alpha", [(1, 0.5), (2, 0.8), (3, 1.5)])
+    def test_determinism_and_threads(self, d, alpha):
+        # d >= 2 runs the direction-scaling and norm path of the sampler
+        q = ChaosQuery(HEAT, KernelSpec("riesz", d=d, alpha=alpha), 2)
         a = jn_exp_time_mc(q, 150_000, 5)
         b = jn_exp_time_mc(q, 150_000, 5)
         c = jn_exp_time_mc(q, 150_000, 5, threads=3)

@@ -245,6 +245,16 @@ class TestChaosCommand:
         assert code == EXIT_PARAMETER
         assert "n=6, t=1e+30" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weight_variance_overflow_exits_3(self, capsys):
+        # the n = 5 oracle is in range, the squared weights are not
+        code, out, err = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                                 "wave", "--t", "1e30", "--n", "5",
+                                 "--samples", "1000", "--threads", "1")
+        assert code == EXIT_CONVERGENCE
+        assert out == ""
+        assert "overflows the double range" in err
+
 
 class TestFormats:
     def test_csv_output(self, capsys):

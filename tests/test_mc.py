@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from andersonlyap.errors import ConvergenceError
 from andersonlyap.mc import MCEstimate, chunk_generator, derive_seed, \
     run_chunked
 
@@ -54,6 +55,14 @@ class TestRunChunked:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             run_chunked(gaussian_sampler, 0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_variance_raises(self, threads):
+        def huge(rng, m):
+            return rng.random(m) * 1e300
+        with pytest.raises(ConvergenceError, match="overflows"):
+            run_chunked(huge, 100_000, 3, threads=threads)
 
 
 class TestMCEstimate:
