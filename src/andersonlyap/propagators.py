@@ -59,7 +59,7 @@ def _sinc(x):
     xs = np.where(small, 0.0, x)
     with np.errstate(invalid="ignore", divide="ignore"):
         direct = np.sin(xs) / np.where(small, 1.0, xs)
-    x2 = x * x
+    x2 = np.where(small, x, 0.0) ** 2
     series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return np.where(small, series, direct)
 

@@ -23,8 +23,9 @@ by Nystrom discretization and power iteration:
   FFT operator with the iterate projected onto odd vectors; the
   positive half of the 2m-point grid is the m-point radial grid.
 * d = 2: the same radial reduction, but the angular average is a
-  hypergeometric closed form, spline-tabulated, and the kernel is
-  assembled as a dense symmetric m x m matrix.
+  hypergeometric closed form, summed in numpy at every entry of a dense
+  symmetric m x m matrix: a series in (s/r)^2 away from the diagonal,
+  one in ((r-s)/(r+s))^2 near it.
 
 The integrable diagonal singularity |xi - eta|^(alpha - d) is replaced
 on diagonal cells by its exact cell average, restoring the first-order
@@ -196,23 +197,44 @@ def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):
 # d = 2: radial reduction
 # ----------------------------------------------------------------------
 
-class _AngularProfile2D:
-    """g(x) = (1/pi) * integral of (x - cos t)^p dt over [0, pi],
-    p = (alpha-2)/2, so that the angular average of |xi - eta|^(alpha-2)
-    in the plane is (2 r s)^p * g((r^2+s^2)/(2rs)).
+def _hyp2f1(a, b, c, z, z_max):
+    """Gauss 2F1(a, b; c; z) for 0 <= z <= z_max < 1, by Horner over the
+    terms that matter at z_max.  Needs a, b, c > 0 and a + b < c + 1:
+    then once the term ratio (a+k)(b+k)/((c+k)(k+1)) is at most 1 it
+    stays so, the tail is at most the last term times z_max/(1 - z_max),
+    and the sum is at least 1."""
+    coef = [1.0]
+    while True:
+        k = len(coef) - 1
+        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        if ratio <= 1.0 and coef[-1] * z_max ** (k + 1) <= 2.0 ** -54 * (
+                1.0 - z_max):
+            break
+        coef.append(coef[-1] * ratio)
+    out = np.full_like(z, coef[-1])
+    for ck in coef[-2::-1]:
+        out *= z
+        out += ck
+    return out
 
-    ``exact`` evaluates the closed form (x+1)^p 2F1(-p, 1/2; 1; 2/(x+1))
-    in w = (x-1)/(x+1) = 1 - z by the connection formula DLMF 15.8.4,
-    which keeps full precision as x -> 1; its values on a log(x-1) grid
-    are spline-interpolated for the matrix fill.  As e = x - 1 -> 0 the
-    formula gives g = g_at_1 + c_sing e^((alpha-1)/2) + o(1) for
-    alpha != 1, and g = (sqrt(2)/pi) (c_log - log(e)/2) + o(1) for
-    alpha = 1.
+
+class _AngularProfile2D:
+    """Angular average of |xi - eta|^(alpha-2) in the plane at
+    |xi| = ra > |eta| = rb: (2 ra rb)^p g(x), where
+    g(x) = (1/pi) * integral of (x - cos t)^p dt over [0, pi],
+    p = (alpha-2)/2 and x = (ra^2 + rb^2)/(2 ra rb).
+
+    At alpha = 1 it is the elliptic form 1/AGM(ra+rb, ra-rb).  Otherwise,
+    for rb/ra <= e^-1, it is ra^(2p) 2F1(-p, -p; 1; (rb/ra)^2), the angle
+    average of |1 - (rb/ra) e^(it)|^(2p) by the binomial series.  Nearer
+    the diagonal the DLMF 15.8.4 pair in w = ((ra-rb)/(ra+rb))^2, which
+    stays below tanh(1/2)^2, gives (ra+rb)^(2p) [k_reg 2F1(-p, 1/2; 1-s; w)
+    + k_sing w^s 2F1(1+p, 1/2; 1+s; w)], s = (alpha-1)/2.  As e = x - 1 -> 0
+    this gives g = g_at_1 + c_sing e^s + o(1) for alpha != 1, and
+    g = (sqrt(2)/pi) (c_log - log(e)/2) + o(1) for alpha = 1.
     """
 
-    def __init__(self, alpha: float, x_max: float):
-        from scipy.interpolate import CubicSpline
-
+    def __init__(self, alpha: float):
         self.alpha = alpha
         self.p = p = (alpha - 2.0) / 2.0
         self.s = s = (alpha - 1.0) / 2.0  # c - a - b of the 2F1
@@ -226,34 +248,27 @@ class _AngularProfile2D:
             self.g_at_1 = 2.0 ** p * self.k_reg
             # (2+e)^p w^s -> 2^(p-s) e^s = e^s / sqrt(2)
             self.c_sing = self.k_sing / math.sqrt(2.0)
-        y_hi = math.log(max(x_max - 1.0, 10.0) * 4.0)
-        ys = np.linspace(math.log(1e-12), y_hi, 600)
-        self._spline = CubicSpline(ys, np.log(self.exact(np.exp(ys))))
 
-    def exact(self, e: np.ndarray) -> np.ndarray:
-        """g(1 + e) for e > 0, from the closed form."""
-        from scipy.special import ellipkm1, hyp2f1
-
-        w = e / (2.0 + e)
+    def __call__(self, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+        p, s = self.p, self.s
         if self.alpha == 1.0:
-            # 2F1(1/2, 1/2; 1; z) = (2/pi) K(z), and K(1 - w) = ellipkm1(w)
-            f = (2.0 / math.pi) * ellipkm1(w)
-        else:
-            p, s = self.p, self.s
-            f = self.k_reg * hyp2f1(-p, 0.5, 1.0 - s, w) \
-                + self.k_sing * w ** s * hyp2f1(1.0 + p, 0.5, 1.0 + s, w)
-        return (2.0 + e) ** self.p * f
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = np.log(np.maximum(x - 1.0, 1e-12))
-        return np.exp(self._spline(y))
-
-
-def _angular_average(alpha, r, s, profile2d):
-    """Angular average of |xi - eta|^(alpha-2) over the relative angle,
-    for |xi| = r, |eta| = s arrays (r != s)."""
-    x = (r * r + s * s) / (2.0 * r * s)
-    return (2.0 * r * s) ** ((alpha - 2.0) / 2.0) * profile2d(x)
+            # (2/pi) K(1 - w) = 1/AGM(1, sqrt(w)); the AGM is homogeneous
+            a, b = ra + rb, ra - rb
+            while np.any(a - b > 1e-15 * a):
+                a, b = 0.5 * (a + b), np.sqrt(a * b)
+            return 2.0 / (a + b)
+        out = np.empty_like(ra)
+        far = rb <= math.exp(-1.0) * ra
+        out[far] = ra[far] ** (2.0 * p) * _hyp2f1(
+            -p, -p, 1.0, (rb[far] / ra[far]) ** 2, math.exp(-2.0))
+        near = ~far
+        plus, minus = ra[near] + rb[near], ra[near] - rb[near]
+        w = (minus / plus) ** 2
+        w_max = math.tanh(0.5) ** 2
+        out[near] = plus ** (2.0 * p) * (
+            self.k_reg * _hyp2f1(-p, 0.5, 1.0 - s, w, w_max)
+            + self.k_sing * w ** s * _hyp2f1(1.0 + p, 0.5, 1.0 + s, w, w_max))
+        return out
 
 
 def _diag_angular_avg(alpha, r, h, profile2d):
@@ -265,43 +280,41 @@ def _diag_angular_avg(alpha, r, h, profile2d):
         # singular part c_sing |r-s|^(alpha-1) (2rs)^(-1/2); remainder
         # evaluated at half-cell offset
         sing_avg = profile2d.c_sing * _cell_avg_singular(alpha, h) \
-            / math.sqrt(two_rs)
+            / np.sqrt(two_rs)
         s_off = r + 0.5 * h
-        rem = _angular_average(alpha, np.array([r]), np.array([s_off]),
-                               profile2d)[0]
-        rem -= profile2d.c_sing * (0.5 * h) ** (alpha - 1.0) / math.sqrt(
-            2.0 * r * s_off
-        )
+        rem = profile2d(s_off, r) - profile2d.c_sing * (0.5 * h) ** (
+            alpha - 1.0) / np.sqrt(2.0 * r * s_off)
         return sing_avg + rem
     if alpha == 1.0:
         # (sqrt(2)/pi) (c_log - log(x-1)/2) / sqrt(2rs) with
         # log(x-1) = 2 log|r-s| - log(2rs)
         const = (
-            profile2d.c_log + 0.5 * math.log(two_rs) + 1.0 - math.log(h / 2.0)
+            profile2d.c_log + 0.5 * np.log(two_rs) + 1.0 - math.log(h / 2.0)
         )
-        return math.sqrt(2.0) / math.pi * const / math.sqrt(two_rs)
+        return math.sqrt(2.0) / math.pi * const / np.sqrt(two_rs)
     return two_rs ** ((alpha - 2.0) / 2.0) * profile2d.g_at_1
 
 
 def _solve_radial(alpha, beta_l, R, m, tol, max_iters):
     h = R / m
     r = (np.arange(m) + 0.5) * h
-    c = riesz_constant(2, alpha)
-    area = _sphere_area(2)
-    profile2d = _AngularProfile2D(alpha, x_max=R / h)
+    profile2d = _AngularProfile2D(alpha)
+    # the strict lower triangle, 32 rows at a time, mirrored as it goes
+    ang = np.zeros((m, m))
+    for i0 in range(0, m, 32):
+        i1 = min(m, i0 + 32)
+        ra, rb = np.broadcast_arrays(r[i0:i1, None], r[:i1])
+        low = rb < ra
+        blk = np.zeros(ra.shape)
+        blk[low] = profile2d(ra[low], rb[low])
+        ang[i0:i1, :i1] = blk
+        ang[:i1, i0:i1] += blk.T
+    np.fill_diagonal(ang, _diag_angular_avg(alpha, r, h, profile2d))
 
-    ri = r[:, None]
-    rj = r[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ang = _angular_average(alpha, ri, rj, profile2d)
-    diag = np.array([_diag_angular_avg(alpha, rk, h, profile2d) for rk in r])
-    np.fill_diagonal(ang, diag)
-
-    w = 1.0 / np.sqrt(1.0 + r ** beta_l)
-    mat = (h * area * c) * ang * np.sqrt(rj * ri) * (w[:, None] * w[None, :])
-
+    u = np.sqrt(h * _sphere_area(2) * riesz_constant(2, alpha) * r
+                / (1.0 + r ** beta_l))
     v0 = np.sqrt(r) / (1.0 + r * r)
-    return power_iteration(lambda v: mat @ v, v0, tol, max_iters)
+    return power_iteration(lambda v: u * (ang @ (u * v)), v0, tol, max_iters)
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +395,8 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         solve = partial(_solve_1d, profile, d, alpha, beta_l, R)
 
     refinements = 0
+    lam_c, _, it_c, _ = solve(m, tol, max_iters)
     while True:
-        lam_c, _, it_c, _ = solve(m, tol, max_iters)
         lam_f, _, it_f, res_f = solve(2 * m, tol, max_iters)
         gap = abs(lam_f - lam_c) / abs(lam_f)
         if gap <= refine_tol or refinements >= MAX_GRID_REFINEMENTS:
@@ -392,6 +405,7 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         # side is monitored by the analytic truncation bound instead
         m *= 2
         refinements += 1
+        lam_c, it_c = lam_f, it_f
 
     params = {
         "d": d,

@@ -255,6 +255,18 @@ class TestChaosCommand:
         assert out == ""
         assert "overflows the double range" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_wave_time_exits_3_quietly(self, capsys):
+        # sinc at t r ~ 1e100 takes the direct branch; its unused small-x
+        # series must not overflow on the way
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "1", "--alpha", "0.5", "--eq", "wave", "--t",
+                                 "1e100", "--n", "4", "--samples", "1000",
+                                 "--threads", "1")
+        assert code == EXIT_CONVERGENCE
+        assert out == ""
+        assert "overflows the double range" in err
+
 
 class TestFormats:
     def test_csv_output(self, capsys):
@@ -376,7 +388,7 @@ class TestMlCommand:
 
 
 # ----------------------------------------------------------------------
-# import cost: closed-form commands never load scipy
+# import cost: no command loads scipy
 # ----------------------------------------------------------------------
 
 _NO_SCIPY_SCRIPT = """
@@ -389,6 +401,9 @@ runs = [
     ["lyapunov", "--family", "fractional", "--e-gamma", "1.0"],
     ["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
     ["rho", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
+    ["rho", "--family", "riesz", "--d", "2", "--alpha", "1.5"],
+    ["lyapunov", "--family", "riesz", "--d", "2", "--alpha", "0.5",
+     "--eq", "heat"],
     ["rho", "--family", "riesz", "--d", "3", "--alpha", "1.5"],
     ["lyapunov", "--family", "riesz", "--d", "3", "--alpha", "1.5",
      "--eq", "heat"],
@@ -422,7 +437,7 @@ def test_closed_form_commands_skip_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()
-    assert codes == str([0] * 14)
+    assert codes == str([0] * 16)
     assert scipy_modules == "[]"
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from andersonlyap import variational
 from andersonlyap.cli import main
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.spectral import riesz_constant
@@ -222,10 +223,42 @@ class TestRadialSolver:
         assert est.grid_points == points
         assert est.params["grid_refinements"] == refinements
 
+    def test_refinement_reuses_fine_solve(self, monkeypatch):
+        # grids 600, 1200, 2400, 4800: each solved once, the fine solve
+        # of one pair serving as the coarse solve of the next
+        calls = []
+        solve = variational._solve_1d
+
+        def counted(*args):
+            calls.append(args[5])
+            return solve(*args)
+
+        monkeypatch.setattr(variational, "_solve_1d", counted)
+        est = rho_eigen(3, 0.5)
+        assert calls == [600, 1200, 2400, 4800]
+        assert est.value == pytest.approx(0.5356237121276748, rel=1e-12)
+        assert est.richardson_pair[0] == pytest.approx(0.5344618992477286,
+                                                       rel=1e-12)
+        assert est.power_iterations == 86
+
+    @pytest.mark.parametrize("alpha,value", [
+        (0.5, 0.7154459175312442),
+        (1.0, 0.9987933394089217),
+        (1.5, 2.9549321511578084),
+    ])
+    def test_d2_default_grid(self, alpha, value):
+        # values of the spline-tabulated angular kernel this evaluator
+        # replaced, whose interpolation error was about 1e-9
+        est = rho_eigen(2, alpha)
+        assert est.value == pytest.approx(value, rel=1e-9)
+        assert est.grid_points == 1200
+        assert est.params["grid_refinements"] == 0
+
 
 class TestAngularProfile2D:
-    """The d = 2 angular average g(x) = (x+1)^p 2F1(-p, 1/2; 1; 2/(x+1)),
-    p = (alpha-2)/2, and its x -> 1 constants, against mpmath."""
+    """The d = 2 angular average (2rs)^p g(x), g(x) = (x+1)^p
+    2F1(-p, 1/2; 1; 2/(x+1)), p = (alpha-2)/2, x = (r^2+s^2)/(2rs), and
+    its x -> 1 constants, against mpmath."""
 
     ALPHAS = [0.5, 0.9, 1.0, 1.5]
 
@@ -237,22 +270,22 @@ class TestAngularProfile2D:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_table_values(self, alpha):
         mp = pytest.importorskip("mpmath")
-        prof = _AngularProfile2D(alpha, x_max=1200.0)
-        es = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e5]
-        got = prof.exact(np.array(es))
-        # z = 2/(2+e) must be exact to resolve 1 - z = e/(2+e)
+        split = math.exp(-1.0)  # s/r where the series switch
+        pairs = [(2400.5, 2399.5), (1.5, 0.5), (0.75, 0.25), (1.0, 1.0 - 1e-6),
+                 (1.0, 0.99), (1.0, 0.7), (1.0, split * (1.0 + 1e-12)),
+                 (1.0, split), (1.0, split * (1.0 - 1e-12)), (1.0, 0.2),
+                 (2400.5, 0.5), (1e5, 1.0)]
+        ra, rb = (np.array(v) for v in zip(*pairs))
+        got = _AngularProfile2D(alpha)(ra, rb)
+        # x - 1 = (r-s)^2/(2rs) taken exactly from the float pair
         with mp.workdps(45):
-            want = [float(self._g_mp(mp, alpha, mp.mpf(e))) for e in es]
+            p = (mp.mpf(alpha) - 2) / 2
+            want = []
+            for r, s in pairs:
+                r, s = mp.mpf(r), mp.mpf(s)
+                want.append(float((2 * r * s) ** p * self._g_mp(
+                    mp, alpha, (r - s) ** 2 / (2 * r * s))))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        # the spline passes through the table, and between its nodes
-        # stays within the interpolation error of the 600-point grid
-        ys = prof._spline.x
-        np.testing.assert_allclose(np.exp(prof._spline(ys)),
-                                   prof.exact(np.exp(ys)), rtol=1e-13)
-        mid = 0.5 * (ys[1:] + ys[:-1])
-        mid = mid[mid > math.log(1e-3)]
-        np.testing.assert_allclose(prof(1.0 + np.exp(mid)),
-                                   prof.exact(np.exp(mid)), rtol=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9])
     def test_singular_coefficient(self, alpha):
@@ -264,7 +297,7 @@ class TestAngularProfile2D:
         with mp.workdps(k + 30):
             e = mp.mpf(10) ** -k
             limit = self._g_mp(mp, alpha, e) * e ** -mp.mpf(s)
-        prof = _AngularProfile2D(alpha, x_max=1200.0)
+        prof = _AngularProfile2D(alpha)
         assert prof.c_sing == pytest.approx(float(limit), rel=1e-13)
 
     def test_log_coefficient(self):
@@ -274,7 +307,7 @@ class TestAngularProfile2D:
             e = mp.mpf(10) ** -40
             limit = mp.pi * self._g_mp(mp, 1.0, e) / mp.sqrt(2) \
                 + mp.log(e) / 2
-        prof = _AngularProfile2D(1.0, x_max=1200.0)
+        prof = _AngularProfile2D(1.0)
         assert prof.c_log == pytest.approx(float(limit), rel=1e-14)
 
     def test_value_at_one(self):
@@ -283,7 +316,7 @@ class TestAngularProfile2D:
         with mp.workdps(30):
             p = mp.mpf(-0.25)
             limit = 2 ** p * mp.hyp2f1(-p, mp.mpf(1) / 2, 1, 1)
-        prof = _AngularProfile2D(1.5, x_max=1200.0)
+        prof = _AngularProfile2D(1.5)
         assert prof.g_at_1 == pytest.approx(float(limit), rel=1e-14)
 
 
