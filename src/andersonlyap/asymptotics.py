@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chaos import scaling_exponent
+from .chaos import _wave_log2_factor, scaling_exponent
 from .errors import ConvergenceError, ParameterError
 from .propagators import EquationKind
 from .spectral import KernelSpec, dalang_check
@@ -257,16 +257,6 @@ class LyapunovReport:
         return out
 
 
-def _wave_log2_prefactor(alpha: float, beta_l: float) -> float:
-    """Exponent q in gamma_wave = log(2^q rho): q = 1 - 2 alpha/beta_l.
-
-    Classical dispersion gives the familiar 1 - alpha; for beta_l < 2
-    the rescaling that absorbs the beta^2/4 rate into the weights pulls
-    out 2^(-2 alpha/beta_l) per chaos order instead of 2^(-alpha).
-    """
-    return 1.0 - 2.0 * alpha / beta_l
-
-
 def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
                         rho: Optional[float] = None,
                         e_gamma: Optional[float] = None) -> LyapunovReport:
@@ -308,7 +298,7 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
 
     a = scaling_exponent(eq, alpha)
     if eq.is_wave:
-        gamma = _wave_log2_prefactor(alpha, eq.beta_l) * math.log(2.0) \
+        gamma = _wave_log2_factor(alpha, eq.beta_l) * math.log(2.0) \
             + math.log(rho)
     else:
         gamma = math.log(rho)

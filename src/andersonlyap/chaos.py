@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ParameterError
 from .mc import MCEstimate, derive_seed, run_chunked
 from .propagators import EquationKind, fourier_green_sq, laplace_green_sq
-from .spectral import KernelSpec, dalang_check
+from .spectral import KernelSpec, _sphere_area, dalang_check
 
 __all__ = [
     "ChaosQuery",
@@ -85,13 +85,18 @@ def scaling_exponent(eq: EquationKind, alpha_eff: float) -> float:
     return 1.0 - alpha_eff / eq.beta_l
 
 
+def _wave_log2_factor(alpha_eff: float, beta_l: float = 2.0) -> float:
+    """q = 1 - 2 alpha/beta_l: the log2 of the wave/heat moment ratio per
+    chaos order, and the q in the wave log-rate gamma = log(2^q rho).
+    Classical dispersion gives 1 - alpha; for beta_l < 2 the rescaling
+    that absorbs the beta^2/4 rate into the weights pulls out
+    2^(-2 alpha/beta_l) per chaos order instead of 2^(-alpha)."""
+    return 1.0 - 2.0 * alpha_eff / beta_l
+
+
 def wave_heat_factor(n: int, alpha_eff: float, beta_l: float = 2.0) -> float:
     """Exact ratio E[J_n^wave(tau)] / E[J_n^heat(tau)] = 2^(n(1-2a/b))."""
-    return 2.0 ** (n * (1.0 - 2.0 * alpha_eff / beta_l))
-
-
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return 2.0 ** (n * _wave_log2_factor(alpha_eff, beta_l))
 
 
 def _radial_mass(a: float, b: float) -> float:
@@ -384,9 +389,9 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
 
 def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
                 seed: int, *, threads: int = 1) -> list:
-    """Empirical sequence (n, log(T_n)/n, se) whose limit is log(rho).
+    """Rows (n, log(T_n)/n, se, estimate): the rate tends to log(rho).
 
-    T_n is estimated by the heat-equation exponential-time moment; the
+    T_n is the heat-equation exponential-time moment ``estimate``; the
     standard error of the log is propagated by the delta method.
     """
     if d == 1 and alpha == 1.0:
@@ -401,5 +406,6 @@ def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
                              threads=threads)
         if est.mean <= 0:
             raise ParameterError(f"nonpositive moment estimate at n={n}")
-        rows.append((n, math.log(est.mean) / n, est.std_error / (n * est.mean)))
+        rows.append((n, math.log(est.mean) / n, est.std_error / (n * est.mean),
+                     est))
     return rows

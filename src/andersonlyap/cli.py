@@ -15,8 +15,9 @@ Subcommands:
 
 Configuration precedence: command-line flags override the key=value
 config file named by ANDERSON_CONFIG, which overrides built-in
-defaults.  All randomness flows from one --seed; per-target sub-streams
-are derived by keyed hashing so new targets never disturb old ones.
+defaults; each subcommand has flags only for the settings it reads.
+All randomness flows from one --seed; per-target sub-streams are
+derived by keyed hashing so new targets never disturb old ones.
 
 Exit codes: 0 success, 2 parameter error, 3 convergence error,
 4 verification failure.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
 
 from .asymptotics import at_growth, lambda2_closed_form, mittag_leffler
@@ -37,7 +38,8 @@ from .errors import ConvergenceError, ParameterError
 from .propagators import EquationKind
 from .reporting import csv_render, flatten, json_render, table_render
 from .spectral import KernelSpec, dalang_check
-from .variational import RhoEstimate, rho_eigen
+from .variational import (DEFAULT_MAX_ITERS, DEFAULT_RADIUS, DEFAULT_TOL,
+                          RhoEstimate, rho_eigen)
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -63,26 +65,30 @@ class RunConfig:
     t: Optional[float] = None
     samples: int = 1_000_000
     seed: int = 0
-    grid_radius: float = 50.0
+    grid_radius: float = DEFAULT_RADIUS
     grid_points: Optional[int] = None
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     rho: Optional[float] = None
     e_gamma: Optional[float] = None
     format: str = "table"
     out: Optional[str] = None
     threads: int = max(1, os.cpu_count() or 1)
-    max_iters: int = 5000
+    max_iters: int = DEFAULT_MAX_ITERS
     method: str = "fourier"
     time_step: float = 2e-3
 
     def kernel(self) -> KernelSpec:
-        if self.family == "riesz":
-            return KernelSpec("riesz", d=self.d, alpha=self.alpha)
-        if self.family == "fractional":
-            return KernelSpec("fractional", H=self.H)
-        if self.family == "white":
-            return KernelSpec("white")
-        raise ParameterError(f"unknown family {self.family!r}")
+        """The configured noise, checked admissible against beta_l."""
+        params = {"riesz": {"d": self.d, "alpha": self.alpha},
+                  "fractional": {"H": self.H}}.get(self.family, {})
+        kernel = KernelSpec(self.family, **params)
+        if not dalang_check(kernel.alpha_eff, self.beta_l):
+            raise ParameterError(
+                "admissibility condition violated: the spectral measure "
+                f"scaling exponent {kernel.alpha_eff} must be below "
+                f"the dispersion power {self.beta_l}"
+            )
+        return kernel
 
     def equation(self) -> EquationKind:
         return EquationKind(self.eq, self.beta_l)
@@ -126,6 +132,36 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+# The RunConfig settings each subcommand reads: its flags, besides
+# --format and --out.  A config file may set any of them for any command.
+_MODEL = ("family", "d", "alpha", "H", "eq", "beta_l")
+_SOLVER = ("grid_radius", "grid_points", "tol", "max_iters")
+_COMMAND_KEYS = {
+    "lyapunov": _MODEL + _SOLVER + ("rho", "e_gamma"),
+    "chaos": _MODEL + ("n", "t", "samples", "seed", "threads", "method",
+                       "time_step"),
+    "rho": ("family", "d", "alpha", "beta_l") + _SOLVER,
+    "verify": ("seed", "threads"),
+    "ml": ("t",),
+}
+_CHOICES = {"family": ["riesz", "fractional", "white"], "eq": ["wave", "heat"],
+            "format": ["json", "csv", "table"], "method": ["fourier", "bm"]}
+_HELP = {
+    "d": "spatial dimension (Riesz)",
+    "alpha": "Riesz scaling exponent",
+    "H": "Hurst index (fractional)",
+    "beta_l": "dispersion power in (0, 2]",
+    "n": "chaos order / max order",
+    "t": "fixed time of the chaos terms or of the ml growth rate",
+    "rho": "override the constant rho",
+    "e_gamma": "functional value for the fractional family",
+    "out": "write the report to this path",
+    "method": "Fourier-side sampler or Brownian oracle",
+    "time_step": "Brownian oracle step size, in "
+                 f"[{MIN_TIME_STEP:g}, {MAX_TIME_STEP:g}]",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="andersonlyap",
@@ -133,60 +169,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "heat and wave equations with spatially homogeneous noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--family", choices=["riesz", "fractional", "white"])
-        p.add_argument("--d", type=int, help="spatial dimension (Riesz)")
-        p.add_argument("--alpha", type=float, help="Riesz scaling exponent")
-        p.add_argument("--H", type=float, help="Hurst index (fractional)")
-        p.add_argument("--eq", choices=["wave", "heat"])
-        p.add_argument("--beta-l", dest="beta_l", type=float,
-                       help="dispersion power in (0, 2]")
-        p.add_argument("--n", type=int, help="chaos order / max order")
-        p.add_argument("--t", type=float, help="fixed time for chaos terms")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--grid-radius", dest="grid_radius", type=float)
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--rho", type=float, help="override the constant rho")
-        p.add_argument("--e-gamma", dest="e_gamma", type=float,
-                       help="functional value for the fractional family")
-        p.add_argument("--format", choices=["json", "csv", "table"])
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-
-    for name in ("lyapunov", "chaos", "rho", "verify", "ml"):
+    for name, keys in _COMMAND_KEYS.items():
         p = sub.add_parser(name)
-        add_common(p)
-        if name == "chaos":
-            p.add_argument("--method", choices=["fourier", "bm"],
-                           help="Fourier-side sampler or Brownian oracle")
-            p.add_argument("--time-step", dest="time_step", type=float,
-                           help="Brownian oracle step size, in "
-                           f"[{MIN_TIME_STEP:g}, {MAX_TIME_STEP:g}]")
-        if name == "ml":
-            p.add_argument("--a", type=float, required=True,
-                           help="Mittag-Leffler order in (0, 4)")
-            p.add_argument("--x", type=float, action="append",
-                           help="evaluation point (repeatable)")
-            p.add_argument("--growth-c", dest="growth_c", type=float,
-                           help="report (1/t) log E_a((c t)^a) instead")
+        for key in keys + ("format", "out"):
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=_FIELD_TYPES[key], choices=_CHOICES.get(key),
+                           help=_HELP.get(key))
+    ml = sub.choices["ml"]
+    ml.add_argument("--a", type=float, required=True,
+                    help="Mittag-Leffler order in (0, 4)")
+    ml.add_argument("--x", type=float, action="append",
+                    help="evaluation point (repeatable)")
+    ml.add_argument("--growth-c", dest="growth_c", type=float,
+                    help="report (1/t) log E_a((c t)^a) instead")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
     path = os.environ.get(CONFIG_ENV)
-    if path:
-        for key, val in load_config_file(path).items():
-            setattr(cfg, key, val)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None and f.name != "command":
-            setattr(cfg, f.name, flag)
-    return cfg
+    values = load_config_file(path) if path else {}
+    values.update((key, flag) for key, flag in vars(args).items()
+                  if key in _FIELD_TYPES and flag is not None)
+    return RunConfig(**values)
 
 
 # ----------------------------------------------------------------------
@@ -206,18 +210,24 @@ def _emit(cfg: RunConfig, payload, rows=None, title=""):
         kv = [{"field": k, "value": v} for k, v in flatten(payload).items()]
         text = table_render(kv, title)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot write the report to {cfg.out}: {exc.strerror}"
+            ) from None
     else:
         sys.stdout.write(text)
 
 
-def _solve_rho(cfg: RunConfig, profile: str = "riesz") -> RhoEstimate:
-    """The eigensolver at the configured grid; a Richardson pair that
-    still disagrees after the last refinement is a convergence error."""
+def _solve_rho(cfg: RunConfig, kernel: KernelSpec) -> RhoEstimate:
+    """The eigensolver for a checked Riesz or white kernel at the
+    configured grid; a Richardson pair that still disagrees after the
+    last refinement is a convergence error."""
     est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l, R=cfg.grid_radius,
                     m=cfg.grid_points, tol=cfg.tol, max_iters=cfg.max_iters,
-                    profile=profile)
+                    profile="flat" if kernel.family == "white" else "riesz")
     gap, refine_tol = est.params["richardson_gap"], est.params["refine_tol"]
     if not gap <= refine_tol:
         raise ConvergenceError(
@@ -234,7 +244,7 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
     rho = cfg.rho
     rho_meta = None
     if kernel.family == "riesz" and rho is None:
-        est = _solve_rho(cfg)
+        est = _solve_rho(cfg, kernel)
         rho = est.value
         rho_meta = est.to_dict()
     report = lambda2_closed_form(eq, kernel, rho=rho, e_gamma=cfg.e_gamma)
@@ -279,15 +289,14 @@ def cmd_chaos(cfg: RunConfig) -> int:
         else:
             est = jn_fixed_time(query, cfg.samples, cfg.seed,
                                 threads=cfg.threads)
-        row = {
+        rows.append({
             "n": query.n,
             "mean": est.mean,
             "std_error": est.std_error,
             "oracle": oracle,
             "z": est.z_score(oracle) if oracle is not None else None,
             "target": est.target,
-        }
-        rows.append(row)
+        })
     payload = {
         "kernel": kernel.to_config(),
         "eq": eq.kind,
@@ -303,15 +312,17 @@ def cmd_chaos(cfg: RunConfig) -> int:
 
 
 def cmd_rho(cfg: RunConfig) -> int:
-    est = _solve_rho(cfg, "flat" if cfg.family == "white" else "riesz")
+    if cfg.family == "fractional":
+        raise ParameterError("the fractional family has no rho to solve for; "
+                             "give lyapunov its functional value, --e-gamma")
+    est = _solve_rho(cfg, cfg.kernel())
     _emit(cfg, est.to_dict(), title="variational constant")
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = run_verification(seed=cfg.seed, threads=cfg.threads)
-    rows = report["checks"]
-    _emit(cfg, report, rows=rows, title="verification")
+    _emit(cfg, report, rows=report["checks"], title="verification")
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY
 
 
@@ -336,24 +347,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if not dalang_check(cfg.kernel().alpha_eff, cfg.beta_l) and \
-                args.command in ("lyapunov", "chaos", "rho"):
-            raise ParameterError(
-                "admissibility condition violated: the spectral measure "
-                f"scaling exponent {cfg.kernel().alpha_eff} must be below "
-                f"the dispersion power {cfg.beta_l}"
-            )
-        if args.command == "lyapunov":
-            return cmd_lyapunov(cfg)
-        if args.command == "chaos":
-            return cmd_chaos(cfg)
-        if args.command == "rho":
-            return cmd_rho(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
         if args.command == "ml":
             return cmd_ml(cfg, args.a, args.x, args.growth_c)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return {"lyapunov": cmd_lyapunov, "chaos": cmd_chaos,
+                "rho": cmd_rho, "verify": cmd_verify}[args.command](cfg)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

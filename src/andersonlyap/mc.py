@@ -95,6 +95,8 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
     """
     if n_samples <= 0:
         raise ParameterError(f"n_samples must be positive, got {n_samples}")
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
     n_chunks = (n_samples + chunk_size - 1) // chunk_size
 
     def one_chunk(i):

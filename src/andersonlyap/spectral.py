@@ -55,6 +55,11 @@ def riesz_constant(d: int, alpha: float) -> float:
     )
 
 
+def _sphere_area(d: int) -> float:
+    """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere in R^d."""
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
 def c_h(H: float) -> float:
     """Spectral-density constant Gamma(2H+1) * sin(pi*H) / (2*pi) of the
     fractional family, defined for 1/4 < H < 1/2."""

@@ -44,9 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chaos import _sphere_area
 from .errors import ConvergenceError, ParameterError
-from .spectral import dalang_check, riesz_constant
+from .spectral import _sphere_area, dalang_check, riesz_constant
 
 __all__ = [
     "RhoEstimate",

@@ -194,7 +194,7 @@ def test_criterion_7_variational_solver(capsys):
     stability = abs(a.value - b.value) / b.value
     # (c) consistency with the moment-rate trend at n = 4
     rows = log_rate_tn(1, 0.5, 4, 400_000, 2024)
-    n4, rate4, se4 = rows[-1]
+    n4, rate4, se4, _ = rows[-1]
     assert n4 == 4
     gap = rate4 - math.log(b.value)
     ok = (

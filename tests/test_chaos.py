@@ -341,11 +341,11 @@ class TestFixedTimeMC:
 class TestLogRateTn:
     def test_white_analog_exact_rate(self):
         rows = log_rate_tn(1, 1.0, 3, 100_000, 23)
-        for n, val, se in rows:
+        for n, val, se, _ in rows:
             assert abs(val - math.log(0.5)) <= 3.0 * se + 1e-12
 
     def test_riesz_trend_decreasing(self):
         rows = log_rate_tn(1, 0.5, 4, 150_000, 23)
-        vals = [v for _, v, _ in rows]
+        vals = [row[1] for row in rows]
         assert vals[0] == pytest.approx(math.log(SQRT_PI), abs=1e-3)
         assert all(a > b for a, b in zip(vals, vals[1:]))

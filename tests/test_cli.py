@@ -1,11 +1,13 @@
 """Command-line behavior: formats, precedence, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -19,6 +21,7 @@ from andersonlyap.cli import (
     EXIT_CONVERGENCE,
     EXIT_PARAMETER,
     EXIT_VERIFY,
+    _build_parser,
     load_config_file,
     main,
 )
@@ -295,6 +298,16 @@ class TestFormats:
         assert out == ""
         assert json.loads(path.read_text())["lambda2"] == 0.25
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_named(self, capsys, tmp_path, where):
+        path = tmp_path / "absent" / "r.json" if where == "missing_dir" \
+            else tmp_path
+        code, out, err = run_cli(capsys, "lyapunov", "--family", "white",
+                                 "--out", str(path))
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert str(path) in err
+
 
 class TestConfigPrecedence:
     def test_config_file_used(self, capsys, tmp_path, monkeypatch):
@@ -334,6 +347,75 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "lyapunov")
         assert code == EXIT_PARAMETER
         assert str(path) in err
+
+    def test_commands_ignore_keys_they_do_not_read(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # an inadmissible kernel: only the commands that build one fail
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text("family = riesz\nd = 1\nalpha = 3\nthreads = 1\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        assert run_cli(capsys, "ml", "--a", "1", "--x", "1")[0] == 0
+        assert run_cli(capsys, "verify")[0] == 0
+        assert run_cli(capsys, "lyapunov")[0] == EXIT_PARAMETER
+
+
+class TestFlagTable:
+    """Each subcommand has flags only for the settings it reads."""
+
+    def test_long_option_count(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = [opt for p in sub.choices.values() for a in p._actions
+                   for opt in a.option_strings
+                   if opt.startswith("--") and opt != "--help"]
+        assert len(options) == 49
+
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--family", "white", "--samples", "5"],
+        ["chaos", "--family", "white", "--rho", "1.0"],
+        ["rho", "--family", "fractional", "--H", "0.3"],
+        ["verify", "--alpha", "0.5"],
+        ["ml", "--a", "1", "--x", "1", "--samples", "5"],
+    ])
+    def test_rejects_flag_it_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARAMETER
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("## CLI", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("andersonlyap ")]
+        assert {shlex.split(line)[1] for line in lines} == \
+            {"lyapunov", "chaos", "rho", "verify", "ml"}
+        for line in lines:
+            _build_parser().parse_args(shlex.split(line)[1:])
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_rho_refuses_fractional(self, capsys, tmp_path, monkeypatch,
+                                    route):
+        argv = ["rho"]
+        if route == "flag":
+            argv += ["--family", "fractional"]
+        else:
+            cfg = tmp_path / "anderson.cfg"
+            cfg.write_text("family = fractional\nH = 0.3\n")
+            monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert "--e-gamma" in err
+
+    def test_verify_rejects_zero_threads(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--threads", "0")
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert "threads" in err
 
 
 class TestVerifyDeterminism:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from andersonlyap.errors import ConvergenceError
+from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.mc import MCEstimate, chunk_generator, derive_seed, \
     run_chunked
 
@@ -55,6 +55,11 @@ class TestRunChunked:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             run_chunked(gaussian_sampler, 0, 1)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ParameterError, match="threads"):
+            run_chunked(gaussian_sampler, 100, 1, threads=threads)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("threads", [1, 2])
