@@ -6,81 +6,48 @@ stochastic wave and heat equations with multiplicative noise, through
 three mutually cross-checking routes: chaos-expansion Monte Carlo, a
 Brownian-path oracle for the same moments, and the closed-form
 exponents built on the variational constant rho.
+
+Public names load on first use (PEP 562): ``import andersonlyap``
+imports no submodule, and a closed-form name loads no numpy.
 """
 
-from .asymptotics import (
-    LyapunovReport,
-    RieszHeat,
-    at_growth,
-    beta0_power_law,
-    beta0_solve,
-    lambda2_closed_form,
-    mittag_leffler,
-)
-from .brownian import tn_bm_oracle
-from .chaos import (
-    ChaosQuery,
-    exact_moment,
-    jn_exp_time_mc,
-    jn_fixed_time,
-    log_rate_tn,
-    scaling_exponent,
-    t1_exact,
-    wave_heat_factor,
-)
-from .errors import ConvergenceError, ParameterError
-from .mc import MCEstimate
-from .propagators import (
-    EquationKind,
-    fourier_green_sq,
-    laplace_green_sq,
-    wave_heat_link_residual,
-)
-from .spectral import KernelSpec, c_h, dalang_check, riesz_constant
-from .variational import (
-    FunctionalValues,
-    RhoEstimate,
-    functionals_from_rho,
-    remark14_residual,
-    rho_eigen,
-)
-from .verify import run_verification
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChaosQuery",
-    "ConvergenceError",
-    "EquationKind",
-    "FunctionalValues",
-    "KernelSpec",
-    "LyapunovReport",
-    "MCEstimate",
-    "ParameterError",
-    "RhoEstimate",
-    "RieszHeat",
-    "at_growth",
-    "beta0_power_law",
-    "beta0_solve",
-    "c_h",
-    "dalang_check",
-    "exact_moment",
-    "fourier_green_sq",
-    "functionals_from_rho",
-    "jn_exp_time_mc",
-    "jn_fixed_time",
-    "lambda2_closed_form",
-    "laplace_green_sq",
-    "log_rate_tn",
-    "mittag_leffler",
-    "remark14_residual",
-    "rho_eigen",
-    "riesz_constant",
-    "run_verification",
-    "scaling_exponent",
-    "t1_exact",
-    "tn_bm_oracle",
-    "wave_heat_factor",
-    "wave_heat_link_residual",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("FunctionalValues", "LyapunovReport", "RieszHeat",
+                     "at_growth", "beta0_power_law", "beta0_solve",
+                     "functionals_from_rho", "lambda2_closed_form",
+                     "mittag_leffler", "remark14_residual",
+                     "scaling_exponent", "wave_heat_factor"), "asymptotics"),
+    "tn_bm_oracle": "brownian",
+    **dict.fromkeys(("ChaosQuery", "exact_moment", "jn_exp_time_mc",
+                     "jn_fixed_time", "log_rate_tn", "t1_exact"), "chaos"),
+    **dict.fromkeys(("ConvergenceError", "ParameterError"), "errors"),
+    "MCEstimate": "mc",
+    **dict.fromkeys(("fourier_green_sq", "laplace_green_sq",
+                     "wave_heat_link_residual"), "propagators"),
+    **dict.fromkeys(("EquationKind", "KernelSpec", "c_h", "dalang_check",
+                     "riesz_constant"), "spectral"),
+    **dict.fromkeys(("RhoEstimate", "rho_eigen"), "variational"),
+    "run_verification": "verify",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,7 +14,9 @@ formulas:
 with the exponents adjusted for fractional dispersion.  Both routes
 (the rho route and the variational-functional route) are computed and
 their agreement reported; the gap is algebraic, so it measures only
-rounding, never model error.
+rounding, never model error.  The chaos time-scaling law and the
+rho -> functional-value power laws live here too, and nothing here
+imports numpy: the closed-form commands load only this layer.
 """
 
 from __future__ import annotations
@@ -23,13 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
-from .chaos import _wave_log2_factor, scaling_exponent
 from .errors import ConvergenceError, ParameterError
-from .propagators import EquationKind
-from .spectral import KernelSpec, dalang_check
-from .variational import functionals_from_rho
+from .spectral import EquationKind, KernelSpec, dalang_check
 
 __all__ = [
     "LyapunovReport",
@@ -40,6 +37,11 @@ __all__ = [
     "beta0_solve",
     "beta0_power_law",
     "lambda2_closed_form",
+    "scaling_exponent",
+    "wave_heat_factor",
+    "FunctionalValues",
+    "functionals_from_rho",
+    "remark14_residual",
 ]
 
 # Branch handover: series for x^(1/a) <= 30, leading asymptotics above.
@@ -77,8 +79,8 @@ def _series_log_ml(a: float, x: float) -> float:
             f"{_SERIES_MAX_TERMS} terms",
             math.exp(lt - log_max),
         )
-    arr = np.array(log_terms)
-    return float(log_max + math.log(np.exp(arr - log_max).sum()))
+    return log_max + math.log(math.fsum(math.exp(lt - log_max)
+                                        for lt in log_terms))
 
 
 def _asymptotic_log_ml(a: float, x: float) -> float:
@@ -218,8 +220,100 @@ def beta0_solve(lam: Callable[[float], float], bracket,
 
 
 # ----------------------------------------------------------------------
+# functional algebra
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FunctionalValues:
+    """The three Riesz variational functionals derived from rho.
+
+    e_a1 is the unit-coupling functional, e the half-coupling one
+    (e = 2^(-alpha/(alpha-2)) * e_a1) and e2 the doubled-variable one
+    (e2 = 2^(-alpha/(2-alpha)) * e).
+    """
+
+    e_a1: float
+    e: float
+    e2: float
+    alpha: float
+
+
+def functionals_from_rho(alpha: float, rho: float) -> FunctionalValues:
+    """Exact power-law conversion rho -> functional values."""
+    if not 0.0 < alpha < 2.0:
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    if not 0.0 < rho < math.inf:
+        raise ParameterError(f"rho must be positive and finite, got {rho}")
+    try:
+        e_a1 = rho ** (2.0 / (2.0 - alpha))
+        e = 2.0 ** (-alpha / (alpha - 2.0)) * e_a1
+        e2 = 2.0 ** (-alpha / (2.0 - alpha)) * e
+    except OverflowError:
+        e_a1 = e = e2 = math.inf
+    if not all(0.0 < v < math.inf for v in (e_a1, e, e2)):
+        raise ParameterError(
+            f"rho={rho!r} at alpha={alpha!r} puts the functional values "
+            "outside the double range"
+        )
+    return FunctionalValues(e_a1=e_a1, e=e, e2=e2, alpha=alpha)
+
+
+def remark14_residual(alpha: float, rho: float) -> float:
+    """Defect of the algebraic identity equating the wave exponent
+    computed from rho with the one computed from the functional value:
+
+        (2^(1-alpha) rho)^(1/(3-alpha))
+            = 2^((2-3alpha)/(6-2alpha)) * E^((2-alpha)/(6-2alpha)).
+
+    Zero for every alpha in (0,2) and rho > 0 up to rounding; the two
+    sides are evaluated through their distinct published routes.
+    """
+    if not 0.0 < alpha < 2.0:
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    if rho <= 0:
+        raise ParameterError(f"rho must be positive, got {rho}")
+    log2 = math.log(2.0)
+    log_lhs = ((1.0 - alpha) * log2 + math.log(rho)) / (3.0 - alpha)
+    # log of the functional value, kept in log space: near alpha = 2 the
+    # value itself overflows the double range while the exponent below
+    # brings the right side back to a modest number
+    log_e = (alpha * log2 + 2.0 * math.log(rho)) / (2.0 - alpha)
+    log_rhs = (2.0 - 3.0 * alpha) / (6.0 - 2.0 * alpha) * log2 + (
+        2.0 - alpha
+    ) / (6.0 - 2.0 * alpha) * log_e
+    return math.exp(log_lhs) - math.exp(log_rhs)
+
+
+# ----------------------------------------------------------------------
 # the closed-form second-order exponents
 # ----------------------------------------------------------------------
+
+def scaling_exponent(eq: EquationKind, alpha_eff: float) -> float:
+    """Power a in the time-scaling law J_n(t) = t^(a*n) * J_n(1).
+
+    a = 3 - 2*alpha/beta_l for the wave equation and 1 - alpha/beta_l
+    for the heat equation (3 - alpha and 1 - alpha/2 classically).
+    """
+    if not dalang_check(alpha_eff, eq.beta_l):
+        raise ParameterError("admissibility violated")
+    if eq.is_wave:
+        return 3.0 - 2.0 * alpha_eff / eq.beta_l
+    return 1.0 - alpha_eff / eq.beta_l
+
+
+def _wave_log2_factor(alpha_eff: float, beta_l: float = 2.0) -> float:
+    """q = 1 - 2 alpha/beta_l: the log2 of the wave/heat moment ratio per
+    chaos order, and the q in the wave log-rate gamma = log(2^q rho).
+    Classical dispersion gives 1 - alpha; for beta_l < 2 the rescaling
+    that absorbs the beta^2/4 rate into the weights pulls out
+    2^(-2 alpha/beta_l) per chaos order instead of 2^(-alpha)."""
+    return 1.0 - 2.0 * alpha_eff / beta_l
+
+
+def wave_heat_factor(n: int, alpha_eff: float, beta_l: float = 2.0) -> float:
+    """Exact ratio E[J_n^wave(tau)] / E[J_n^heat(tau)] = 2^(n(1-2a/b))."""
+    return 2.0 ** (n * _wave_log2_factor(alpha_eff, beta_l))
+
 
 @dataclass(frozen=True)
 class LyapunovReport:

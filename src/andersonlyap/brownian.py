@@ -19,6 +19,11 @@ midpoint lands far from the origin would bias zeta low.  Rows are
 scalars in d = 1, and the halved intervals are gathered once per depth.
 This path estimator shares zero machinery with the Fourier-side Monte
 Carlo, which is the point.
+
+Scoring a retired interval by one bridged point, whose density at the
+origin is positive, makes E[zeta^n] of the discretised functional
+infinite once n alpha >= d (logarithmically at equality, as at d = 1,
+alpha = 1/2, n = 2); there the error bar is not a confidence interval.
 """
 
 from __future__ import annotations

@@ -21,20 +21,19 @@ from typing import Optional
 
 import numpy as np
 
+from .asymptotics import scaling_exponent, wave_heat_factor
 from .errors import ParameterError
 from .mc import MCEstimate, derive_seed, run_chunked
-from .propagators import EquationKind, fourier_green_sq, laplace_green_sq
-from .spectral import KernelSpec, _sphere_area, dalang_check
+from .propagators import fourier_green_sq, laplace_green_sq
+from .spectral import EquationKind, KernelSpec, _sphere_area, dalang_check
 
 __all__ = [
     "ChaosQuery",
     "jn_exp_time_mc",
     "jn_fixed_time",
-    "scaling_exponent",
     "log_rate_tn",
     "t1_exact",
     "exact_moment",
-    "wave_heat_factor",
 ]
 
 # Hard cap on the proposal truncation radius.  Past the critical decay
@@ -70,33 +69,6 @@ class ChaosQuery:
                 "admissibility violated: alpha_eff="
                 f"{self.kernel.alpha_eff} >= beta_l={self.eq.beta_l}"
             )
-
-
-def scaling_exponent(eq: EquationKind, alpha_eff: float) -> float:
-    """Power a in the time-scaling law J_n(t) = t^(a*n) * J_n(1).
-
-    a = 3 - 2*alpha/beta_l for the wave equation and 1 - alpha/beta_l
-    for the heat equation (3 - alpha and 1 - alpha/2 classically).
-    """
-    if not dalang_check(alpha_eff, eq.beta_l):
-        raise ParameterError("admissibility violated")
-    if eq.is_wave:
-        return 3.0 - 2.0 * alpha_eff / eq.beta_l
-    return 1.0 - alpha_eff / eq.beta_l
-
-
-def _wave_log2_factor(alpha_eff: float, beta_l: float = 2.0) -> float:
-    """q = 1 - 2 alpha/beta_l: the log2 of the wave/heat moment ratio per
-    chaos order, and the q in the wave log-rate gamma = log(2^q rho).
-    Classical dispersion gives 1 - alpha; for beta_l < 2 the rescaling
-    that absorbs the beta^2/4 rate into the weights pulls out
-    2^(-2 alpha/beta_l) per chaos order instead of 2^(-alpha)."""
-    return 1.0 - 2.0 * alpha_eff / beta_l
-
-
-def wave_heat_factor(n: int, alpha_eff: float, beta_l: float = 2.0) -> float:
-    """Exact ratio E[J_n^wave(tau)] / E[J_n^heat(tau)] = 2^(n(1-2a/b))."""
-    return 2.0 ** (n * _wave_log2_factor(alpha_eff, beta_l))
 
 
 def _radial_mass(a: float, b: float) -> float:

@@ -15,7 +15,9 @@ Subcommands:
 
 Configuration precedence: command-line flags override the key=value
 config file named by ANDERSON_CONFIG, which overrides built-in
-defaults; each subcommand has flags only for the settings it reads.
+defaults; each subcommand has flags only for the settings it reads, and
+a flag that the chosen family or mode leaves unread is an error.  Array
+modules load inside the handlers that run them: closed forms skip numpy.
 All randomness flows from one --seed; per-target sub-streams are
 derived by keyed hashing so new targets never disturb old ones.
 
@@ -32,15 +34,9 @@ from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
 
 from .asymptotics import at_growth, lambda2_closed_form, mittag_leffler
-from .brownian import MAX_TIME_STEP, MIN_TIME_STEP, tn_bm_oracle
-from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc, jn_fixed_time
 from .errors import ConvergenceError, ParameterError
-from .propagators import EquationKind
 from .reporting import csv_render, flatten, json_render, table_render
-from .spectral import KernelSpec, dalang_check
-from .variational import (DEFAULT_MAX_ITERS, DEFAULT_RADIUS, DEFAULT_TOL,
-                          RhoEstimate, rho_eigen)
-from .verify import run_verification
+from .spectral import EquationKind, KernelSpec, dalang_check
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -52,7 +48,8 @@ CONFIG_ENV = "ANDERSON_CONFIG"
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (flags over config file over defaults)."""
+    """Resolved run configuration (flags over config file over defaults);
+    a solver setting left None takes ``rho_eigen``'s default."""
 
     command: str = "lyapunov"
     family: str = "white"
@@ -65,15 +62,15 @@ class RunConfig:
     t: Optional[float] = None
     samples: int = 1_000_000
     seed: int = 0
-    grid_radius: float = DEFAULT_RADIUS
+    grid_radius: Optional[float] = None
     grid_points: Optional[int] = None
-    tol: float = DEFAULT_TOL
+    tol: Optional[float] = None
     rho: Optional[float] = None
     e_gamma: Optional[float] = None
     format: str = "table"
     out: Optional[str] = None
     threads: int = max(1, os.cpu_count() or 1)
-    max_iters: int = DEFAULT_MAX_ITERS
+    max_iters: Optional[int] = None
     method: str = "fourier"
     time_step: float = 2e-3
 
@@ -157,8 +154,25 @@ _HELP = {
     "e_gamma": "functional value for the fractional family",
     "out": "write the report to this path",
     "method": "Fourier-side sampler or Brownian oracle",
-    "time_step": "Brownian oracle step size, in "
-                 f"[{MIN_TIME_STEP:g}, {MAX_TIME_STEP:g}]",
+    "time_step": "Brownian oracle step size",
+}
+
+# Flags that some families or modes leave unread: key -> (whether the
+# resolved config reads it, why not).
+_RIESZ = (lambda cfg: cfg.family == "riesz", "only the riesz family reads it")
+_FRACTIONAL = (lambda cfg: cfg.family == "fractional",
+               "only the fractional family reads it")
+_READ_BY = {
+    "d": _RIESZ, "alpha": _RIESZ, "H": _FRACTIONAL, "e_gamma": _FRACTIONAL,
+    "rho": (lambda cfg: cfg.family != "fractional",
+            "the fractional family derives rho from --e-gamma"),
+    "eq": (lambda cfg: cfg.command != "chaos" or cfg.method != "bm",
+           "--method bm estimates the heat moments T_n"),
+    "time_step": (lambda cfg: cfg.method == "bm", "only --method bm reads it"),
+    **dict.fromkeys(_SOLVER, (
+        lambda cfg: cfg.command == "rho" or (cfg.family == "riesz"
+                                             and cfg.rho is None),
+        "lyapunov solves for rho only for riesz noise without --rho")),
 }
 
 
@@ -186,11 +200,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Config file values overridden by the given flags; a given flag
+    (not a file value) that the resolved config leaves unread raises."""
     path = os.environ.get(CONFIG_ENV)
     values = load_config_file(path) if path else {}
-    values.update((key, flag) for key, flag in vars(args).items()
-                  if key in _FIELD_TYPES and flag is not None)
-    return RunConfig(**values)
+    flags = {key: flag for key, flag in vars(args).items()
+             if key in _FIELD_TYPES and flag is not None}
+    values.update(flags)
+    cfg = RunConfig(**values)
+    for key in flags:
+        reads, why_not = _READ_BY.get(key, (None, None))
+        if reads is not None and not reads(cfg):
+            raise ParameterError(
+                f"--{key.replace('_', '-')} would be ignored: {why_not}")
+    return cfg
 
 
 # ----------------------------------------------------------------------
@@ -221,12 +244,16 @@ def _emit(cfg: RunConfig, payload, rows=None, title=""):
         sys.stdout.write(text)
 
 
-def _solve_rho(cfg: RunConfig, kernel: KernelSpec) -> RhoEstimate:
-    """The eigensolver for a checked Riesz or white kernel at the
-    configured grid; a Richardson pair that still disagrees after the
-    last refinement is a convergence error."""
-    est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l, R=cfg.grid_radius,
-                    m=cfg.grid_points, tol=cfg.tol, max_iters=cfg.max_iters,
+def _solve_rho(cfg: RunConfig, kernel: KernelSpec):
+    """The eigensolver's RhoEstimate for a checked Riesz or white kernel
+    at the configured grid; a Richardson pair that still disagrees after
+    the last refinement is a convergence error."""
+    from .variational import rho_eigen
+
+    solver = {"R": cfg.grid_radius, "m": cfg.grid_points, "tol": cfg.tol,
+              "max_iters": cfg.max_iters}
+    est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l,
+                    **{k: v for k, v in solver.items() if v is not None},
                     profile="flat" if kernel.family == "white" else "riesz")
     gap, refine_tol = est.params["richardson_gap"], est.params["refine_tol"]
     if not gap <= refine_tol:
@@ -256,6 +283,9 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
 
 
 def cmd_chaos(cfg: RunConfig) -> int:
+    from .brownian import tn_bm_oracle
+    from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc, jn_fixed_time
+
     kernel = cfg.kernel()
     eq = cfg.equation()
     if cfg.method == "bm":
@@ -321,6 +351,8 @@ def cmd_rho(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .verify import run_verification
+
     report = run_verification(seed=cfg.seed, threads=cfg.threads)
     _emit(cfg, report, rows=report["checks"], title="verification")
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY

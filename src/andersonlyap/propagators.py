@@ -15,14 +15,12 @@ rate beta^2/4 -- the bridge every wave-side result here is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
+from .spectral import EquationKind
 
 __all__ = [
-    "EquationKind",
     "fourier_green_sq",
     "laplace_green_sq",
     "wave_heat_link_residual",
@@ -31,25 +29,6 @@ __all__ = [
 # Below this argument sin(x)/x uses its Taylor polynomial; the direct
 # quotient loses half the significant digits near 0.
 _SINC_SWITCH = 1e-4
-
-
-@dataclass(frozen=True)
-class EquationKind:
-    """Equation selector: kind is "wave" or "heat", beta_l in (0, 2] is
-    the dispersion power (2 = classical Laplacian)."""
-
-    kind: str
-    beta_l: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in ("wave", "heat"):
-            raise ParameterError(f"kind must be 'wave' or 'heat', got {self.kind!r}")
-        if not 0.0 < self.beta_l <= 2.0:
-            raise ParameterError(f"beta_l must lie in (0, 2], got {self.beta_l}")
-
-    @property
-    def is_wave(self) -> bool:
-        return self.kind == "wave"
 
 
 def _sinc(x):

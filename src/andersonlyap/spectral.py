@@ -13,7 +13,8 @@ variables):
 
 Every family carries an effective scaling exponent ``alpha_eff`` (alpha,
 2 - 2H and 1 respectively) which is what all downstream scaling laws and
-the admissibility check depend on.
+the admissibility check depend on.  ``EquationKind`` selects the
+equation that the noise drives.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .errors import ParameterError
 
 __all__ = [
+    "EquationKind",
     "KernelSpec",
     "riesz_constant",
     "c_h",
@@ -41,7 +42,7 @@ def riesz_constant(d: int, alpha: float) -> float:
     the constant C such that |x|^(-alpha) has spectral density
     C * |xi|^(alpha-d).
     """
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
+    if not (isinstance(d, Integral) and d >= 1):
         raise ParameterError(f"d must be a positive integer, got {d!r}")
     if not 0.0 < alpha < d:
         raise ParameterError(f"alpha must lie in (0, d) = (0, {d}), got {alpha}")
@@ -81,6 +82,25 @@ def dalang_check(alpha_eff: float, beta_l: float = 2.0) -> bool:
 
 
 @dataclass(frozen=True)
+class EquationKind:
+    """Equation selector: kind is "wave" or "heat", beta_l in (0, 2] is
+    the dispersion power (2 = classical Laplacian)."""
+
+    kind: str
+    beta_l: float = 2.0
+
+    def __post_init__(self):
+        if self.kind not in ("wave", "heat"):
+            raise ParameterError(f"kind must be 'wave' or 'heat', got {self.kind!r}")
+        if not 0.0 < self.beta_l <= 2.0:
+            raise ParameterError(f"beta_l must lie in (0, 2], got {self.beta_l}")
+
+    @property
+    def is_wave(self) -> bool:
+        return self.kind == "wave"
+
+
+@dataclass(frozen=True)
 class KernelSpec:
     """One spatial covariance family plus its parameters.
 
@@ -96,7 +116,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family == "riesz":
-            if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
+            if not (isinstance(self.d, Integral) and self.d >= 1):
                 raise ParameterError(f"d must be a positive integer, got {self.d!r}")
             if not 0.0 < self.alpha < self.d:
                 raise ParameterError(

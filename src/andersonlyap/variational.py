@@ -30,9 +30,6 @@ by Nystrom discretization and power iteration:
 The integrable diagonal singularity |xi - eta|^(alpha - d) is replaced
 on diagonal cells by its exact cell average, restoring the first-order
 accuracy the point rule loses there.
-
-Exact power laws connect rho to the Schroedinger-type variational
-functionals; those conversions live here too.
 """
 
 from __future__ import annotations
@@ -49,10 +46,7 @@ from .spectral import _sphere_area, dalang_check, riesz_constant
 
 __all__ = [
     "RhoEstimate",
-    "FunctionalValues",
     "rho_eigen",
-    "functionals_from_rho",
-    "remark14_residual",
     "power_iteration",
 ]
 
@@ -427,68 +421,3 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         richardson_pair=(lam_c, lam_f),
         params=params,
     )
-
-
-# ----------------------------------------------------------------------
-# functional algebra
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FunctionalValues:
-    """The three Riesz variational functionals derived from rho.
-
-    e_a1 is the unit-coupling functional, e the half-coupling one
-    (e = 2^(-alpha/(alpha-2)) * e_a1) and e2 the doubled-variable one
-    (e2 = 2^(-alpha/(2-alpha)) * e).
-    """
-
-    e_a1: float
-    e: float
-    e2: float
-    alpha: float
-
-
-def functionals_from_rho(alpha: float, rho: float) -> FunctionalValues:
-    """Exact power-law conversion rho -> functional values."""
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    if not 0.0 < rho < math.inf:
-        raise ParameterError(f"rho must be positive and finite, got {rho}")
-    try:
-        e_a1 = rho ** (2.0 / (2.0 - alpha))
-        e = 2.0 ** (-alpha / (alpha - 2.0)) * e_a1
-        e2 = 2.0 ** (-alpha / (2.0 - alpha)) * e
-    except OverflowError:
-        e_a1 = e = e2 = math.inf
-    if not all(0.0 < v < math.inf for v in (e_a1, e, e2)):
-        raise ParameterError(
-            f"rho={rho!r} at alpha={alpha!r} puts the functional values "
-            "outside the double range"
-        )
-    return FunctionalValues(e_a1=e_a1, e=e, e2=e2, alpha=alpha)
-
-
-def remark14_residual(alpha: float, rho: float) -> float:
-    """Defect of the algebraic identity equating the wave exponent
-    computed from rho with the one computed from the functional value:
-
-        (2^(1-alpha) rho)^(1/(3-alpha))
-            = 2^((2-3alpha)/(6-2alpha)) * E^((2-alpha)/(6-2alpha)).
-
-    Zero for every alpha in (0,2) and rho > 0 up to rounding; the two
-    sides are evaluated through their distinct published routes.
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    if rho <= 0:
-        raise ParameterError(f"rho must be positive, got {rho}")
-    log2 = math.log(2.0)
-    log_lhs = ((1.0 - alpha) * log2 + math.log(rho)) / (3.0 - alpha)
-    # log of the functional value, kept in log space: near alpha = 2 the
-    # value itself overflows the double range while the exponent below
-    # brings the right side back to a modest number
-    log_e = (alpha * log2 + 2.0 * math.log(rho)) / (2.0 - alpha)
-    log_rhs = (2.0 - 3.0 * alpha) / (6.0 - 2.0 * alpha) * log2 + (
-        2.0 - alpha
-    ) / (6.0 - 2.0 * alpha) * log_e
-    return math.exp(log_lhs) - math.exp(log_rhs)

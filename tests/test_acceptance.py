@@ -14,20 +14,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from andersonlyap.asymptotics import at_growth, lambda2_closed_form, \
-    mittag_leffler
+    mittag_leffler, remark14_residual, wave_heat_factor
 from andersonlyap.brownian import tn_bm_oracle
-from andersonlyap.chaos import (
-    ChaosQuery,
-    jn_exp_time_mc,
-    log_rate_tn,
-    wave_heat_factor,
-)
+from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc, log_rate_tn
 from andersonlyap.cli import main
-from andersonlyap.propagators import EquationKind, fourier_green_sq, \
-    laplace_green_sq, wave_heat_link_residual
+from andersonlyap.propagators import fourier_green_sq, laplace_green_sq, \
+    wave_heat_link_residual
 from andersonlyap.reporting import json_render
-from andersonlyap.spectral import KernelSpec
-from andersonlyap.variational import remark14_residual, rho_eigen
+from andersonlyap.spectral import EquationKind, KernelSpec
+from andersonlyap.variational import rho_eigen
 from andersonlyap.verify import j1_quadrature, run_verification
 
 WAVE = EquationKind("wave")

@@ -18,8 +18,7 @@ from andersonlyap.asymptotics import (
     mittag_leffler,
 )
 from andersonlyap.errors import ConvergenceError, ParameterError
-from andersonlyap.propagators import EquationKind
-from andersonlyap.spectral import KernelSpec
+from andersonlyap.spectral import EquationKind, KernelSpec
 
 WAVE = EquationKind("wave")
 HEAT = EquationKind("heat")

@@ -10,8 +10,7 @@ from andersonlyap.brownian import (MAX_REFINE_DEPTH, PATH_CHUNK, TAU_CLIP,
 from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc
 from andersonlyap.errors import ParameterError
 from andersonlyap.mc import chunk_generator
-from andersonlyap.propagators import EquationKind
-from andersonlyap.spectral import KernelSpec
+from andersonlyap.spectral import EquationKind, KernelSpec
 
 SQRT_PI = 1.77245385090551602729816748334
 

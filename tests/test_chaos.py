@@ -18,13 +18,12 @@ from andersonlyap.chaos import (
     jn_exp_time_mc,
     jn_fixed_time,
     log_rate_tn,
-    scaling_exponent,
     t1_exact,
-    wave_heat_factor,
 )
+from andersonlyap.asymptotics import scaling_exponent, wave_heat_factor
 from andersonlyap.errors import ParameterError
-from andersonlyap.propagators import EquationKind, laplace_green_sq
-from andersonlyap.spectral import KernelSpec, riesz_constant
+from andersonlyap.propagators import laplace_green_sq
+from andersonlyap.spectral import EquationKind, KernelSpec, riesz_constant
 from andersonlyap.verify import _laplace_by_quadrature, j1_quadrature
 
 WAVE = EquationKind("wave")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import andersonlyap
 import andersonlyap.verify
+from andersonlyap.asymptotics import functionals_from_rho
 from andersonlyap.cli import (
     EXIT_CONVERGENCE,
     EXIT_PARAMETER,
@@ -25,7 +26,6 @@ from andersonlyap.cli import (
     load_config_file,
     main,
 )
-from andersonlyap.variational import functionals_from_rho
 
 
 def run_cli(capsys, *argv):
@@ -383,6 +383,44 @@ class TestFlagTable:
         assert exc.value.code == EXIT_PARAMETER
         assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["rho", "--family", "white", "--alpha", "0.3"], "--alpha"),
+        (["lyapunov", "--family", "white", "--d", "3", "--alpha", "1.7",
+          "--H", "0.1"], "--d"),
+        (["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--rho", "1.0", "--grid-points", "7"], "--grid-points"),
+        (["lyapunov", "--family", "white", "--tol", "1e-9"], "--tol"),
+        (["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--e-gamma", "1.0"], "--e-gamma"),
+        (["lyapunov", "--family", "fractional", "--e-gamma", "1.0",
+          "--rho", "2.0"], "--rho"),
+        (["chaos", "--family", "white", "--samples", "100", "--H", "0.3"],
+         "--H"),
+        (["chaos", "--family", "white", "--samples", "100", "--time-step",
+          "0.01"], "--time-step"),
+        (["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--method", "bm", "--n", "1", "--samples", "100", "--eq", "wave"],
+         "--eq"),
+    ])
+    def test_rejects_flag_the_family_or_mode_does_not_read(self, capsys, argv,
+                                                           named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert f"{named} would be ignored" in err
+
+    def test_config_keys_the_family_does_not_read_stay_accepted(
+            self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text("d = 3\nalpha = 1.7\nH = 0.1\ngrid_points = 7\n"
+                       "time_step = 0.01\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        code, out, _ = run_cli(capsys, "lyapunov", "--family", "white",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["lambda2"] == pytest.approx(0.5 ** 0.5,
+                                                           rel=1e-15)
+
     def test_readme_commands_parse(self):
         readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                               "README.md")
@@ -470,17 +508,23 @@ class TestMlCommand:
 
 
 # ----------------------------------------------------------------------
-# import cost: no command loads scipy
+# import cost: no command loads scipy, and a closed-form one loads no numpy
 # ----------------------------------------------------------------------
 
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
 import andersonlyap
 from andersonlyap.cli import main
-runs = [
+closed_form = [
     ["lyapunov", "--family", "white", "--eq", "wave"],
     ["lyapunov", "--family", "white", "--eq", "heat"],
     ["lyapunov", "--family", "fractional", "--e-gamma", "1.0"],
+    ["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+     "--rho", "1.0"],
+    ["ml", "--a", "1", "--x", "1"],
+]
+helps = [[], ["lyapunov"], ["chaos"], ["rho"], ["verify"], ["ml"]]
+arrays = [
     ["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
     ["rho", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
     ["rho", "--family", "riesz", "--d", "2", "--alpha", "1.5"],
@@ -489,7 +533,6 @@ runs = [
     ["rho", "--family", "riesz", "--d", "3", "--alpha", "1.5"],
     ["lyapunov", "--family", "riesz", "--d", "3", "--alpha", "1.5",
      "--eq", "heat"],
-    ["ml", "--a", "1", "--x", "1"],
     ["chaos", "--family", "white", "--eq", "heat", "--samples", "2000"],
     ["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5", "--eq",
      "heat", "--n", "2", "--samples", "2000"],
@@ -501,25 +544,37 @@ runs = [
      "--method", "bm", "--samples", "200"],
     ["verify", "--seed", "0"],
 ]
-codes = []
-for argv in runs:
+
+
+def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(main(argv + ["--format", "json"]))
-print(codes)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # --help
+            return exc.code
+
+
+print([run(argv + ["--format", "json"]) for argv in closed_form]
+      + [run(argv + ["--help"]) for argv in helps])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+print([run(argv + ["--format", "json"]) for argv in arrays])
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_closed_form_commands_skip_scipy():
-    # a fresh interpreter: this one has long since imported scipy
+    # a fresh interpreter: this one has long since imported scipy and numpy
     src = os.path.dirname(os.path.dirname(andersonlyap.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("ANDERSON_CONFIG", None)
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = proc.stdout.splitlines()
-    assert codes == str([0] * 16)
+    closed_codes, numpy_modules, array_codes, scipy_modules = \
+        proc.stdout.splitlines()
+    assert closed_codes == str([0] * 11)
+    assert numpy_modules == "[]"
+    assert array_codes == str([0] * 12)
     assert scipy_modules == "[]"
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from andersonlyap import mc
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.mc import MCEstimate, chunk_generator, derive_seed, \
     run_chunked
@@ -36,7 +37,7 @@ class TestRunChunked:
 
     def test_matches_plain_accumulation(self):
         # same draws, naive mean/std as the oracle
-        n, subseed, chunk = 150_000, 99, 1 << 16
+        n, subseed, chunk = 150_000, 99, mc.CHUNK_SIZE
         parts = []
         i = 0
         while i * chunk < n:

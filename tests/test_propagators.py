@@ -10,11 +10,11 @@ from scipy.integrate import quad
 
 from andersonlyap.errors import ParameterError
 from andersonlyap.propagators import (
-    EquationKind,
     fourier_green_sq,
     laplace_green_sq,
     wave_heat_link_residual,
 )
+from andersonlyap.spectral import EquationKind
 
 WAVE = EquationKind("wave")
 HEAT = EquationKind("heat")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from andersonlyap import variational
+from andersonlyap.asymptotics import functionals_from_rho, remark14_residual
 from andersonlyap.cli import main
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.spectral import riesz_constant
@@ -20,9 +21,7 @@ from andersonlyap.variational import (
     _solve_1d,
     _toeplitz_matvec_factory,
     _truncation_bound_1d,
-    functionals_from_rho,
     power_iteration,
-    remark14_residual,
     rho_eigen,
 )
 
