@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import ConvergenceError, ParameterError
-from .spectral import EquationKind, KernelSpec, dalang_check
+from .spectral import EquationKind, KernelSpec, require_admissible
 
 __all__ = [
     "LyapunovReport",
@@ -156,8 +156,7 @@ class RieszHeat:
     e2: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
+        require_admissible(self.alpha)
         if self.e2 <= 0.0:
             raise ParameterError("functional value must be positive")
 
@@ -240,8 +239,7 @@ class FunctionalValues:
 
 def functionals_from_rho(alpha: float, rho: float) -> FunctionalValues:
     """Exact power-law conversion rho -> functional values."""
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    require_admissible(alpha)
     if not 0.0 < rho < math.inf:
         raise ParameterError(f"rho must be positive and finite, got {rho}")
     try:
@@ -268,8 +266,7 @@ def remark14_residual(alpha: float, rho: float) -> float:
     Zero for every alpha in (0,2) and rho > 0 up to rounding; the two
     sides are evaluated through their distinct published routes.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    require_admissible(alpha)
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     log2 = math.log(2.0)
@@ -294,8 +291,7 @@ def scaling_exponent(eq: EquationKind, alpha_eff: float) -> float:
     a = 3 - 2*alpha/beta_l for the wave equation and 1 - alpha/beta_l
     for the heat equation (3 - alpha and 1 - alpha/2 classically).
     """
-    if not dalang_check(alpha_eff, eq.beta_l):
-        raise ParameterError("admissibility violated")
+    require_admissible(alpha_eff, eq.beta_l)
     if eq.is_wave:
         return 3.0 - 2.0 * alpha_eff / eq.beta_l
     return 1.0 - alpha_eff / eq.beta_l
@@ -367,10 +363,7 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
     pairwise relative gap is algebraic rounding only.
     """
     alpha = kernel.alpha_eff
-    if not dalang_check(alpha, eq.beta_l):
-        raise ParameterError(
-            f"admissibility violated: alpha_eff={alpha} >= beta_l={eq.beta_l}"
-        )
+    require_admissible(alpha, eq.beta_l)
     if kernel.family == "fractional":
         if e_gamma is None:
             raise ParameterError(

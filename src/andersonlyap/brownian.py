@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mc import MCEstimate, derive_seed, run_chunked
+from .spectral import KernelSpec, require_admissible
 
 __all__ = ["tn_bm_oracle"]
 
@@ -112,10 +113,8 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
     and sampling machinery; agreement within combined error bars is the
     strongest internal consistency check this package offers.
     """
-    if not 0.0 < alpha < min(d, 2.0):
-        raise ParameterError(
-            f"need 0 < alpha < min(d, 2), got alpha={alpha}, d={d}"
-        )
+    # Riesz noise against the classical Laplacian, the diffusion's generator
+    require_admissible(KernelSpec("riesz", d=d, alpha=alpha).alpha_eff)
     if n < 1:
         raise ParameterError(f"moment order n must be >= 1, got {n}")
     if not MIN_TIME_STEP <= time_step <= MAX_TIME_STEP:

@@ -25,7 +25,7 @@ from .asymptotics import scaling_exponent, wave_heat_factor
 from .errors import ParameterError
 from .mc import MCEstimate, derive_seed, run_chunked
 from .propagators import fourier_green_sq, laplace_green_sq
-from .spectral import EquationKind, KernelSpec, _sphere_area, dalang_check
+from .spectral import EquationKind, KernelSpec, _sphere_area, require_admissible
 
 __all__ = [
     "ChaosQuery",
@@ -64,11 +64,7 @@ class ChaosQuery:
             raise ParameterError(f"chaos order n must be >= 0, got {self.n}")
         if self.t is not None and not 0.0 < self.t < math.inf:
             raise ParameterError(f"t must be positive and finite, got {self.t}")
-        if not dalang_check(self.kernel.alpha_eff, self.eq.beta_l):
-            raise ParameterError(
-                "admissibility violated: alpha_eff="
-                f"{self.kernel.alpha_eff} >= beta_l={self.eq.beta_l}"
-            )
+        require_admissible(self.kernel.alpha_eff, self.eq.beta_l)
 
 
 def _radial_mass(a: float, b: float) -> float:
@@ -95,8 +91,7 @@ def t1_exact(kernel: KernelSpec, beta_l: float = 2.0) -> float:
     """Closed form of the first exponential-time heat moment
     E[J_1^heat(tau)] = integral of mu(dxi) / (1 + |xi|^beta_l)."""
     a = kernel.alpha_eff
-    if not dalang_check(a, beta_l):
-        raise ParameterError("admissibility violated")
+    require_admissible(a, beta_l)
     return kernel.constant * _sphere_area(kernel.d) * _radial_mass(a, beta_l)
 
 

@@ -30,13 +30,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, get_args, get_type_hints
 
 from .asymptotics import at_growth, lambda2_closed_form, mittag_leffler
 from .errors import ConvergenceError, ParameterError
 from .reporting import csv_render, flatten, json_render, table_render
-from .spectral import EquationKind, KernelSpec, dalang_check
+from .spectral import EquationKind, KernelSpec, require_admissible
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -79,22 +79,18 @@ class RunConfig:
         params = {"riesz": {"d": self.d, "alpha": self.alpha},
                   "fractional": {"H": self.H}}.get(self.family, {})
         kernel = KernelSpec(self.family, **params)
-        if not dalang_check(kernel.alpha_eff, self.beta_l):
-            raise ParameterError(
-                "admissibility condition violated: the spectral measure "
-                f"scaling exponent {kernel.alpha_eff} must be below "
-                f"the dispersion power {self.beta_l}"
-            )
+        require_admissible(kernel.alpha_eff, self.beta_l)
         return kernel
 
     def equation(self) -> EquationKind:
         return EquationKind(self.eq, self.beta_l)
 
 
-# key -> int / float / str, from the annotations (Optional[X] reads as X)
+# settable key -> int / float / str, from the annotations (Optional[X]
+# reads as X); the subcommand is named on the command line only
 _FIELD_TYPES = {
     name: next((a for a in get_args(hint) if a is not type(None)), hint)
-    for name, hint in get_type_hints(RunConfig).items()
+    for name, hint in get_type_hints(RunConfig).items() if name != "command"
 }
 
 
@@ -207,7 +203,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     flags = {key: flag for key, flag in vars(args).items()
              if key in _FIELD_TYPES and flag is not None}
     values.update(flags)
-    cfg = RunConfig(**values)
+    cfg = RunConfig(command=args.command, **values)
     for key in flags:
         reads, why_not = _READ_BY.get(key, (None, None))
         if reads is not None and not reads(cfg):
@@ -273,7 +269,7 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
     if kernel.family == "riesz" and rho is None:
         est = _solve_rho(cfg, kernel)
         rho = est.value
-        rho_meta = est.to_dict()
+        rho_meta = asdict(est)
     report = lambda2_closed_form(eq, kernel, rho=rho, e_gamma=cfg.e_gamma)
     payload = report.to_dict()
     if rho_meta is not None:
@@ -346,7 +342,7 @@ def cmd_rho(cfg: RunConfig) -> int:
         raise ParameterError("the fractional family has no rho to solve for; "
                              "give lyapunov its functional value, --e-gamma")
     est = _solve_rho(cfg, cfg.kernel())
-    _emit(cfg, est.to_dict(), title="variational constant")
+    _emit(cfg, asdict(est), title="variational constant")
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Spatial covariance families of the driving noise.
+"""Noise families, the equation selector and the model's parameter rules.
 
 Three families are supported, each identified by its spectral measure
 ``mu`` (the measure the noise covariance transforms to in Fourier
@@ -7,14 +7,19 @@ variables):
 * ``riesz``      -- covariance |x|^(-alpha) in dimension d, spectral
                     density ``riesz_constant(d, alpha) * |xi|^(alpha-d)``;
 * ``fractional`` -- d = 1, spatial fractional-Brownian covariance with
-                    Hurst index 1/4 < H < 1/2, spectral density
-                    ``c_h(H) * |xi|^(1-2H)``;
+                    Hurst index H, spectral density ``c_h(H) * |xi|^(1-2H)``;
 * ``white``      -- d = 1 space-time white noise, flat density 1/(2*pi).
 
 Every family carries an effective scaling exponent ``alpha_eff`` (alpha,
 2 - 2H and 1 respectively) which is what all downstream scaling laws and
 the admissibility check depend on.  ``EquationKind`` selects the
 equation that the noise drives.
+
+Each parameter rule lives here once, and every entry point of the
+package checks its model inputs through it: d a positive integer and
+0 < alpha < d (Riesz), 1/4 < H < 1/2 (fractional), 0 < beta_l <= 2
+(dispersion), and admissibility, Dalang's condition alpha_eff < beta_l
+(``dalang_check`` tests it, ``require_admissible`` raises on it).
 """
 
 from __future__ import annotations
@@ -32,7 +37,30 @@ __all__ = [
     "riesz_constant",
     "c_h",
     "dalang_check",
+    "require_admissible",
 ]
+
+
+def _riesz_range(d: int, alpha: float) -> int:
+    """The Riesz rule: d a positive integer and 0 < alpha < d.  Returns d
+    as a Python int, on which -d cannot wrap around."""
+    if not (isinstance(d, Integral) and d >= 1):
+        raise ParameterError(f"d must be a positive integer, got {d!r}")
+    if not 0.0 < alpha < d:
+        raise ParameterError(f"alpha must lie in (0, d) = (0, {d}), got {alpha}")
+    return int(d)
+
+
+def _hurst_range(H: float) -> None:
+    """The fractional rule: 1/4 < H < 1/2."""
+    if not 0.25 < H < 0.5:
+        raise ParameterError(f"H must lie in (1/4, 1/2), got {H}")
+
+
+def _dispersion_range(beta_l: float) -> None:
+    """The dispersion rule: 0 < beta_l <= 2 (2 = classical Laplacian)."""
+    if not 0.0 < beta_l <= 2.0:
+        raise ParameterError(f"beta_l must lie in (0, 2], got {beta_l}")
 
 
 def riesz_constant(d: int, alpha: float) -> float:
@@ -42,10 +70,7 @@ def riesz_constant(d: int, alpha: float) -> float:
     the constant C such that |x|^(-alpha) has spectral density
     C * |xi|^(alpha-d).
     """
-    if not (isinstance(d, Integral) and d >= 1):
-        raise ParameterError(f"d must be a positive integer, got {d!r}")
-    if not 0.0 < alpha < d:
-        raise ParameterError(f"alpha must lie in (0, d) = (0, {d}), got {alpha}")
+    d = _riesz_range(d, alpha)
     if alpha < sys.float_info.min:
         raise ParameterError(f"alpha={alpha!r} is subnormal: Gamma(alpha/2) overflows")
     return (
@@ -64,8 +89,7 @@ def _sphere_area(d: int) -> float:
 def c_h(H: float) -> float:
     """Spectral-density constant Gamma(2H+1) * sin(pi*H) / (2*pi) of the
     fractional family, defined for 1/4 < H < 1/2."""
-    if not 0.25 < H < 0.5:
-        raise ParameterError(f"H must lie in (1/4, 1/2), got {H}")
+    _hurst_range(H)
     return math.gamma(2.0 * H + 1.0) * math.sin(math.pi * H) / (2.0 * math.pi)
 
 
@@ -81,6 +105,18 @@ def dalang_check(alpha_eff: float, beta_l: float = 2.0) -> bool:
     return alpha_eff < beta_l
 
 
+def require_admissible(alpha_eff: float, beta_l: float = 2.0) -> None:
+    """Raise ParameterError unless beta_l lies in (0, 2] and
+    ``dalang_check(alpha_eff, beta_l)`` holds."""
+    _dispersion_range(beta_l)
+    if not dalang_check(alpha_eff, beta_l):
+        raise ParameterError(
+            "admissibility condition violated: the spectral measure "
+            f"scaling exponent {alpha_eff} must be below "
+            f"the dispersion power {beta_l}"
+        )
+
+
 @dataclass(frozen=True)
 class EquationKind:
     """Equation selector: kind is "wave" or "heat", beta_l in (0, 2] is
@@ -92,8 +128,7 @@ class EquationKind:
     def __post_init__(self):
         if self.kind not in ("wave", "heat"):
             raise ParameterError(f"kind must be 'wave' or 'heat', got {self.kind!r}")
-        if not 0.0 < self.beta_l <= 2.0:
-            raise ParameterError(f"beta_l must lie in (0, 2], got {self.beta_l}")
+        _dispersion_range(self.beta_l)
 
     @property
     def is_wave(self) -> bool:
@@ -116,17 +151,11 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family == "riesz":
-            if not (isinstance(self.d, Integral) and self.d >= 1):
-                raise ParameterError(f"d must be a positive integer, got {self.d!r}")
-            if not 0.0 < self.alpha < self.d:
-                raise ParameterError(
-                    f"Riesz family needs 0 < alpha < d, got alpha={self.alpha}, d={self.d}"
-                )
+            _riesz_range(self.d, self.alpha)
         elif self.family == "fractional":
             if self.d != 1:
                 raise ParameterError("fractional family is one-dimensional")
-            if not 0.25 < self.H < 0.5:
-                raise ParameterError(f"H must lie in (1/4, 1/2), got {self.H}")
+            _hurst_range(self.H)
         elif self.family == "white":
             if self.d != 1:
                 raise ParameterError("white-noise family is one-dimensional")

@@ -42,7 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .spectral import _sphere_area, dalang_check, riesz_constant
+from .spectral import (KernelSpec, _sphere_area, require_admissible,
+                       riesz_constant)
 
 __all__ = [
     "RhoEstimate",
@@ -72,19 +73,6 @@ class RhoEstimate:
     residual: float
     richardson_pair: Optional[tuple] = None
     params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "grid_radius": self.grid_radius,
-            "grid_points": self.grid_points,
-            "power_iterations": self.power_iterations,
-            "residual": self.residual,
-            "richardson_pair": list(self.richardson_pair)
-            if self.richardson_pair
-            else None,
-            "params": self.params,
-        }
 
 
 def power_iteration(matvec, v0: np.ndarray, tol: float, max_iters: int):
@@ -358,29 +346,27 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
     """
     if profile not in ("riesz", "flat"):
         raise ParameterError(f"unknown kernel profile {profile!r}")
-    if profile == "flat":
-        if d != 1:
-            raise ParameterError("flat control profile is one-dimensional")
-        alpha = 1.0
-    else:
-        if d not in (1, 2, 3):
-            raise ParameterError("quadrature grids provided for d in {1,2,3}")
-        if not 0.0 < alpha < min(d, beta_l):
-            raise ParameterError(
-                f"need 0 < alpha < min(d, beta_l), got alpha={alpha}"
-            )
-        if not dalang_check(alpha, beta_l):
-            raise ParameterError("admissibility violated")
-        if d == 2 and alpha - 2.0 == -2.0:
-            # the angular profile's exponent (alpha - 2)/2 rounds to -1,
-            # a pole of its Gamma(1 + p) weight
-            raise ParameterError(
-                f"alpha={alpha} is below the d = 2 solver's resolution"
-            )
+    # the flat control is white noise: d = 1 and alpha_eff = 1
+    kernel = (KernelSpec("white", d=d) if profile == "flat"
+              else KernelSpec("riesz", d=d, alpha=alpha))
+    alpha = kernel.alpha_eff
+    require_admissible(alpha, beta_l)
+    if d > 3:
+        raise ParameterError("quadrature grids provided for d in {1,2,3}")
+    if d == 2 and alpha - 2.0 == -2.0:
+        # the angular profile's exponent (alpha - 2)/2 rounds to -1,
+        # a pole of its Gamma(1 + p) weight
+        raise ParameterError(
+            f"alpha={alpha} is below the d = 2 solver's resolution"
+        )
     if m is None:
         m = DEFAULT_POINTS if d == 1 else DEFAULT_POINTS_RADIAL
-    if R <= 0 or m <= 0 or tol <= 0:
-        raise ParameterError("R, m, tol must be positive")
+    if not (0.0 < R < math.inf and 0.0 < tol < math.inf and m >= 1
+            and max_iters >= 1):
+        raise ParameterError(
+            "R and tol must be positive and finite, m and max_iters at "
+            f"least 1; got R={R}, m={m}, tol={tol}, max_iters={max_iters}"
+        )
 
     if d == 2:
         solve = partial(_solve_radial, alpha, beta_l, R)

@@ -111,6 +111,27 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER
         assert "admissibility" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--family", "riesz", "--d", "1", "--alpha", "0.5", "--beta-l", "5"],
+         "beta_l must lie in (0, 2], got 5.0"),
+        (["--family", "white", "--beta-l", "7"],
+         "beta_l must lie in (0, 2], got 7.0"),
+        (["--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--grid-radius", "nan"], "R=nan"),
+        (["--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--grid-radius", "inf"], "R=inf"),
+        (["--family", "riesz", "--d", "1", "--alpha", "0.5", "--tol", "nan"],
+         "tol=nan"),
+        (["--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--max-iters", "0"], "max_iters=0"),
+    ], ids=["riesz-beta-l-5", "white-beta-l-7", "grid-radius-nan",
+            "grid-radius-inf", "tol-nan", "max-iters-0"])
+    def test_rho_rejects_inputs_outside_the_model(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "rho", *argv)
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert named in err
+
     def test_convergence_error(self, capsys):
         code, _, err = run_cli(capsys, "rho", "--family", "riesz", "--d", "1",
                                "--alpha", "0.5", "--grid-points", "256",
@@ -331,6 +352,16 @@ class TestConfigPrecedence:
         cfg.write_text("flux_capacitor = 1\n")
         with pytest.raises(Exception):
             load_config_file(str(cfg))
+
+    def test_command_key_rejected(self, capsys, tmp_path, monkeypatch):
+        # the subcommand is chosen on the command line, not in the file
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text("family = white\ncommand = rho\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, "lyapunov")
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert f"{cfg}:2: unknown key 'command'" in err
 
     def test_bad_value_names_line_and_key(self, capsys, tmp_path,
                                           monkeypatch):

@@ -2,17 +2,31 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from andersonlyap.asymptotics import (
+    RieszHeat,
+    functionals_from_rho,
+    lambda2_closed_form,
+    remark14_residual,
+    scaling_exponent,
+)
+from andersonlyap.brownian import tn_bm_oracle
+from andersonlyap.chaos import ChaosQuery, t1_exact
+from andersonlyap.cli import RunConfig
 from andersonlyap.errors import ParameterError
 from andersonlyap.spectral import (
+    EquationKind,
     KernelSpec,
     c_h,
     dalang_check,
+    require_admissible,
     riesz_constant,
 )
+from andersonlyap.variational import rho_eigen
 
 # frozen against a 30-digit gamma oracle (mpmath)
 C_1_HALF = 0.398942280401432677939946059934
@@ -43,6 +57,10 @@ class TestRieszConstant:
     def test_domain_errors(self, d, alpha):
         with pytest.raises(ParameterError):
             riesz_constant(d, alpha)
+
+    def test_numpy_unsigned_d(self):
+        # -d must not wrap around in the unsigned type
+        assert riesz_constant(np.uint8(3), 1.0) == riesz_constant(3, 1.0)
 
     @given(st.integers(1, 6), st.floats(0.01, 0.99))
     def test_positive(self, d, frac):
@@ -82,6 +100,69 @@ class TestDalang:
     def test_nonpositive_alpha(self):
         with pytest.raises(ParameterError):
             dalang_check(0.0)
+
+    def test_require_admissible(self):
+        require_admissible(1.1, beta_l=1.2)
+        with pytest.raises(ParameterError, match="admissibility"):
+            require_admissible(1.5, beta_l=1.2)
+        # dalang_check's answer holds only for a dispersion power in (0, 2]
+        assert dalang_check(1.5, beta_l=7.0) is True
+        with pytest.raises(ParameterError, match="beta_l must lie in"):
+            require_admissible(1.5, beta_l=7.0)
+
+
+# (d, alpha, beta_l) outside the model, and the input that carries the fault
+BAD_MODELS = [
+    (1, 0.0, 2.0, "alpha"),
+    (1, -0.5, 2.0, "alpha"),
+    (1, math.nan, 2.0, "alpha"),
+    (3, 2.5, 2.0, "dalang"),         # not below the classical beta_l = 2
+    (1.5, 0.5, 2.0, "d"),            # d not an integer
+    (1, 1.5, 2.0, "d"),              # alpha not below d
+    (3, 1.5, 1.2, "beta_l"),         # alpha not below beta_l
+    (1, 0.5, 5.0, "beta_l"),         # beta_l outside (0, 2]
+    (3, 1.5, 7.0, "beta_l"),
+    (1, 0.5, 0.0, "beta_l"),
+    (1, 0.5, math.nan, "beta_l"),
+]
+
+_ALL = ("alpha", "d", "dalang", "beta_l")
+# entry point -> (its call on (d, alpha, beta_l), the inputs it reads)
+ENTRY_POINTS = {
+    "riesz_constant": (lambda d, a, b: riesz_constant(d, a), ("alpha", "d")),
+    "KernelSpec": (lambda d, a, b: KernelSpec("riesz", d=d, alpha=a),
+                   ("alpha", "d")),
+    "RunConfig.kernel": (lambda d, a, b: RunConfig(
+        family="riesz", d=d, alpha=a, beta_l=b).kernel(), _ALL),
+    "ChaosQuery": (lambda d, a, b: ChaosQuery(
+        EquationKind("heat", b), KernelSpec("riesz", d=d, alpha=a), 1), _ALL),
+    "t1_exact": (lambda d, a, b: t1_exact(
+        KernelSpec("riesz", d=d, alpha=a), beta_l=b), _ALL),
+    "scaling_exponent": (lambda d, a, b: scaling_exponent(
+        EquationKind("wave", b), a), ("alpha", "dalang", "beta_l")),
+    "lambda2_closed_form": (lambda d, a, b: lambda2_closed_form(
+        EquationKind("wave", b), KernelSpec("riesz", d=d, alpha=a), rho=1.0),
+        _ALL),
+    "RieszHeat": (lambda d, a, b: RieszHeat(a, 1.0), ("alpha", "dalang")),
+    "functionals_from_rho": (lambda d, a, b: functionals_from_rho(a, 1.0),
+                             ("alpha", "dalang")),
+    "remark14_residual": (lambda d, a, b: remark14_residual(a, 1.0),
+                          ("alpha", "dalang")),
+    "rho_eigen": (lambda d, a, b: rho_eigen(d, a, b, m=16), _ALL),
+    "tn_bm_oracle": (lambda d, a, b: tn_bm_oracle(d, a, 1, 64, 2e-3, 0),
+                     ("alpha", "d", "dalang")),
+}
+
+
+@pytest.mark.parametrize("entry, d, alpha, beta_l", [
+    pytest.param(name, d, alpha, beta_l, id=f"{name}-d{d}-a{alpha}-b{beta_l}")
+    for name, (_, reads) in ENTRY_POINTS.items()
+    for d, alpha, beta_l, fault in BAD_MODELS if fault in reads
+])
+def test_every_entry_point_applies_the_model_rules(entry, d, alpha, beta_l):
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError):
+        call(d, alpha, beta_l)
 
 
 def _density(spec, xi):

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ class TestRieszSolver:
         assert est.grid_points == 2048
         assert est.richardson_pair is not None
         assert est.params["truncation_bound"] > 0
-        d = est.to_dict()
+        d = asdict(est)
         assert d["value"] == est.value
 
     def test_auto_refinement_engages(self):
