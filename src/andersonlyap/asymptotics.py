@@ -5,25 +5,26 @@ sum_n (c t)^(a n) / Gamma(a n + 1) = E_a((c t)^a), whose exponential
 growth rate in t is exactly c for a in (0, 4).  Matching that rate
 against the fixed-point equation 4 * lambda(beta) = beta^2 converts the
 family of perturbed heat growth rates lambda(beta) into the wave
-exponent, and the scaling algebra closes everything into explicit
-formulas:
+exponent.  For Riesz coupling lambda(beta) = c beta^(-p) is a power
+law, so the fixed point is beta0 = (4c)^(1/(p+2)) in closed form, and
+the scaling algebra closes everything into explicit formulas:
 
     wave:  lambda_2 = (2^(1-alpha) rho)^(1/(3-alpha)),
     heat:  lambda_2 = rho^(2/(2-alpha)),
 
-with the exponents adjusted for fractional dispersion.  Both routes
-(the rho route and the variational-functional route) are computed and
-their agreement reported; the gap is algebraic, so it measures only
-rounding, never model error.  The chaos time-scaling law and the
-rho -> functional-value power laws live here too, and nothing here
-imports numpy: the closed-form commands load only this layer.
+with the exponents adjusted for fractional dispersion.  The rho route,
+the variational-functional route and (wave) the fixed point are all
+computed and their agreement reported; the gap is algebraic, so it
+measures only rounding, never model error.  The chaos time-scaling law
+and the rho -> functional-value power laws live here too, and nothing
+here imports numpy: the closed-form commands load only this layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConvergenceError, ParameterError
 from .spectral import EquationKind, KernelSpec, require_admissible
@@ -33,8 +34,6 @@ __all__ = [
     "mittag_leffler",
     "log_mittag_leffler",
     "at_growth",
-    "RieszHeat",
-    "beta0_solve",
     "beta0_power_law",
     "lambda2_closed_form",
     "scaling_exponent",
@@ -145,77 +144,17 @@ def at_growth(a: float, c: float, t: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# perturbed-heat growth-rate families and the fixed point
+# the fixed point 4 lambda(beta) = beta^2 of the perturbed heat rates
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RieszHeat:
-    """lambda(beta) = (2 beta)^(-2/(2-alpha)) * e2 for Riesz coupling."""
-
-    alpha: float
-    e2: float
-
-    def __post_init__(self):
-        require_admissible(self.alpha)
-        if self.e2 <= 0.0:
-            raise ParameterError("functional value must be positive")
-
-    @property
-    def power(self) -> float:
-        return 2.0 / (2.0 - self.alpha)
-
-    def rate(self, beta: float) -> float:
-        try:
-            return (2.0 * beta) ** (-self.power) * self.e2
-        except OverflowError:
-            # near alpha = 2 the power is large enough to leave the
-            # double range at small beta; the rate is then +inf
-            return math.inf
-
-
 def beta0_power_law(c: float, p: float) -> float:
-    """Closed-form root of 4 c beta^(-p) = beta^2: (4c)^(1/(p+2))."""
+    """Closed-form root of 4 c beta^(-p) = beta^2: (4c)^(1/(p+2)).
+
+    Riesz coupling gives lambda(beta) = (2 beta)^(-p) e2, p = 2/(2-alpha),
+    so c = 2^(-p) e2."""
     if c <= 0.0 or p < 0.0:
         raise ParameterError("need c > 0 and p >= 0")
     return (4.0 * c) ** (1.0 / (p + 2.0))
-
-
-def beta0_solve(lam: Callable[[float], float], bracket,
-                rel_tol: float = 1e-12,
-                power_law: Optional[tuple] = None) -> float:
-    """Root of 4 lambda(beta) = beta^2 by bisection.
-
-    ``lam`` must be continuous and strictly decreasing so the root is
-    unique.  When ``power_law=(c, p)`` is supplied the closed form
-    (4c)^(1/(p+2)) is computed as well and the two are required to agree
-    to 1e-10 relative.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise ParameterError(f"invalid bracket {bracket}")
-
-    def g(b):
-        return 4.0 * lam(b) - b * b
-
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo < 0.0 or g_hi > 0.0:
-        raise ParameterError(
-            f"4*lambda(beta) - beta^2 does not change sign on [{lo}, {hi}]"
-        )
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if power_law is not None:
-        closed = beta0_power_law(*power_law)
-        if abs(root - closed) > 1e-10 * closed:
-            raise ParameterError(
-                f"bisection root {root!r} disagrees with closed form {closed!r}"
-            )
-    return root
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +261,7 @@ class LyapunovReport:
     rho: float
     lambda2_thm2: float
     lambda2_thm1: Optional[float] = None
-    beta0_numeric: Optional[float] = None
+    beta0: Optional[float] = None
     consistency_gap: Optional[float] = None
     extra: dict = field(default_factory=dict)
 
@@ -340,7 +279,7 @@ class LyapunovReport:
             # exponent; numerically the two coincide, as the
             # consistency gap certifies
             "lambda2_upper_variational": self.lambda2_thm1,
-            "beta0": self.beta0_numeric,
+            "beta0": self.beta0,
             "consistency_gap": self.consistency_gap,
         }
         out.update(self.extra)
@@ -359,7 +298,7 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
     is derived from it so every family flows through the same algebra.
 
     The report carries the direct exponent, the variational-route
-    exponent and the numeric fixed point beta0 (wave); their maximal
+    exponent and the closed-form fixed point beta0 (wave); their maximal
     pairwise relative gap is algebraic rounding only.
     """
     alpha = kernel.alpha_eff
@@ -394,9 +333,7 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
                              f"double range for rho={rho!r}")
     lam2 = math.exp(gamma / a)
 
-    lam1 = None
-    beta0 = None
-    gap = None
+    lam1 = beta0 = gap = None
     if eq.beta_l == 2.0:
         fv = functionals_from_rho(alpha, rho)
         if eq.is_wave:
@@ -404,13 +341,8 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
             lam1 = 2.0 ** ((2.0 - 3.0 * alpha) / (6.0 - 2.0 * alpha)) * fv.e ** (
                 (2.0 - alpha) / (6.0 - 2.0 * alpha)
             )
-            case = RieszHeat(alpha, fv.e2)
-            c = 2.0 ** (-case.power) * fv.e2
-            beta0 = beta0_solve(
-                case.rate,
-                _bracket_for(c, case.power),
-                power_law=(c, case.power),
-            )
+            p = 2.0 / (2.0 - alpha)
+            beta0 = beta0_power_law(2.0 ** -p * fv.e2, p)
             vals = [lam2, lam1, beta0]
         else:
             lam1 = fv.e2
@@ -430,13 +362,8 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
         rho=rho,
         lambda2_thm2=lam2,
         lambda2_thm1=lam1,
-        beta0_numeric=beta0,
+        beta0=beta0,
         consistency_gap=gap,
         extra=extra,
     )
 
-
-def _bracket_for(c: float, p: float) -> tuple:
-    """A sign-changing bracket around the power-law fixed point."""
-    root = beta0_power_law(c, p)
-    return (root / 8.0, root * 8.0)

@@ -5,6 +5,8 @@ convergence failures -> 3), so library code should raise these rather
 than bare ValueError/RuntimeError for user-facing failure modes.
 """
 
+__all__ = ["ParameterError", "ConvergenceError"]
+
 
 class ParameterError(ValueError):
     """An argument is outside the domain an operation is defined on."""

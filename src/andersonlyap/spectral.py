@@ -151,7 +151,8 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family == "riesz":
-            _riesz_range(self.d, self.alpha)
+            # a numpy integer d would not render to JSON in to_config
+            object.__setattr__(self, "d", _riesz_range(self.d, self.alpha))
         elif self.family == "fractional":
             if self.d != 1:
                 raise ParameterError("fractional family is one-dimensional")

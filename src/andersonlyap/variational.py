@@ -35,6 +35,7 @@ accuracy the point rule loses there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -80,16 +81,26 @@ def power_iteration(matvec, v0: np.ndarray, tol: float, max_iters: int):
 
     Stops when the residual ||Av - lam v|| drops below tol or the
     eigenvalue change falls below tol * |lam|.  Raises ConvergenceError
-    (carrying the last residual) otherwise.
+    (carrying the last residual) otherwise, and at once when the start
+    vector or an iterate is not finite, or its norm leaves the double
+    range.
     """
-    v = v0 / np.linalg.norm(v0)
+    norm0 = np.linalg.norm(v0)
+    if not 0.0 < norm0 < math.inf:
+        raise ConvergenceError("the start vector's norm is zero or not "
+                               "finite", math.inf)
+    v = v0 / norm0
     lam_prev = None
     residual = math.inf
     for it in range(1, max_iters + 1):
         y = matvec(v)
+        norm_y = np.linalg.norm(y)
+        if not norm_y < math.inf:  # an inf or NaN entry
+            raise ConvergenceError(
+                f"power iteration met a non-finite iterate at step {it}",
+                residual)
         lam = float(v @ y)
         residual = float(np.linalg.norm(y - lam * v))
-        norm_y = np.linalg.norm(y)
         if norm_y == 0.0:
             raise ConvergenceError("operator annihilated the iterate", residual)
         v = y / norm_y
@@ -367,6 +378,9 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
             "R and tol must be positive and finite, m and max_iters at "
             f"least 1; got R={R}, m={m}, tol={tol}, max_iters={max_iters}"
         )
+    if not R < math.sqrt(sys.float_info.max / 2.0):  # 2 R^2 stays finite
+        raise ParameterError(f"grid radius R={R!r} puts the grid weights "
+                             "outside the double range")
 
     if d == 2:
         solve = partial(_solve_radial, alpha, beta_l, R)

@@ -18,8 +18,6 @@ from .asymptotics import (
     _asymptotic_log_ml,
     _series_log_ml,
     at_growth,
-    beta0_power_law,
-    beta0_solve,
     functionals_from_rho,
     lambda2_closed_form,
     mittag_leffler,
@@ -164,19 +162,6 @@ def _scaling_law():
                   "J_1(t) = t^(3/4) J_1(1) by deterministic quadrature")
 
 
-def _beta0(rng):
-    worst = 0.0
-    for _ in range(30):
-        cc = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
-        p = float(rng.uniform(0.0, 4.0))
-        closed = beta0_power_law(cc, p)
-        root = beta0_solve(lambda b: cc * b ** (-p),
-                           (closed / 8.0, closed * 8.0))
-        worst = max(worst, abs(root - closed) / closed)
-    return _check("fixed_point_bisection", worst, 1e-10,
-                  "bisection vs closed form on random power laws")
-
-
 def _functional_identities(rng):
     worst = 0.0
     for _ in range(50):
@@ -231,7 +216,6 @@ def run_verification(seed: int = 0, threads: int = 1) -> dict:
         _ml_branch(),
         _growth_rate(),
         _scaling_law(),
-        _beta0(rng),
         _functional_identities(rng),
         _mc_reproducibility(seed, threads),
         _white_moments(seed, threads),

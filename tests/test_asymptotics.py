@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andersonlyap.asymptotics import (
-    RieszHeat,
     _asymptotic_log_ml,
     _series_log_ml,
     at_growth,
     beta0_power_law,
-    beta0_solve,
     lambda2_closed_form,
     log_mittag_leffler,
     mittag_leffler,
@@ -101,46 +99,27 @@ class TestAtGrowth:
             at_growth(1.0, 1.0, -1.0)
 
 
-class TestLambdaBeta:
-    def test_riesz_reference(self):
-        case = RieszHeat(alpha=1.0, e2=0.25)
-        assert case.rate(0.5) == pytest.approx(0.25, rel=1e-14)
-
-    def test_power_law_limits(self):
-        case = RieszHeat(alpha=1.0, e2=0.25)
-        assert case.rate(1e6) < 1e-10
-        assert case.rate(1e-6) > 1e6
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            RieszHeat(alpha=2.5, e2=1.0)
-        with pytest.raises(ParameterError):
-            RieszHeat(alpha=1.0, e2=0.0)
-
-
 class TestBeta0:
     def test_constant_rate(self):
-        assert beta0_solve(lambda b: 0.25, (0.1, 10.0)) == pytest.approx(
-            1.0, rel=1e-12
-        )
+        assert beta0_power_law(0.25, 0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_inverse_square(self):
-        root = beta0_solve(lambda b: b ** -2.0, (0.1, 10.0),
-                           power_law=(1.0, 2.0))
-        assert root == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert beta0_power_law(1.0, 2.0) == pytest.approx(math.sqrt(2.0),
+                                                          rel=1e-15)
 
     @given(st.floats(-3, 3), st.floats(0.0, 4.0))
     @settings(max_examples=60)
     def test_power_law_agreement(self, logc, p):
+        # the closed form solves 4 c beta^(-p) = beta^2
         c = 10.0 ** logc
-        closed = beta0_power_law(c, p)
-        root = beta0_solve(lambda b: c * b ** (-p),
-                           (closed / 8.0, closed * 8.0))
-        assert root == pytest.approx(closed, rel=1e-10)
+        beta = beta0_power_law(c, p)
+        assert 4.0 * c * beta ** (-p) == pytest.approx(beta * beta,
+                                                       rel=1e-13)
 
-    def test_bracket_error(self):
-        with pytest.raises(ParameterError):
-            beta0_solve(lambda b: 0.25, (5.0, 10.0))
+    def test_domain(self):
+        for c, p in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)):
+            with pytest.raises(ParameterError):
+                beta0_power_law(c, p)
 
 
 class TestClosedFormExponents:
@@ -164,7 +143,7 @@ class TestClosedFormExponents:
             d = 1
         kernel = KernelSpec("riesz", d=d, alpha=alpha)
         rep = lambda2_closed_form(WAVE, kernel, rho=10.0 ** logr)
-        assert rep.consistency_gap < 1e-10
+        assert rep.consistency_gap < 1e-14
 
     def test_heat_route_agreement(self):
         rep = lambda2_closed_form(HEAT, KernelSpec("riesz", d=1, alpha=0.5),

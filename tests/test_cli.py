@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -68,7 +69,7 @@ class TestLyapunovCommand:
         assert data["rho"] == 1.5
 
     def test_alpha_near_two_wave(self, capsys):
-        # the fixed-point bracket puts (2 beta)^-p past the double range
+        # p = 2/(2 - alpha) = 400: beta0's power law at its steepest
         code, out, _ = run_cli(capsys, "lyapunov", "--family", "riesz",
                                "--d", "2", "--alpha", "1.995", "--rho", "1",
                                "--eq", "wave", "--format", "json")
@@ -120,12 +121,15 @@ class TestExitCodes:
           "--grid-radius", "nan"], "R=nan"),
         (["--family", "riesz", "--d", "1", "--alpha", "0.5",
           "--grid-radius", "inf"], "R=inf"),
+        *[(["--family", "riesz", "--d", d, "--alpha", "0.5",
+            "--grid-radius", "1e300"], "R=1e+300") for d in "123"],
         (["--family", "riesz", "--d", "1", "--alpha", "0.5", "--tol", "nan"],
          "tol=nan"),
         (["--family", "riesz", "--d", "1", "--alpha", "0.5",
           "--max-iters", "0"], "max_iters=0"),
     ], ids=["riesz-beta-l-5", "white-beta-l-7", "grid-radius-nan",
-            "grid-radius-inf", "tol-nan", "max-iters-0"])
+            "grid-radius-inf", "grid-radius-1e300-d1", "grid-radius-1e300-d2",
+            "grid-radius-1e300-d3", "tol-nan", "max-iters-0"])
     def test_rho_rejects_inputs_outside_the_model(self, capsys, argv, named):
         code, out, err = run_cli(capsys, "rho", *argv)
         assert code == EXIT_PARAMETER
@@ -607,6 +611,16 @@ def test_closed_form_commands_skip_scipy():
     assert numpy_modules == "[]"
     assert array_codes == str([0] * 12)
     assert scipy_modules == "[]"
+
+
+def test_every_lazy_export_resolves():
+    # the table is read only on first use, so a stale name would fail
+    # nowhere else
+    for name in andersonlyap.__all__:
+        assert getattr(andersonlyap, name) is not None, name
+    for name, module in andersonlyap._EXPORTS.items():
+        assert name in importlib.import_module(
+            f"andersonlyap.{module}").__all__, name
 
 
 # ----------------------------------------------------------------------

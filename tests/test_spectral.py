@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from andersonlyap.asymptotics import (
-    RieszHeat,
     functionals_from_rho,
     lambda2_closed_form,
     remark14_residual,
@@ -18,6 +17,7 @@ from andersonlyap.brownian import tn_bm_oracle
 from andersonlyap.chaos import ChaosQuery, t1_exact
 from andersonlyap.cli import RunConfig
 from andersonlyap.errors import ParameterError
+from andersonlyap.reporting import json_render
 from andersonlyap.spectral import (
     EquationKind,
     KernelSpec,
@@ -143,7 +143,6 @@ ENTRY_POINTS = {
     "lambda2_closed_form": (lambda d, a, b: lambda2_closed_form(
         EquationKind("wave", b), KernelSpec("riesz", d=d, alpha=a), rho=1.0),
         _ALL),
-    "RieszHeat": (lambda d, a, b: RieszHeat(a, 1.0), ("alpha", "dalang")),
     "functionals_from_rho": (lambda d, a, b: functionals_from_rho(a, 1.0),
                              ("alpha", "dalang")),
     "remark14_residual": (lambda d, a, b: remark14_residual(a, 1.0),
@@ -201,6 +200,13 @@ class TestKernelSpec:
         assert KernelSpec("fractional", H=1 / 3).constant == pytest.approx(
             CH_THIRD, rel=1e-13)
         assert KernelSpec("white").constant == 1 / (2 * math.pi)
+
+    @pytest.mark.parametrize("d", [np.int64(3), np.uint8(3)])
+    def test_numpy_d_is_stored_as_int(self, d):
+        spec = KernelSpec("riesz", d=d, alpha=1.0)
+        assert type(spec.d) is int
+        assert json_render(spec.to_config()) == json_render(
+            {"family": "riesz", "d": 3, "alpha": 1.0})
 
     def test_invalid(self):
         with pytest.raises(ParameterError):

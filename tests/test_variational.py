@@ -59,6 +59,24 @@ class TestPowerIteration:
                             1e-16, 3)
         assert err.value.residual is not None
 
+    def test_non_finite_iterate_stops_at_once(self):
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return np.full_like(v, math.nan if len(calls) == 2 else 1.0)
+
+        with pytest.raises(ConvergenceError, match="non-finite iterate at "
+                                                   "step 2"):
+            power_iteration(matvec, np.array([1.0, 2.0]), 1e-16, 5000)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("v0", [[0.0, 0.0], [math.inf, 1.0],
+                                    [1e-200, 1e-200]])
+    def test_start_vector_outside_the_double_range(self, v0):
+        with pytest.raises(ConvergenceError, match="start vector"):
+            power_iteration(lambda v: v, np.array(v0), 1e-8, 10)
+
 
 class TestFlatControl:
     def test_truncated_closed_form(self):
