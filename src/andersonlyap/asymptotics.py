@@ -14,15 +14,18 @@ the scaling algebra closes everything into explicit formulas:
 
 with the exponents adjusted for fractional dispersion.  The rho route,
 the variational-functional route and (wave) the fixed point are all
-computed and their agreement reported; the gap is algebraic, so it
-measures only rounding, never model error.  The chaos time-scaling law
-and the rho -> functional-value power laws live here too, and nothing
-here imports numpy: the closed-form commands load only this layer.
+computed in log space, exponentiating only the reported values, and
+their agreement reported; the gap is algebraic, so it measures only
+rounding, never model error.  E_a, too, is evaluated from log x.  The
+chaos time-scaling law and the rho -> functional-value power laws live
+here too, and nothing here imports numpy: the closed-form commands
+load only this layer.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,22 +49,20 @@ __all__ = [
 # Branch handover: series for x^(1/a) <= 30, leading asymptotics above.
 # At the threshold the dropped remainder (O(x^-2) against exp(30)) is
 # far below double precision.
-_SERIES_CUTOFF = 30.0
+_LOG_SERIES_CUTOFF = math.log(30.0)
 # The band needs about 90/a terms: every order a >= 1e-3 converges.
 _SERIES_MAX_TERMS = 100_000
 _SERIES_REL_STOP = 1e-17
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # exp is finite up to it
 
 
-def _series_log_ml(a: float, x: float) -> float:
-    """log E_a(x) by direct summation of x^n / Gamma(a n + 1).
+def _series_log_ml(a: float, log_x: float) -> float:
+    """log E_a(x) by direct summation of x^n / Gamma(a n + 1), from log x.
 
     Raises ConvergenceError (residual: the last term relative to the
     largest) when _SERIES_MAX_TERMS terms do not reach the stopping
     rule, which happens for tiny a, where the terms barely decay.
     """
-    if x == 0.0:
-        return 0.0
-    log_x = math.log(x)
     # terms are positive; sum in linear space scaled by the largest term
     log_terms = []
     log_max = -math.inf
@@ -74,24 +75,34 @@ def _series_log_ml(a: float, x: float) -> float:
             break
     else:
         raise ConvergenceError(
-            f"the series for E_{a}({x}) did not converge in "
-            f"{_SERIES_MAX_TERMS} terms",
+            f"the series for E_{a}({math.exp(log_x):.15g}) did not converge "
+            f"in {_SERIES_MAX_TERMS} terms",
             math.exp(lt - log_max),
         )
     return log_max + math.log(math.fsum(math.exp(lt - log_max)
                                         for lt in log_terms))
 
 
-def _asymptotic_log_ml(a: float, x: float) -> float:
-    """log of (1/a) exp(x^(1/a)) - x^(-1)/Gamma(1-a), the two-term
+def _asymptotic_log_ml(a: float, log_x: float) -> float:
+    """log of (1/a) exp(x^(1/a)) - x^(-1)/Gamma(1-a) from log x, the two-term
     expansion valid for a in (0, 4) and large x (1/Gamma vanishes at the
     poles, so integer a loses the algebraic term exactly as it should)."""
-    root = x ** (1.0 / a)
+    if not log_x / a <= _LOG_DOUBLE_MAX:
+        raise ParameterError(f"log E_{a}(x) exceeds the double range at "
+                             f"log x = {log_x!r}")
+    root = math.exp(log_x / a)
     rgamma = 0.0 if a == int(a) else 1.0 / math.gamma(1.0 - a)
     # relative size of the algebraic term against the exponential one;
     # underflows cleanly to zero for large root
-    corr = -a * rgamma / x * math.exp(-min(root, 745.0))
+    corr = -a * rgamma * math.exp(-log_x - min(root, 745.0))
     return root - math.log(a) + math.log1p(corr)
+
+
+def _log_ml(a: float, log_x: float) -> float:
+    """log E_a(e^log_x): the series up to x^(1/a) = 30, asymptotics above."""
+    if log_x / a <= _LOG_SERIES_CUTOFF:
+        return _series_log_ml(a, log_x)
+    return _asymptotic_log_ml(a, log_x)
 
 
 def log_mittag_leffler(a: float, x: float) -> float:
@@ -102,15 +113,7 @@ def log_mittag_leffler(a: float, x: float) -> float:
         raise ParameterError(f"argument must be nonnegative and finite, got {x}")
     if x == 0.0:
         return 0.0
-    try:
-        root = x ** (1.0 / a)
-    except OverflowError:
-        root = math.inf
-    if root <= _SERIES_CUTOFF:
-        return _series_log_ml(a, x)
-    if root == math.inf:
-        raise ParameterError(f"log E_{a}({x}) exceeds the double range")
-    return _asymptotic_log_ml(a, x)
+    return _log_ml(a, math.log(x))
 
 
 def mittag_leffler(a: float, x: float) -> float:
@@ -134,18 +137,17 @@ def at_growth(a: float, c: float, t: float) -> float:
         raise ParameterError(
             f"need 0 < a < 4 and positive finite c, t; got a={a}, c={c}, t={t}"
         )
-    try:
-        x = (c * t) ** a
-    except OverflowError:
-        x = math.inf
-    if x == math.inf:
-        raise ParameterError(f"(c t)^a = ({c} * {t})^{a} exceeds the double range")
-    return log_mittag_leffler(a, x) / t
+    return _log_ml(a, a * (math.log(c) + math.log(t))) / t
 
 
 # ----------------------------------------------------------------------
 # the fixed point 4 lambda(beta) = beta^2 of the perturbed heat rates
 # ----------------------------------------------------------------------
+
+def _log_beta0(log_c: float, p: float) -> float:
+    """log of the root (4c)^(1/(p+2)) of 4 c beta^(-p) = beta^2."""
+    return (math.log(4.0) + log_c) / (p + 2.0)
+
 
 def beta0_power_law(c: float, p: float) -> float:
     """Closed-form root of 4 c beta^(-p) = beta^2: (4c)^(1/(p+2)).
@@ -154,7 +156,7 @@ def beta0_power_law(c: float, p: float) -> float:
     so c = 2^(-p) e2."""
     if c <= 0.0 or p < 0.0:
         raise ParameterError("need c > 0 and p >= 0")
-    return (4.0 * c) ** (1.0 / (p + 2.0))
+    return math.exp(_log_beta0(math.log(c), p))
 
 
 # ----------------------------------------------------------------------
@@ -176,48 +178,26 @@ class FunctionalValues:
     alpha: float
 
 
+def _log_functionals(alpha: float, rho: float) -> tuple:
+    """(log e_a1, log e, log e2): finite even where the values are not."""
+    log2 = math.log(2.0)
+    log_e_a1 = 2.0 * math.log(rho) / (2.0 - alpha)
+    log_e = log_e_a1 - alpha / (alpha - 2.0) * log2
+    log_e2 = log_e - alpha / (2.0 - alpha) * log2
+    return log_e_a1, log_e, log_e2
+
+
 def functionals_from_rho(alpha: float, rho: float) -> FunctionalValues:
     """Exact power-law conversion rho -> functional values."""
     require_admissible(alpha)
     if not 0.0 < rho < math.inf:
         raise ParameterError(f"rho must be positive and finite, got {rho}")
-    try:
-        e_a1 = rho ** (2.0 / (2.0 - alpha))
-        e = 2.0 ** (-alpha / (alpha - 2.0)) * e_a1
-        e2 = 2.0 ** (-alpha / (2.0 - alpha)) * e
-    except OverflowError:
-        e_a1 = e = e2 = math.inf
-    if not all(0.0 < v < math.inf for v in (e_a1, e, e2)):
-        raise ParameterError(
-            f"rho={rho!r} at alpha={alpha!r} puts the functional values "
-            "outside the double range"
-        )
+    logs = _log_functionals(alpha, rho)
+    if not all(abs(v) <= _LOG_DOUBLE_MAX for v in logs):
+        raise ParameterError(f"rho={rho!r} at alpha={alpha!r} puts the "
+                             "functional values outside the double range")
+    e_a1, e, e2 = (math.exp(v) for v in logs)
     return FunctionalValues(e_a1=e_a1, e=e, e2=e2, alpha=alpha)
-
-
-def remark14_residual(alpha: float, rho: float) -> float:
-    """Defect of the algebraic identity equating the wave exponent
-    computed from rho with the one computed from the functional value:
-
-        (2^(1-alpha) rho)^(1/(3-alpha))
-            = 2^((2-3alpha)/(6-2alpha)) * E^((2-alpha)/(6-2alpha)).
-
-    Zero for every alpha in (0,2) and rho > 0 up to rounding; the two
-    sides are evaluated through their distinct published routes.
-    """
-    require_admissible(alpha)
-    if rho <= 0:
-        raise ParameterError(f"rho must be positive, got {rho}")
-    log2 = math.log(2.0)
-    log_lhs = ((1.0 - alpha) * log2 + math.log(rho)) / (3.0 - alpha)
-    # log of the functional value, kept in log space: near alpha = 2 the
-    # value itself overflows the double range while the exponent below
-    # brings the right side back to a modest number
-    log_e = (alpha * log2 + 2.0 * math.log(rho)) / (2.0 - alpha)
-    log_rhs = (2.0 - 3.0 * alpha) / (6.0 - 2.0 * alpha) * log2 + (
-        2.0 - alpha
-    ) / (6.0 - 2.0 * alpha) * log_e
-    return math.exp(log_lhs) - math.exp(log_rhs)
 
 
 # ----------------------------------------------------------------------
@@ -328,28 +308,29 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
             + math.log(rho)
     else:
         gamma = math.log(rho)
-    if not abs(gamma / a) < 709.0:  # exp would leave the normal range
-        raise ParameterError(f"lambda_2 = exp({gamma / a!r}) is outside the "
+    log_lam2 = gamma / a
+    if not abs(log_lam2) < 709.0:  # exp would leave the normal range
+        raise ParameterError(f"lambda_2 = exp({log_lam2!r}) is outside the "
                              f"double range for rho={rho!r}")
-    lam2 = math.exp(gamma / a)
+    lam2 = math.exp(log_lam2)
 
     lam1 = beta0 = gap = None
     if eq.beta_l == 2.0:
-        fv = functionals_from_rho(alpha, rho)
+        _, log_e, log_e2 = _log_functionals(alpha, rho)
         if eq.is_wave:
             # variational route and the fixed-point route
-            lam1 = 2.0 ** ((2.0 - 3.0 * alpha) / (6.0 - 2.0 * alpha)) * fv.e ** (
-                (2.0 - alpha) / (6.0 - 2.0 * alpha)
-            )
+            log_lam1 = ((2.0 - 3.0 * alpha) * math.log(2.0)
+                        + (2.0 - alpha) * log_e) / (6.0 - 2.0 * alpha)
             p = 2.0 / (2.0 - alpha)
-            beta0 = beta0_power_law(2.0 ** -p * fv.e2, p)
-            vals = [lam2, lam1, beta0]
+            log_beta0 = _log_beta0(log_e2 - p * math.log(2.0), p)
+            beta0 = math.exp(log_beta0)
+            logs = [log_lam2, log_lam1, log_beta0]
         else:
-            lam1 = fv.e2
-            vals = [lam2, lam1]
-        gap = max(
-            abs(x - y) / max(abs(x), abs(y)) for x in vals for y in vals
-        )
+            log_lam1 = log_e2
+            logs = [log_lam2, log_lam1]
+        # each route is lambda_2 up to rounding: the check above covers it
+        lam1 = math.exp(log_lam1)
+        gap = abs(math.expm1(min(logs) - max(logs)))  # max |x-y| / max(x, y)
 
     extra = {}
     if kernel.family == "fractional":
@@ -367,3 +348,18 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
         extra=extra,
     )
 
+
+def remark14_residual(alpha: float, rho: float) -> float:
+    """Defect of the algebraic identity equating the wave exponent
+    computed from rho with the one computed from the functional value:
+
+        (2^(1-alpha) rho)^(1/(3-alpha))
+            = 2^((2-3alpha)/(6-2alpha)) * E^((2-alpha)/(6-2alpha)).
+
+    Zero for every alpha in (0,2) and rho > 0 up to rounding: the two
+    sides are ``lambda2_thm2`` and ``lambda2_thm1`` of the wave report,
+    taken at a d = 2 Riesz kernel, which admits every such alpha.
+    """
+    rep = lambda2_closed_form(EquationKind("wave"),
+                              KernelSpec("riesz", d=2, alpha=alpha), rho=rho)
+    return rep.lambda2_thm2 - rep.lambda2_thm1

@@ -189,6 +189,8 @@ class _SpatialSampler:
         self._mass1 = 1.0 / a
         self._mass2 = (1.0 - self.R ** (a - 2.0)) / (2.0 - a)
         self._p1 = self._mass1 / (self._mass1 + self._mass2)
+        if self._p1 == 1.0:  # the (1, R] piece would never be drawn
+            raise ParameterError(f"alpha={a!r} is too close to 0 for the proposal")
 
         # mu / proposal = constant * Z * (1 + r^2), Z = area * mass up to R;
         # mass and tail cancel as a -> 2, where tail_frac_bound nears 1.
@@ -306,6 +308,8 @@ def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
     time, i.e. the n*d-dimensional integral of the rate-1 Laplace
     propagator factors at the partial sums against mu^(x)n."""
     eq, kernel, n = query.eq, query.kernel, query.n
+    if query.t is not None:
+        raise ParameterError(f"t = {query.t}: use jn_fixed_time for J_n(t)")
     label = f"jn_exp_time/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}"
     if n == 0:
         return _finalize(1.0, 0.0, 1, seed, label, query, None)

@@ -153,17 +153,19 @@ def _kernel_column_1d(profile: str, d: int, alpha: float, h: float,
     if profile == "flat":
         return np.full(m, 1.0 / (2.0 * math.pi))
     c = riesz_constant(d, alpha)
-    if d == 3:
-        c *= _sphere_area(3) / (2.0 if alpha == 1.0 else 2.0 * (1.0 - alpha))
     k = np.arange(m, dtype=float)
-    with np.errstate(divide="ignore"):
-        if d == 3 and alpha == 1.0:
-            col = c * -np.log(k * h)
-            col[0] = c * (1.0 - math.log(h / 2.0))  # cell average of -log|u|
-            return col
-        col = c * (k * h) ** (alpha - 1.0)
-    col[0] = c * _cell_avg_singular(alpha, h)
-    return col
+    if d == 1:
+        with np.errstate(divide="ignore"):
+            col = c * (k * h) ** (alpha - 1.0)
+        col[0] = c * _cell_avg_singular(alpha, h)
+        return col
+    # d = 3: (|u|^(alpha-1) - 1)/(1 - alpha), -log|u| at alpha = 1: the
+    # -1 drops out on odd vectors and keeps the digits near alpha = 1
+    log_u = np.log(np.maximum(k, 0.5) * h)  # entry 0 at u = h/2
+    s = alpha - 1.0
+    col = -log_u if s == 0.0 else np.expm1(s * log_u) / -s
+    col[0] = (col[0] + 1.0) / alpha  # the cell average, from its value at h/2
+    return c * (_sphere_area(3) / 2.0) * col
 
 
 def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):

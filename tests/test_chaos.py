@@ -197,6 +197,14 @@ class TestProposal:
         share = sampler._envelope_round(rng, k).size / k
         assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / k)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("alpha", [1e-16, 1e-300])
+    def test_alpha_too_close_to_zero(self, d, alpha):
+        # the inner piece's share rounds to 1
+        with pytest.raises(ParameterError, match=f"alpha={alpha!r}"):
+            _SpatialSampler(KernelSpec("riesz", d=d, alpha=alpha), 2, 2.0,
+                            prefer_untruncated=True)
+
     def test_accept_rate_reported(self):
         est = jn_exp_time_mc(ChaosQuery(HEAT, RIESZ, 2), 1000, 0)
         sampler = _SpatialSampler(RIESZ, 2, 2.0, prefer_untruncated=True)
@@ -231,6 +239,10 @@ class TestScalingLaw:
 
 
 class TestExpTimeMC:
+    def test_rejects_fixed_time(self):
+        with pytest.raises(ParameterError, match="jn_fixed_time"):
+            jn_exp_time_mc(ChaosQuery(HEAT, WHITE, 2, 5.0), 1000, 0)
+
     def test_white_heat_exact(self):
         for n in (1, 2, 3, 4):
             est = jn_exp_time_mc(ChaosQuery(HEAT, WHITE, n), 50_000, 11)

@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given
@@ -75,6 +76,27 @@ class TestLyapunovCommand:
                                "--eq", "wave", "--format", "json")
         assert code == 0
         assert json.loads(out)["consistency_gap"] < 1e-10
+
+    @pytest.mark.parametrize("argv, value", [
+        (("--d", "1", "--alpha", "0.5", "--rho", "1e308", "--eq", "wave"),
+         (2.0 ** 0.5 * 1e308) ** 0.4),
+        (("--d", "3", "--alpha", "1.999", "--rho", "2", "--eq", "wave"),
+         2.0 ** (0.001 / 1.001)),
+        (("--d", "2", "--alpha", "1.98", "--rho", "1e3", "--eq", "heat"),
+         1e300),
+    ], ids=["wave-rho-1e308", "wave-d3-alpha-1.999", "heat-lambda2-1e300"])
+    def test_functional_values_past_the_double_range(self, capsys, argv,
+                                                       value):
+        # the functional values overflow; lambda_2 and its routes do not
+        code, out, _ = run_cli(capsys, "lyapunov", "--family", "riesz", *argv,
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["lambda2"] == pytest.approx(value, rel=1e-12)
+        assert data["lambda2_upper_variational"] == pytest.approx(value,
+                                                                  rel=1e-12)
+        # rounding of log-values as large as log(lambda_2) = 283
+        assert data["consistency_gap"] < 1e-12
 
     def test_fractional_needs_functional(self, capsys):
         code, _, err = run_cli(capsys, "lyapunov", "--family", "fractional",
@@ -163,13 +185,27 @@ class TestExitCodes:
         assert "e_gamma must be positive and finite" in err
 
     @pytest.mark.parametrize("argv", [
-        ("--d", "1", "--alpha", "0.5", "--rho", "1e308", "--eq", "wave"),
+        # only heat refuses: the wave exponent 1/(3 - alpha) is below 1
+        ("--d", "1", "--alpha", "0.5", "--rho", "1e300", "--eq", "heat"),
         ("--d", "3", "--alpha", "1.999", "--rho", "1e300", "--eq", "heat"),
     ])
     def test_out_of_range_rho_named(self, capsys, argv):
         code, _, err = run_cli(capsys, "lyapunov", "--family", "riesz", *argv)
         assert code == EXIT_PARAMETER
         assert "rho=1e+30" in err and "double range" in err
+
+    @pytest.mark.parametrize("d", ["1", "3"])
+    @pytest.mark.parametrize("alpha", ["1e-16", "1e-300"])
+    def test_chaos_alpha_too_close_to_zero(self, capsys, d, alpha):
+        # the proposal's inner piece would take every draw
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "chaos", "--family", "riesz",
+                                     "--d", d, "--alpha", alpha, "--n", "2",
+                                     "--samples", "1000")
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert f"alpha={float(alpha)!r} is too close to 0" in err
 
     def test_unconverged_rho_grid(self, capsys):
         code, _, err = run_cli(capsys, "rho", "--family", "riesz", "--d", "1",
@@ -515,6 +551,14 @@ class TestMlCommand:
         assert code == 0
         assert json.loads(out)["rows"][0]["growth_rate"] == pytest.approx(2.0)
 
+    def test_growth_past_the_argument_range(self, capsys):
+        # (c t)^a = 1e400 leaves the double range; the rate 1e200 does not
+        code, out, _ = run_cli(capsys, "ml", "--a", "2.0", "--growth-c",
+                               "1e200", "--t", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["growth_rate"] == pytest.approx(
+            1e200, rel=1e-12)
+
     def test_needs_argument(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--a", "1.0")
         assert code == EXIT_PARAMETER
@@ -533,7 +577,8 @@ class TestMlCommand:
     @pytest.mark.parametrize("argv, named", [
         (("--a", "1.0", "--x", "inf"), "nonnegative and finite"),
         (("--a", "1e-308", "--x", "974"), "exceeds the double range"),
-        (("--a", "2.0", "--growth-c", "1e308", "--t", "2"), "(c t)^a"),
+        (("--a", "2.0", "--growth-c", "1e308", "--t", "2"),
+         "exceeds the double range at log x"),
         (("--a", "2.0", "--growth-c", "nan"), "positive finite c, t"),
     ])
     def test_out_of_range_named(self, capsys, argv, named):

@@ -17,6 +17,7 @@ from andersonlyap.cli import main
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.spectral import riesz_constant
 from andersonlyap.variational import (
+    DEFAULT_TOL,
     _AngularProfile2D,
     _kernel_column_1d,
     _solve_1d,
@@ -240,6 +241,13 @@ class TestRadialSolver:
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.grid_points == points
         assert est.params["grid_refinements"] == refinements
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-12, 1.0 + 1e-12])
+    def test_d3_continuous_at_alpha_one(self, alpha):
+        # the d = 3 column's 1/(1 - alpha) constant must not cost digits
+        est = rho_eigen(3, alpha)
+        assert abs(est.value - rho_eigen(3, 1.0).value) < 1e-10
+        assert est.residual < DEFAULT_TOL
 
     def test_refinement_reuses_fine_solve(self, monkeypatch):
         # grids 600, 1200, 2400, 4800: each solved once, the fine solve
