@@ -16,7 +16,9 @@ REFINE_MULT * sqrt(L) of the origin, up to MAX_REFINE_DEPTH = 8 times,
 so passages near the singularity are resolved at step/256.  The
 midpoint does not enter that test: an interval kept only when its own
 midpoint lands far from the origin would bias zeta low.  Rows are
-scalars in d = 1, and the halved intervals are gathered once per depth.
+scalars in d = 1.  Each depth gathers the split rows' endpoints and
+midpoints straight into the arrays the next depth reads, and the last
+depth scores every row it is handed without a split test.
 This path estimator shares zero machinery with the Fourier-side Monte
 Carlo, which is the point.
 
@@ -40,8 +42,10 @@ __all__ = ["tn_bm_oracle"]
 
 MAX_REFINE_DEPTH = 8
 MAX_TIME_STEP = 0.1
-# Finer steps lay out too many rows: a d = 1 chunk holds about 1.3e7 at
-# this floor, and far below it the step counts overflow.
+# Finer steps lay out too many rows: a d = 1 chunk starts with about
+# 1.3e7 rows at this floor (1.6e7 at the 99th percentile of chunks), and
+# at about 80 bytes a row the loop peaks near 1 GB per chunk in flight;
+# far below it the step counts overflow.
 MIN_TIME_STEP = 1e-5
 # Exponential horizons above this are clipped; the discarded mass is
 # exp(-40) ~ 4e-18, far below any achievable standard error.
@@ -55,10 +59,24 @@ PATH_CHUNK = 128
 REFINE_MULT = 3.0
 
 
-def _norms(x):
+def _norms(x, out=None):
     if x.ndim == 1:
-        return np.abs(x)
-    return np.sqrt(np.einsum("...i,...i->...", x, x))
+        return np.abs(x, out=out)
+    out = np.einsum("...i,...i->...", x, x, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _gather_twice(x, idx):
+    """x[idx] twice over: the children's copy of a per-row value.
+
+    ``idx`` comes from ``flatnonzero``, so mode="clip" never clips; with
+    ``out=`` the default mode="raise" would gather into a buffered copy.
+    """
+    k = idx.size
+    out = np.empty(2 * k, x.dtype)
+    np.take(x, idx, out=out[:k], mode="clip")
+    out[k:] = out[:k]
+    return out
 
 
 def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
@@ -68,7 +86,8 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
 
     Every step of every path is one row of a flat queue, a scalar in
     d = 1; each pass bridges all midpoints, retires the intervals not
-    flagged near the origin and gathers the flagged ones once.
+    flagged near the origin and gathers the flagged ones' endpoints and
+    midpoints straight into the next pass's rows.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
@@ -79,29 +98,57 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     L[ends - 1] = tau - (n_steps - 1) * dt
     shape, row = (L.shape, ...) if d == 1 else ((L.size, d), np.s_[:, None])
     # positions at step boundaries; variance 2 L per coordinate
-    inc = rng.standard_normal(shape) * np.sqrt(2.0 * L)[row]
+    buf = np.multiply(L, 2.0)
+    inc = rng.standard_normal(shape)
+    inc *= np.sqrt(buf, out=buf)[row]
     right = np.cumsum(inc, axis=0)
-    right -= (right[first] - inc[first])[path]
-    left = right - inc
+    right -= np.repeat(right[first] - inc[first], n_steps, axis=0)
+    left = np.subtract(right, inc, out=inc)
+    del inc
+
+    def score(path, L, mid):
+        w = _norms(mid)
+        w **= -alpha
+        w *= L
+        return np.bincount(path, w, minlength=m)
 
     zeta = np.zeros(m)
     scored = []
     for depth in range(MAX_REFINE_DEPTH + 1):
         # the midpoint of a bridge over length L has variance L/2 per
         # coordinate for the speed-2 diffusion
-        mid = rng.standard_normal(left.shape) * np.sqrt(0.5 * L)[row]
+        mid = rng.standard_normal(left.shape)
+        mid *= np.sqrt(np.multiply(L, 0.5, out=buf), out=buf)[row]
         mid += 0.5 * (left + right)
-        split = (depth < MAX_REFINE_DEPTH) & (
-            np.minimum(_norms(left), _norms(right)) < REFINE_MULT * np.sqrt(L)
-        )
+        if depth == MAX_REFINE_DEPTH:  # every interval retires
+            zeta += score(path, L, mid)
+            scored.append(L.size)
+            break
+        # split where an endpoint lies within REFINE_MULT sqrt(L) of 0
+        near = _norms(left)
+        np.minimum(near, _norms(right, out=buf), out=near)
+        split = near < np.multiply(np.sqrt(L, out=buf), REFINE_MULT, out=buf)
+        # each dead array goes before the next one is allocated
+        del near, buf
         idx, stop = np.flatnonzero(split), np.flatnonzero(~split)
-        zeta += np.bincount(
-            path[stop], L[stop] * _norms(mid[stop]) ** -alpha, minlength=m)
+        del split
+        zeta += score(path[stop], L[stop], np.take(mid, stop, axis=0))
         scored.append(stop.size)
-        pts = np.concatenate([left[idx], mid[idx], right[idx]])
-        left, right = pts[:2 * idx.size], pts[idx.size:]
-        L = np.tile(0.5 * L[idx], 2)
-        path = np.tile(path[idx], 2)
+        del stop
+        # [left; mid; right] of the split rows, so that the halves are
+        # [left; mid] -> [mid; right]
+        k = idx.size
+        pts = np.empty((3 * k,) + left.shape[1:])
+        for i, x in enumerate((left, mid, right)):
+            np.take(x, idx, axis=0, out=pts[i * k:(i + 1) * k], mode="clip")
+        del left, mid, right, x
+        left, right = pts[:2 * k], pts[k:]
+        # halving is exact: these are the bits of (0.5 * L)[idx]
+        L = _gather_twice(L, idx)
+        L *= 0.5
+        path = _gather_twice(path, idx)
+        del idx
+        buf = np.empty(L.shape)
     return zeta, scored
 
 

@@ -11,6 +11,7 @@ threads executed the chunks, or in which order they finished.
 from __future__ import annotations
 
 import hashlib
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,8 +50,11 @@ class MCEstimate:
         return self.std_error + abs(self.mean) * f / (1.0 - f)
 
     def z_score(self, reference: float) -> float:
-        """Deviation from a reference in units of the total error bound."""
-        err = self.error_bound()
+        """Deviation from a reference in units of the total error bound,
+        floored at the rounding level 16 eps max(|mean|, |reference|): a
+        zero-variance estimate's last-bit differences are no deviation."""
+        err = max(self.error_bound(), 16 * sys.float_info.epsilon
+                  * max(abs(self.mean), abs(reference)))
         if err == 0.0:
             return 0.0 if self.mean == reference else float("inf")
         if err == float("inf"):

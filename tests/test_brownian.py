@@ -13,6 +13,8 @@ from andersonlyap.mc import chunk_generator
 from andersonlyap.spectral import EquationKind, KernelSpec
 
 SQRT_PI = 1.77245385090551602729816748334
+# scalar rows in d = 1, (rows, d) blocks above
+ROW_LAYOUTS = [(1, 0.5), (2, 0.8), (3, 1.2)]
 
 
 def combined_sigma(a, b):
@@ -44,15 +46,17 @@ class TestPathOracle:
         est = tn_bm_oracle(3, 1.0, 1, 6_000, 2e-3, 99)
         assert abs(est.mean - 1.0) <= 3.0 * est.error_bound()
 
-    def test_deterministic(self):
+    @pytest.mark.parametrize("d,alpha", ROW_LAYOUTS)
+    def test_deterministic(self, d, alpha):
         # a one-path chunk and a ragged last chunk, at 1 and 2 threads
         for n_paths in (1, 2 * PATH_CHUNK + 1):
-            a = tn_bm_oracle(1, 0.5, 1, n_paths, 2e-3, 5)
-            b = tn_bm_oracle(1, 0.5, 1, n_paths, 2e-3, 5, threads=2)
+            a = tn_bm_oracle(d, alpha, 1, n_paths, 2e-3, 5)
+            b = tn_bm_oracle(d, alpha, 1, n_paths, 2e-3, 5, threads=2)
             assert math.isfinite(a.mean) and a.mean > 0
             assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     @pytest.mark.parametrize("d,alpha,n,mean,std_error", [
+        (1, 0.5, 1, 1.7748304594551134, 0.08709614072582249),
         (1, 0.5, 2, 3.03338506672481, 0.3765970361902483),
         (2, 0.8, 1, 1.288468841623229, 0.05050654495357852),
         (3, 1.2, 1, 1.168574280011085, 0.03803659346720182),
@@ -64,10 +68,11 @@ class TestPathOracle:
         assert est.mean == pytest.approx(mean, rel=1e-12)
         assert est.std_error == pytest.approx(std_error, rel=1e-12)
 
-    def test_scored_per_depth(self):
+    @pytest.mark.parametrize("d,alpha", ROW_LAYOUTS)
+    def test_scored_per_depth(self, d, alpha):
         n_paths, dt = 2 * PATH_CHUNK + 1, 2e-3
-        a = tn_bm_oracle(1, 0.5, 1, n_paths, dt, 5)
-        b = tn_bm_oracle(1, 0.5, 1, n_paths, dt, 5, threads=2)
+        a = tn_bm_oracle(d, alpha, 1, n_paths, dt, 5)
+        b = tn_bm_oracle(d, alpha, 1, n_paths, dt, 5, threads=2)
         hist = a.params["scored_per_depth"]
         assert hist == b.params["scored_per_depth"]
         assert len(hist) == MAX_REFINE_DEPTH + 1 and hist[-1] > 0

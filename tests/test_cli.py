@@ -271,6 +271,18 @@ class TestChaosCommand:
         assert row["oracle"] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         assert abs(row["z"]) <= 3.0
 
+    def test_zero_variance_z_at_rounding_level(self, capsys):
+        # every weight is 1 up to rounding at this alpha: z reads that rounding,
+        # not a deviation
+        code, out, _ = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                               "1", "--alpha", "1e-15", "--n", "2", "--eq",
+                               "heat", "--samples", "10000", "--format",
+                               "json")
+        assert code == 0
+        row = json.loads(out)["rows"][1]
+        assert row["mean"] == pytest.approx(row["oracle"], rel=1e-15)
+        assert abs(row["z"]) <= 1.0
+
     def test_bm_method_requires_riesz(self, capsys):
         code, _, err = run_cli(capsys, "chaos", "--family", "white",
                                "--method", "bm", "--n", "1",

@@ -76,6 +76,14 @@ class TestMCEstimate:
         est = MCEstimate(1.0, 0.1, 100, 0, "demo")
         assert est.z_score(0.7) == pytest.approx(3.0)
 
+    def test_z_score_rounding_floor(self):
+        # a zero-variance estimate two ulps from its reference reads at
+        # rounding level, not as a deviation of ninety standard errors
+        est = MCEstimate(1.0000000000000002, 2.2205570798801421e-18, 10_000,
+                         0, "demo")
+        assert est.z_score(1.0000000000000004) == pytest.approx(-1 / 16)
+        assert MCEstimate(0.0, 0.0, 10, 0, "demo").z_score(0.0) == 0.0
+
     def test_error_bound_includes_bias(self):
         est = MCEstimate(2.0, 0.0, 100, 0, "demo",
                          {"tail_frac_bound": 1e-3})
