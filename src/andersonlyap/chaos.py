@@ -16,6 +16,7 @@ normalizer, and reported with each estimate: the module needs numpy only.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,7 +165,10 @@ class _SpatialSampler:
     constant.
 
     ``sample`` returns (eta_norm, log_ratio) where log_ratio is the log
-    of the product of mu-density / proposal-density factors.
+    of the product of mu-density / proposal-density factors.  A chunk is
+    drawn into a per-thread workspace that outlives it and transformed
+    there in place, with the same draws in the same order and the same
+    bits as the plain array expressions.
     """
 
     def __init__(self, kernel: KernelSpec, n: int, beta_l: float,
@@ -177,6 +181,7 @@ class _SpatialSampler:
         self.alpha = a = kernel.alpha_eff
         self.n = n
         self.eta_mode = kernel.family == "white"
+        self._local = threading.local()
         if self.eta_mode and prefer_untruncated:
             self.R = math.inf
             self.weight_const = kernel.constant * math.pi  # full Cauchy mass
@@ -216,19 +221,37 @@ class _SpatialSampler:
             r = R_CAP
         return float(min(max(r, R_FLOOR), R_CAP))
 
+    def _scratch(self, size: int) -> np.ndarray:
+        """The first size floats of the calling thread's workspace, valid
+        until its next call: an anonymous mapping, so chunks reuse its pages
+        and it leaves no holes in the heap when the sampler goes."""
+        ws = getattr(self._local, "ws", None)
+        if ws is None or ws.size < size:
+            import mmap  # loaded with the first workspace, not the module
+            ws = self._local.ws = np.frombuffer(mmap.mmap(-1, 8 * size))
+        return ws[:size]
+
     def _envelope_round(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """The radii accepted among k envelope candidates."""
         a, p1 = self.alpha, self._p1
         c2 = (1.0 - self.R ** (a - 2.0)) / (1.0 - p1)
-        u = rng.random(k)
-        v = rng.random(k)
+        u, v, r = uvr = self._scratch(3 * k).reshape(3, k)
+        rng.random(out=uvr[:2])  # u's k draws, then v's
         low = u < p1
-        # both powers are finite for every u; numpy's SIMD pow on the
-        # whole array costs less than gathering and scattering the pieces
-        r = np.where(low, (u / p1) ** (1.0 / a),
-                     (1.0 - (u - p1) * c2) ** (1.0 / (a - 2.0)))
-        r2 = r * r
-        return r[v * (1.0 + r2) < np.where(low, 1.0, r2)]
+        # both powers are finite for every u, each taken in place on a whole
+        # row: cheaper in numpy than gathering and scattering the pieces
+        np.subtract(u, p1, out=r)
+        r *= c2
+        np.subtract(1.0, r, out=r)
+        r **= 1.0 / (a - 2.0)
+        u /= p1
+        u **= 1.0 / a
+        np.putmask(r, low, u)
+        # accept where v (1 + r^2) < where(low, 1, r^2); a faithful pow keeps
+        # r <= 1 on the inner piece and r >= 1 on the outer: max(r^2, 1)
+        v *= np.add(np.multiply(r, r, out=u), 1.0, out=u)
+        np.maximum(np.multiply(r, r, out=u), 1.0, out=u)
+        return np.compress(np.less(v, u, out=low), r)
 
     def _radii(self, rng: np.random.Generator, count: int) -> np.ndarray:
         parts, need = [], count
@@ -236,42 +259,51 @@ class _SpatialSampler:
             r = self._envelope_round(rng, int(need / self.accept_rate) + 16)
             parts.append(r[:need])
             need -= parts[-1].size
-        return np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def sample(self, rng: np.random.Generator, m: int):
-        """Draw m paths of n partial sums; returns (eta_norm, log_ratio)."""
-        n = self.n
+        """Draw m paths of n partial sums; returns (eta_norm, log_ratio),
+        eta_norm a view of the thread's workspace."""
+        n, d = self.n, self.d
         if self.eta_mode:
-            if math.isinf(self.R):
-                eta = np.tan(math.pi * (rng.random((m, n)) - 0.5))
-            else:
-                u = 2.0 * rng.random((m, n)) - 1.0
-                eta = np.tan(u * math.atan(self.R))
-            log_ratio = (
-                n * math.log(self.weight_const)
-                + np.log1p(eta * eta).sum(axis=1)
-            )
-            return np.abs(eta), log_ratio
-        r = self._radii(rng, m * n).reshape(m, n)
-        if self.d == 1:
-            sign = np.where(rng.random((m, n)) < 0.5, -1.0, 1.0)
-            eta_norm = np.abs(np.cumsum(r * sign, axis=1))
+            # (u - 1/2) 2 atan(R), pi when untruncated: u - 1/2 and the
+            # doubling are exact, so this is bitwise (2u - 1) atan(R)
+            eta = rng.random(out=self._scratch(m * n).reshape(m, n))
+            eta -= 0.5
+            eta *= 2.0 * math.atan(self.R)
+            np.tan(eta, out=eta)
+            sq = eta * eta
+            eta_norm = np.abs(eta, out=eta)
         else:
-            x = rng.standard_normal((m, n, self.d))
-            x *= (r / np.sqrt(np.einsum("...i,...i", x, x)))[..., np.newaxis]
-            np.cumsum(x, axis=1, out=x)
-            eta_norm = np.sqrt(np.einsum("...i,...i", x, x))
-        log_ratio = (
-            n * math.log(self.weight_const)
-            + np.log1p(r * r).sum(axis=1)
-        )
+            r = self._radii(rng, m * n).reshape(m, n)
+            if d == 1:
+                x = rng.random(out=self._scratch(m * n).reshape(m, n))
+                x -= 0.5
+                np.copysign(r, x, out=x)
+            else:
+                ws = self._scratch((d + 1) * m * n)
+                x = rng.standard_normal(out=ws[m * n:].reshape(m, n, d))
+                norm = ws[:m * n].reshape(m, n)
+                np.sqrt(np.einsum("...i,...i", x, x, out=norm), out=norm)
+                x *= np.divide(r, norm, out=norm)[..., np.newaxis]
+            cols = x.reshape(m, n * d)  # np.cumsum's sums, a column at a time
+            for j in range(d, n * d):
+                cols[:, j] += cols[:, j - d]
+            if d == 1:
+                eta_norm = np.abs(x, out=x)
+            else:
+                np.einsum("...i,...i", x, x, out=norm)
+                eta_norm = np.sqrt(norm, out=norm)
+            sq = np.multiply(r, r, out=r)
+        log_ratio = np.log1p(sq, out=sq).sum(axis=1)
+        log_ratio += n * math.log(self.weight_const)
         return eta_norm, log_ratio
 
 
 def _finalize(mean, se, n_samples, seed, label, query, sampler, extra=None):
     if se <= 1e-14 * abs(mean):
-        # weights were constant up to rounding: the proposal matched
-        # the integrand exactly
+        # no sampled weight differed beyond rounding; the integrand may
+        # still vary where no draw landed, as at tiny alpha
         label = label + "|zero-variance"
     if query.n > N_CONFIDENT:
         label = label + "|low-confidence"
@@ -318,7 +350,7 @@ def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
     def draw(rng, m):
         eta_norm, log_ratio = sampler.sample(rng, m)
         lap = laplace_green_sq(eq, 1.0, eta_norm)
-        return np.exp(log_ratio + np.log(lap).sum(axis=1))
+        return np.exp(log_ratio + np.log(lap, out=lap).sum(axis=1))
 
     subseed = derive_seed(seed, label)
     mean, se = run_chunked(draw, n_samples, subseed, threads=threads)
@@ -344,13 +376,17 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
     log_vol = n * math.log(t) - math.log(math.factorial(n))
 
     def draw(rng, m):
-        times = np.sort(rng.random((m, n)), axis=1) * t
-        gaps = np.diff(np.concatenate([times, np.full((m, 1), t)], axis=1), axis=1)
+        times = rng.random((m, n))
+        times.sort(axis=1)
+        times *= t
+        gaps = np.empty((m, n))
+        np.subtract(times[:, 1:], times[:, :-1], out=gaps[:, :-1])
+        np.subtract(t, times[:, -1], out=gaps[:, -1])
         eta_norm, log_ratio = sampler.sample(rng, m)
         green = fourier_green_sq(eq, gaps, eta_norm)
         with np.errstate(divide="ignore"):
-            logw = log_vol + log_ratio + np.log(green).sum(axis=1)
-        return np.exp(logw)
+            logw = log_vol + log_ratio + np.log(green, out=green).sum(axis=1)
+        return np.exp(logw, out=logw)
 
     subseed = derive_seed(seed, label)
     mean, se = run_chunked(draw, n_samples, subseed, threads=threads)

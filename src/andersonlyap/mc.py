@@ -109,7 +109,8 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
         w = np.asarray(sampler(rng, m), dtype=float)
         mean = float(w.mean())
         with np.errstate(over="ignore"):  # checked once, after the merge
-            m2 = float(((w - mean) ** 2).sum())
+            dev = w - mean
+            m2 = float(np.square(dev, out=dev).sum())
         return m, mean, m2
 
     if threads > 1 and n_chunks > 1:

@@ -32,28 +32,31 @@ _SINC_SWITCH = 1e-4
 
 
 def _sinc(x):
-    """sin(x)/x with a series branch near zero, array-safe."""
+    """sin(x)/x as a fresh array, with its series branch where needed."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SINC_SWITCH
-    xs = np.where(small, 0.0, x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.sin(xs) / np.where(small, 1.0, xs)
-    x2 = np.where(small, x, 0.0) ** 2
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return np.where(small, series, direct)
+        out = np.sin(x, out=np.empty(x.shape))
+        out /= x  # 0/0 only at x = 0, which the series overwrites
+    small = np.abs(x) < _SINC_SWITCH
+    if small.any():
+        x2 = x[small] ** 2
+        out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    return out
 
 
 def fourier_green_sq(eq: EquationKind, t, r):
     """Squared modulus of the Fourier-transformed Green function at time
     t and radial frequency r = |xi|.  Continuous at r = 0 (wave value
-    t^2 there).  Accepts scalars or arrays and broadcasts."""
+    t^2 there).  Takes scalars or arrays, broadcasts, writes to neither."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if eq.is_wave:
-        x = t * r ** (eq.beta_l / 2.0)
-        out = (t * _sinc(x)) ** 2
+        out = _sinc(t * r ** (eq.beta_l / 2.0))
+        np.square(np.multiply(out, t, out=out), out=out)
     else:
-        out = np.exp(-t * r ** eq.beta_l)
+        # exp(-(t r^b)) is bitwise exp((-t) r^b): negation is exact
+        out = np.asarray(t * r ** eq.beta_l)
+        np.exp(np.negative(out, out=out), out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -61,18 +64,17 @@ def laplace_green_sq(eq: EquationKind, beta: float, r):
     """Laplace transform in t of ``fourier_green_sq`` at rate beta > 0.
 
     Closed forms: wave 1/(2*beta) * 1/(beta^2/4 + r^b), heat
-    1/(beta + r^b)."""
+    1/(beta + r^b).  The caller's r is never written to."""
     if beta <= 0:
         raise ParameterError(f"Laplace rate beta must be positive, got {beta}")
-    r = np.asarray(r, dtype=float)
-    rb = r ** eq.beta_l
+    out = np.asarray(np.asarray(r, dtype=float) ** eq.beta_l)
+    out += 0.25 * beta * beta if eq.is_wave else beta
+    np.divide(1.0, out, out=out)
     if eq.is_wave:
         # written as a product so it is bitwise the heat transform at
         # rate beta^2/4 times 1/(2 beta): the link identity holds with
         # residual exactly zero
-        out = (0.5 / beta) * (1.0 / (0.25 * beta * beta + rb))
-    else:
-        out = 1.0 / (beta + rb)
+        out *= 0.5 / beta
     return float(out) if out.ndim == 0 else out
 
 

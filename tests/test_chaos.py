@@ -1,6 +1,7 @@
 """Chaos moments: quadrature oracles, Monte-Carlo law checks, scaling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -216,6 +217,52 @@ class TestProposal:
             assert est.params["accept_rate"] is None
 
 
+# (kind, eq, kernel, n, t, mean, std_error) at 70,000 samples and seed 19:
+# one full and one partial chunk.  The white heat row's weights are
+# constant, so its std_error is rounding noise; n = 8 sums its rows on
+# numpy's unrolled reduction path.
+PINNED = [
+    ("heat", KernelSpec("riesz", d=1, alpha=0.5), 3, None,
+     4.020219219842275, 0.01693216091995984),
+    ("wave", KernelSpec("riesz", d=2, alpha=0.8), 4, None,
+     1.6325308671526055, 0.01607157613157982),
+    ("heat", KernelSpec("riesz", d=3, alpha=1.5), 2, None,
+     1.8584336691717638, 0.008171310222839987),
+    ("wave", RIESZ, 3, 2.0, 0.14806558426488903, 0.0029107530987950957),
+    ("wave", WHITE, 3, 1.0, 0.00017118570097454425, 2.9712164412098967e-06),
+    ("heat", WHITE, 4, None, 0.0625, 1.0572987922139093e-19),
+    ("heat", RIESZ, 8, None, 27.24122077590349, 1.0208032431883391),
+]
+
+
+@pytest.mark.parametrize("eq, kernel, n, t, mean, std_error", PINNED)
+def test_pinned_draws(eq, kernel, n, t, mean, std_error):
+    # any change to the draw order or to the arithmetic on the draws moves
+    # these; the tolerance covers SIMD pow on other CPUs
+    query = ChaosQuery(EquationKind(eq), kernel, n, t)
+    fn = jn_exp_time_mc if t is None else jn_fixed_time
+    est = fn(query, 70_000, 19)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("fn, query", [
+    (jn_exp_time_mc, ChaosQuery(WAVE, KernelSpec("riesz", d=2, alpha=0.8), 2)),
+    (jn_fixed_time, ChaosQuery(WAVE, WHITE, 3, t=1.0)),
+])
+def test_workspace_is_per_thread(fn, query):
+    # more workers than cores and a short switch interval: chunks that
+    # shared a sampler workspace would overwrite each other's draws
+    ref = fn(query, 6 * 65_536 + 5, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = fn(query, 6 * 65_536 + 5, 3, threads=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.mean, got.std_error) == (ref.mean, ref.std_error)
+
+
 class TestScalingLaw:
     def test_quadrature_scaling(self):
         base = j1_quadrature(1.0)
@@ -317,6 +364,19 @@ class TestExpTimeMC:
         est = jn_exp_time_mc(ChaosQuery(HEAT, WHITE, 1), 2000, 0)
         assert "zero-variance" in est.target
 
+    def test_tiny_alpha_samples_only_the_inner_piece(self):
+        # 1 - p1 = 5e-13, so 1e4 samples never draw the envelope's (1, R]
+        # piece: every radius underflows to 0 and every weight is
+        # weight_const * (1 + 0) * laplace_green_sq(0) = 2 weight_const.
+        # The closed form also counts the unsampled outer mass, so it
+        # reads 7e-13 lower; the estimator is right not to see it.
+        kernel = KernelSpec("riesz", d=1, alpha=1e-12)
+        sampler = _SpatialSampler(kernel, 1, 2.0, prefer_untruncated=True)
+        assert 1.0 - sampler._p1 < 1e-12
+        est = jn_exp_time_mc(ChaosQuery(WAVE, kernel, 1), 10_000, 0)
+        assert est.mean == 2.0 * sampler.weight_const
+        assert est.std_error == 0.0 and "zero-variance" in est.target
+
 
 class TestFixedTimeMC:
     def test_order_zero(self):
@@ -342,6 +402,19 @@ class TestFixedTimeMC:
         q = ChaosQuery(WAVE, RIESZ, 1, t=2.0)
         est = jn_fixed_time(q, 1_000_000, 13)
         assert within(est, exact_moment(q))
+
+    @pytest.mark.parametrize("eq, kernel", [
+        (WAVE, RIESZ),
+        (HEAT, KernelSpec("riesz", d=2, alpha=0.8)),
+        (WAVE, WHITE),
+    ])
+    def test_determinism_and_threads(self, eq, kernel):
+        # three chunks, the last one partial, at 1 and 3 threads
+        q = ChaosQuery(eq, kernel, 3, t=1.5)
+        a = jn_fixed_time(q, 150_000, 5)
+        b = jn_fixed_time(q, 150_000, 5, threads=3)
+        assert math.isfinite(a.mean) and a.mean > 0
+        assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     def test_needs_time(self):
         for t in (-1.0, math.nan, math.inf):

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 
 from andersonlyap.errors import ParameterError
 from andersonlyap.propagators import (
+    _SINC_SWITCH,
+    _sinc,
     fourier_green_sq,
     laplace_green_sq,
     wave_heat_link_residual,
@@ -92,6 +94,71 @@ class TestLaplaceGreenSq:
             )[0]
             assert val == pytest.approx(laplace_green_sq(eq, beta, r),
                                         rel=1e-6)
+
+
+FRAC_WAVE = EquationKind("wave", 1.5)
+# beta_l = 1 makes laplace_green_sq's power r ** 1.0, numpy's copy
+KINDS = [WAVE, HEAT, FRAC_WAVE, EquationKind("heat", 1.5),
+         EquationKind("heat", 1.0)]
+
+
+class TestContract:
+    """Scalars in, floats out; arrays broadcast; inputs left as they were."""
+
+    @pytest.mark.parametrize("eq", KINDS)
+    def test_scalar_gives_python_float(self, eq):
+        for r in (0.0, 0.7, np.float64(2.5), np.array(1.3)):
+            for out in (fourier_green_sq(eq, 0.9, r),
+                        fourier_green_sq(eq, np.array(0.9), r),
+                        laplace_green_sq(eq, 1.0, r)):
+                assert type(out) is float
+
+    @pytest.mark.parametrize("eq", KINDS)
+    def test_broadcast_matches_scalar_calls(self, eq):
+        t = np.array([[0.0], [0.4], [3.0]])
+        r = np.array([0.0, 1e-9, 0.8, 17.0])
+        grid = fourier_green_sq(eq, t, r)
+        assert grid.shape == (3, 4)
+        for i, ti in enumerate(t[:, 0]):
+            for j, rj in enumerate(r):
+                assert grid[i, j] == pytest.approx(
+                    fourier_green_sq(eq, float(ti), float(rj)), rel=1e-15)
+        assert fourier_green_sq(eq, t, 0.8).shape == (3, 1)
+        assert fourier_green_sq(eq, 0.4, r).shape == (4,)
+        lap = laplace_green_sq(eq, 1.5, r.reshape(2, 2))
+        assert lap.shape == (2, 2)
+        assert lap.ravel() == pytest.approx(
+            [laplace_green_sq(eq, 1.5, float(x)) for x in r], rel=1e-15)
+
+    @pytest.mark.parametrize("eq", KINDS)
+    def test_inputs_not_mutated(self, eq):
+        rng = np.random.default_rng(7)
+        t, r = rng.random((50, 3)) * 2.0, rng.random((50, 3)) * 5.0
+        r[0, 0] = 0.0
+        t0, r0 = t.copy(), r.copy()
+        fourier_green_sq(eq, t, r)
+        laplace_green_sq(eq, 0.8, r)
+        assert np.array_equal(t, t0) and np.array_equal(r, r0)
+
+    def test_sinc_series_bits(self):
+        # below the switch the value is the Taylor polynomial itself, bit
+        # for bit, whatever the neighbours in the array
+        small = [0.0, -0.0, 1e-300, 3e-9, -5e-5, 0.99 * _SINC_SWITCH]
+        x = np.array(small + [_SINC_SWITCH, 0.5, -2.0, 1e100])
+        out = _sinc(x)
+        for xi, got in zip(small, out):
+            x2 = xi * xi
+            assert got == 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+        for xi, got in zip(x[len(small):], out[len(small):]):
+            assert got == pytest.approx(math.sin(xi) / xi, rel=1e-15)
+        x2 = 2e-5 * 2e-5
+        assert _sinc(np.array(2e-5)) == 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+
+    def test_wave_series_branch_value(self):
+        t, r = 0.5, 1e-5
+        x2 = (t * r) ** 2
+        assert fourier_green_sq(WAVE, t, r) == (
+            t * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)) ** 2
 
 
 class TestWaveHeatLink:
