@@ -142,6 +142,54 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
 
 
 # ----------------------------------------------------------------------
+# Short-row kernels
+# ----------------------------------------------------------------------
+
+# A chunk is m x n with m large and n small, and numpy's row-wise sum and
+# sort pay a call per row; below these lengths a pass per column is
+# cheaper and gives the same bits.  Past them numpy's own kernels run.
+_ROW_SUM_PLAIN_MAX = 7  # numpy sums a row of 8 or more pairwise
+_SORT_NETWORK_MAX = 6
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Bit for bit ``x.sum(axis=1)`` of a 2-D array, as a new array.
+
+    numpy adds a short row in plain order starting from +0.0, so the
+    columns are added one at a time from ``x[:, 0] + 0.0``: the +0.0 keeps
+    numpy's sign of zero, a row of -0.0 summing to +0.0."""
+    n = x.shape[1]
+    if n > _ROW_SUM_PLAIN_MAX:
+        return x.sum(axis=1)
+    total = x[:, 0] + 0.0
+    for j in range(1, n):
+        total += x[:, j]
+    return total
+
+
+def _sorted_columns(x: np.ndarray) -> list:
+    """The columns of ``np.sort(x, axis=1)``, as a list of 1-D arrays.
+
+    Short rows are sorted by an odd-even transposition network of
+    np.minimum/np.maximum over contiguous copies of the columns; sorting
+    is exact, so the values are those of the sort.  Longer rows are
+    sorted in place and returned as column views of ``x``."""
+    n = x.shape[1]
+    if n > _SORT_NETWORK_MAX:
+        x.sort(axis=1)
+        return list(x.T)
+    cols = list(x.T.copy())
+    spare = np.empty(x.shape[0])
+    for k in range(n):
+        for i in range(k % 2, n - 1, 2):
+            lo, hi = cols[i], cols[i + 1]
+            np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            cols[i], spare = spare, lo
+    return cols
+
+
+# ----------------------------------------------------------------------
 # Spatial proposal
 # ----------------------------------------------------------------------
 
@@ -284,8 +332,12 @@ class _SpatialSampler:
                 ws = self._scratch((d + 1) * m * n)
                 x = rng.standard_normal(out=ws[m * n:].reshape(m, n, d))
                 norm = ws[:m * n].reshape(m, n)
+                # einsum's order, not a plain loop's: at d = 3 it sums
+                # (x0^2 + x2^2) + x1^2
                 np.sqrt(np.einsum("...i,...i", x, x, out=norm), out=norm)
-                x *= np.divide(r, norm, out=norm)[..., np.newaxis]
+                scale = np.divide(r, norm, out=norm)
+                for i in range(d):
+                    x[..., i] *= scale
             cols = x.reshape(m, n * d)  # np.cumsum's sums, a column at a time
             for j in range(d, n * d):
                 cols[:, j] += cols[:, j - d]
@@ -295,7 +347,7 @@ class _SpatialSampler:
                 np.einsum("...i,...i", x, x, out=norm)
                 eta_norm = np.sqrt(norm, out=norm)
             sq = np.multiply(r, r, out=r)
-        log_ratio = np.log1p(sq, out=sq).sum(axis=1)
+        log_ratio = _row_sums(np.log1p(sq, out=sq))
         log_ratio += n * math.log(self.weight_const)
         return eta_norm, log_ratio
 
@@ -350,7 +402,8 @@ def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
     def draw(rng, m):
         eta_norm, log_ratio = sampler.sample(rng, m)
         lap = laplace_green_sq(eq, 1.0, eta_norm)
-        return np.exp(log_ratio + np.log(lap, out=lap).sum(axis=1))
+        log_ratio += _row_sums(np.log(lap, out=lap))
+        return np.exp(log_ratio, out=log_ratio)
 
     subseed = derive_seed(seed, label)
     mean, se = run_chunked(draw, n_samples, subseed, threads=threads)
@@ -376,17 +429,21 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
     log_vol = n * math.log(t) - math.log(math.factorial(n))
 
     def draw(rng, m):
-        times = rng.random((m, n))
-        times.sort(axis=1)
-        times *= t
+        # drawn into the sampler's workspace: spent before it draws there
+        times = _sorted_columns(
+            rng.random(out=sampler._scratch(m * n).reshape(m, n)))
+        for col in times:
+            col *= t
         gaps = np.empty((m, n))
-        np.subtract(times[:, 1:], times[:, :-1], out=gaps[:, :-1])
-        np.subtract(t, times[:, -1], out=gaps[:, -1])
+        for j in range(n - 1):
+            np.subtract(times[j + 1], times[j], out=gaps[:, j])
+        np.subtract(t, times[-1], out=gaps[:, -1])
         eta_norm, log_ratio = sampler.sample(rng, m)
         green = fourier_green_sq(eq, gaps, eta_norm)
+        log_ratio += log_vol
         with np.errstate(divide="ignore"):
-            logw = log_vol + log_ratio + np.log(green, out=green).sum(axis=1)
-        return np.exp(logw, out=logw)
+            log_ratio += _row_sums(np.log(green, out=green))
+        return np.exp(log_ratio, out=log_ratio)
 
     subseed = derive_seed(seed, label)
     mean, se = run_chunked(draw, n_samples, subseed, threads=threads)

@@ -69,7 +69,8 @@ class RunConfig:
     e_gamma: Optional[float] = None
     format: str = "table"
     out: Optional[str] = None
-    threads: int = max(1, os.cpu_count() or 1)
+    # mc.MAX_THREADS caps it; this module loads no numpy, so not mc either
+    threads: int = min(max(1, os.cpu_count() or 1), 256)
     max_iters: Optional[int] = None
     method: str = "fourier"
     time_step: float = 2e-3

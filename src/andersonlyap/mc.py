@@ -22,6 +22,9 @@ from .errors import ConvergenceError, ParameterError
 __all__ = ["MCEstimate", "derive_seed", "chunk_generator", "run_chunked"]
 
 CHUNK_SIZE = 1 << 16
+# Ceiling on worker threads: every running worker holds a chunk's arrays,
+# and past the core count threads add memory, not speed.
+MAX_THREADS = 256
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,9 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
         raise ParameterError(f"n_samples must be positive, got {n_samples}")
     if threads < 1:
         raise ParameterError(f"threads must be at least 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ParameterError(
+            f"threads must be at most {MAX_THREADS}, got {threads}")
     n_chunks = (n_samples + chunk_size - 1) // chunk_size
 
     def one_chunk(i):

@@ -14,6 +14,8 @@ from andersonlyap.chaos import (
     ChaosQuery,
     _radial_mass,
     _radial_tail,
+    _row_sums,
+    _sorted_columns,
     _SpatialSampler,
     exact_moment,
     jn_exp_time_mc,
@@ -220,7 +222,8 @@ class TestProposal:
 # (kind, eq, kernel, n, t, mean, std_error) at 70,000 samples and seed 19:
 # one full and one partial chunk.  The white heat row's weights are
 # constant, so its std_error is rounding noise; n = 8 sums its rows on
-# numpy's unrolled reduction path.
+# numpy's unrolled reduction path, and the n = 9 fixed-time row, checked
+# at 1 and 3 threads, also sorts its times with numpy's sort.
 PINNED = [
     ("heat", KernelSpec("riesz", d=1, alpha=0.5), 3, None,
      4.020219219842275, 0.01693216091995984),
@@ -232,6 +235,8 @@ PINNED = [
     ("wave", WHITE, 3, 1.0, 0.00017118570097454425, 2.9712164412098967e-06),
     ("heat", WHITE, 4, None, 0.0625, 1.0572987922139093e-19),
     ("heat", RIESZ, 8, None, 27.24122077590349, 1.0208032431883391),
+    ("heat", KernelSpec("riesz", d=2, alpha=0.8), 9, 1.0,
+     0.0008931948004508054, 7.512422640440314e-05),
 ]
 
 
@@ -241,9 +246,30 @@ def test_pinned_draws(eq, kernel, n, t, mean, std_error):
     # these; the tolerance covers SIMD pow on other CPUs
     query = ChaosQuery(EquationKind(eq), kernel, n, t)
     fn = jn_exp_time_mc if t is None else jn_fixed_time
-    est = fn(query, 70_000, 19)
-    assert est.mean == pytest.approx(mean, rel=1e-12)
-    assert est.std_error == pytest.approx(std_error, rel=1e-12)
+    for threads in (1, 3) if n == 9 else (1,):
+        est = fn(query, 70_000, 19, threads=threads)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_row_sums_are_numpy_sums(n):
+    # heavy cancellation makes the summation order visible; n >= 8 is
+    # numpy's pairwise path
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((1000, n)) * 10.0 ** rng.integers(-8, 9, (1000, n))
+    x[:, -1] -= x[:, :-1].sum(axis=1)
+    x[0] = -0.0
+    assert _row_sums(x).tobytes() == x.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sorted_columns_are_numpy_sort(n):
+    # few distinct values, exact +0.0 among them: ties in every row
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 4, (1000, n)) / 4.0
+    ref = np.sort(x, axis=1)
+    assert np.stack(_sorted_columns(x), axis=1).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("fn, query", [

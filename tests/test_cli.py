@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import andersonlyap
 import andersonlyap.verify
+from andersonlyap import mc
 from andersonlyap.asymptotics import functionals_from_rho
 from andersonlyap.cli import (
     EXIT_CONVERGENCE,
@@ -537,6 +538,20 @@ class TestFlagTable:
         assert code == EXIT_PARAMETER
         assert out == ""
         assert "threads" in err
+
+    def test_chaos_rejects_threads_past_the_ceiling(self, capsys, monkeypatch):
+        # a pool that would start records its size and starts no thread
+        pools = []
+
+        def no_pool(max_workers):
+            pools.append(max_workers)
+            raise RuntimeError("no threads in this test")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, "chaos", "--threads", "100000",
+                                 "--samples", "1000000000")
+        assert (code, out, pools) == (EXIT_PARAMETER, "", [])
+        assert "threads must be at most" in err
 
 
 class TestVerifyDeterminism:

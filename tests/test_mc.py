@@ -62,6 +62,24 @@ class TestRunChunked:
         with pytest.raises(ParameterError, match="threads"):
             run_chunked(gaussian_sampler, 100, 1, threads=threads)
 
+    def test_thread_ceiling(self, monkeypatch):
+        # the pool is recorded, never started: a ceiling that failed would
+        # otherwise start thousands of threads
+        pools = []
+
+        def no_pool(max_workers):
+            pools.append(max_workers)
+            raise RuntimeError("no threads in this test")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(RuntimeError, match="no threads"):
+            run_chunked(gaussian_sampler, 2 * mc.CHUNK_SIZE, 1,
+                        threads=mc.MAX_THREADS)
+        for threads in (mc.MAX_THREADS + 1, 100_000):
+            with pytest.raises(ParameterError, match="threads must be at most"):
+                run_chunked(gaussian_sampler, 10 ** 9, 1, threads=threads)
+        assert pools == [mc.MAX_THREADS]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflowing_variance_raises(self, threads):
