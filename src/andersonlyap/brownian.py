@@ -9,23 +9,30 @@ heat propagator exp(-t |xi|^2); a standard-speed motion would produce
 1/(1 + |xi|^2/2) factors instead of the 1/(1 + |xi|^2) this oracle is
 meant to cross-check.
 
-The singular integrand is accumulated by a midpoint rule with
-Brownian-bridge subsampling: an interval of length L is halved at its
-bridged midpoint whenever either endpoint lies within
-REFINE_MULT * sqrt(L) of the origin, up to MAX_REFINE_DEPTH = 8 times,
-so passages near the singularity are resolved at step/256.  The
-midpoint does not enter that test: an interval kept only when its own
-midpoint lands far from the origin would bias zeta low.  Rows are
-scalars in d = 1.  Each depth gathers the split rows' endpoints and
-midpoints straight into the arrays the next depth reads, and the last
-depth scores every row it is handed without a split test.
+The singular integrand is accumulated over a Brownian-bridge
+bisection: an interval of length L is halved at its bridged midpoint
+whenever either endpoint lies within REFINE_MULT * sqrt(L) of the
+origin, up to MAX_REFINE_DEPTH = 4 times, so passages near the
+singularity are resolved at step/16.  The midpoint does not enter that
+test: an interval kept only when its own midpoint lands far from the
+origin would bias zeta low.  Rows are scalars in d = 1.  Each depth
+draws midpoints for the split rows only and gathers their endpoints
+and midpoints straight into the arrays the next depth reads.
 This path estimator shares zero machinery with the Fourier-side Monte
 Carlo, which is the point.
 
-Scoring a retired interval by one bridged point, whose density at the
-origin is positive, makes E[zeta^n] of the discretised functional
-infinite once n alpha >= d (logarithmically at equality, as at d = 1,
-alpha = 1/2, n = 2); there the error bar is not a confidence interval.
+An interval that retires is scored by a conditional mean given its two
+ends, with no draw.  Below the cap that is L E|mid|^(-alpha), the
+midpoint being N(c, (L/2) I_d) about the centre c of the ends: the
+midpoint rule's own expectation, in closed form through Kummer's
+function.  At the cap it is the bridge's integral of E|B_s|^(-alpha)
+over (0, L), by 3 Gauss nodes in u on each half, s = (L/2) u^4 from
+the half's endpoint; that grading resolves the endpoint singularity the
+cap would otherwise leave as a bias.  Each score is at most a constant
+times L^(1 - alpha/2), its value with both ends at the origin, so every
+moment of zeta is finite and the error bar is a standard error for
+every n.  What remains is the step-size bias of the bisection, which
+the error bar does not include.
 """
 
 from __future__ import annotations
@@ -40,12 +47,13 @@ from .spectral import KernelSpec, require_admissible
 
 __all__ = ["tn_bm_oracle"]
 
-MAX_REFINE_DEPTH = 8
+MAX_REFINE_DEPTH = 4
 MAX_TIME_STEP = 0.1
 # Finer steps lay out too many rows: a d = 1 chunk starts with about
 # 1.3e7 rows at this floor (1.6e7 at the 99th percentile of chunks), and
-# at about 80 bytes a row the loop peaks near 1 GB per chunk in flight;
-# far below it the step counts overflow.
+# at about 73 bytes a row (129 in d = 3, both measured by tracemalloc)
+# the loop peaks near 0.95 GB per chunk in flight; far below it the step
+# counts overflow.
 MIN_TIME_STEP = 1e-5
 # Exponential horizons above this are clipped; the discarded mass is
 # exp(-40) ~ 4e-18, far below any achievable standard error.
@@ -57,6 +65,74 @@ PATH_CHUNK = 128
 # Jensen (convexity) bias in |x|^(-alpha) just outside the cutoff;
 # three noise widths push that bias below Monte-Carlo resolution.
 REFINE_MULT = 3.0
+# Cells of the conditional-mean table, uniform in s = y^2 / (1 + y^2).
+MEAN_TABLE_CELLS = 2 ** 13
+# Kummer's M(a, b, -z) by its convergent series up to this z, by its
+# asymptotic series (DLMF 13.7.2) above it.
+KUMMER_SWITCH = 50.0
+# (u^4 / 2, u^4 (1 - u^4 / 2), 2 w u^3) for the 3-point Gauss-Legendre
+# nodes u and weights w on (0, 1): the fraction of the way from a half's
+# endpoint, the bridge variance over L and the weight of each node of
+# the cap rule, s = (L/2) u^4 on each half of (0, L).
+_CAP_NODES = tuple(
+    (u ** 4 / 2, u ** 4 * (1 - u ** 4 / 2), 2 * w * u ** 3)
+    for u, w in ((0.5 - 0.1 * math.sqrt(15.0), 5 / 18), (0.5, 8 / 18),
+                 (0.5 + 0.1 * math.sqrt(15.0), 5 / 18))
+)
+
+
+def _series(ratio, x: np.ndarray) -> np.ndarray:
+    """1 + sum over k of prod_(j < k) ratio(j) x, summed until the last
+    term no longer moves any sum."""
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = 0
+    while np.any(np.abs(term) > 2.0 ** -53 * total):
+        term *= x * ratio(k)
+        total += term
+        k += 1
+    return total
+
+
+def _kummer_neg(a: float, b: float, z) -> np.ndarray:
+    """Kummer's M(a, b, -z) (DLMF 13.2.2) for an array z >= 0, 0 < a < b.
+
+    Up to KUMMER_SWITCH it is e^(-z) M(b - a, b, z), a series of positive
+    terms; above it the asymptotic series Gamma(b)/Gamma(b - a) z^(-a)
+    sum (a)_k (a - b + 1)_k / k! z^(-k), whose smallest term is below
+    e^(-50) there.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    low = z <= KUMMER_SWITCH
+    x = z[low]
+    out[low] = np.exp(-x) * _series(
+        lambda k: (b - a + k) / ((b + k) * (k + 1)), x)
+    x = z[~low]
+    out[~low] = math.gamma(b) / math.gamma(b - a) * x ** -a * _series(
+        lambda k: (a + k) * (a - b + 1 + k) / (k + 1), 1.0 / x)
+    return out
+
+
+def _mean_table(d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values and cell slopes of H(s) = E|Z + y e|^(-alpha) (1 + y^2)^(alpha/2)
+    on the MEAN_TABLE_CELLS + 1 nodes of s = y^2 / (1 + y^2) in [0, 1].
+
+    Z is standard normal in d dimensions and e a unit vector, so that
+    E|Z + y e|^(-alpha) = 2^(-alpha/2) Gamma((d - alpha)/2) / Gamma(d/2)
+    M(alpha/2, d/2, -y^2/2); H tends to 1 as s -> 1, the last node.
+    The slopes array carries a trailing 0 so that s = 1 reads node 1.
+    """
+    a, b = 0.5 * alpha, 0.5 * d
+    s = np.arange(MEAN_TABLE_CELLS) / MEAN_TABLE_CELLS
+    values = np.empty(MEAN_TABLE_CELLS + 1)
+    values[:-1] = _kummer_neg(a, b, 0.5 * s / (1.0 - s))
+    values[:-1] *= (2.0 * (1.0 - s)) ** -a * (math.gamma(b - a)
+                                              / math.gamma(b))
+    values[-1] = 1.0
+    slopes = np.zeros_like(values)
+    np.subtract(values[1:], values[:-1], out=slopes[:-1])
+    return values, slopes
 
 
 def _norms(x, out=None):
@@ -64,6 +140,62 @@ def _norms(x, out=None):
         return np.abs(x, out=out)
     out = np.einsum("...i,...i->...", x, x, out=out)
     return np.sqrt(out, out=out)
+
+
+def _bridge_mean(table, alpha: float, c: np.ndarray,
+                 var: np.ndarray) -> np.ndarray:
+    """E|X|^(-alpha) row by row for X ~ N(c, var I_d); may overwrite c.
+
+    With r2 = |c|^2 and s = r2 / (r2 + var) this is
+    H(s) (r2 + var)^(-alpha/2), H read from the table by linear
+    interpolation.
+    """
+    values, slopes = table
+    if c.ndim == 1:
+        r2 = np.multiply(c, c, out=c)
+    else:
+        r2 = np.einsum("ij,ij->i", c, c)
+    total = r2 + var
+    r2 *= MEAN_TABLE_CELLS
+    r2 /= total
+    cell = np.floor(r2)
+    r2 -= cell
+    cell = cell.astype(np.intp)
+    # r2 now holds the fraction of the way through the cell
+    r2 *= slopes.take(cell)
+    r2 += values.take(cell)
+    total **= -0.5 * alpha
+    r2 *= total
+    return r2
+
+
+def _retired_score(table, alpha, left, right, L):
+    """L E[|mid|^(-alpha) | ends]: the midpoint rule's conditional mean."""
+    c = np.add(left, right)
+    c *= 0.5
+    w = _bridge_mean(table, alpha, c, 0.5 * L)
+    w *= L
+    return w
+
+
+def _cap_score(table, alpha, left, right, L):
+    """The bridge's integral of E|B_s|^(-alpha) over (0, L) given its ends.
+
+    B_s given the ends is N(left + (s/L)(right - left), 2 s (L - s)/L);
+    each half of (0, L) is mapped from its endpoint by s = (L/2) u^4.
+    """
+    diff = np.subtract(right, left)
+    w = np.zeros(L.shape)
+    for frac, var_frac, weight in _CAP_NODES:
+        var = L * var_frac
+        for end, step in ((left, frac), (right, -frac)):
+            c = np.multiply(diff, step)
+            c += end
+            node = _bridge_mean(table, alpha, c, var)
+            node *= weight
+            w += node
+    w *= L
+    return w
 
 
 def _gather_twice(x, idx):
@@ -80,14 +212,16 @@ def _gather_twice(x, idx):
 
 
 def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
-                dt: float) -> tuple[np.ndarray, list]:
+                dt: float, table) -> tuple[np.ndarray, list]:
     """Simulate m independent paths to an exponential horizon; return
     each path's zeta and the number of intervals scored at each depth.
 
     Every step of every path is one row of a flat queue, a scalar in
-    d = 1; each pass bridges all midpoints, retires the intervals not
-    flagged near the origin and gathers the flagged ones' endpoints and
-    midpoints straight into the next pass's rows.
+    d = 1; each pass retires the intervals not flagged near the origin,
+    scored by their conditional mean, then bridges the flagged ones'
+    midpoints and gathers their endpoints and midpoints straight into
+    the next pass's rows.  The rows left at the cap retire by the
+    bridge integral.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
@@ -104,51 +238,46 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     right = np.cumsum(inc, axis=0)
     right -= np.repeat(right[first] - inc[first], n_steps, axis=0)
     left = np.subtract(right, inc, out=inc)
-    del inc
-
-    def score(path, L, mid):
-        w = _norms(mid)
-        w **= -alpha
-        w *= L
-        return np.bincount(path, w, minlength=m)
+    del inc, buf
 
     zeta = np.zeros(m)
     scored = []
-    for depth in range(MAX_REFINE_DEPTH + 1):
-        # the midpoint of a bridge over length L has variance L/2 per
-        # coordinate for the speed-2 diffusion
-        mid = rng.standard_normal(left.shape)
-        mid *= np.sqrt(np.multiply(L, 0.5, out=buf), out=buf)[row]
-        mid += 0.5 * (left + right)
-        if depth == MAX_REFINE_DEPTH:  # every interval retires
-            zeta += score(path, L, mid)
-            scored.append(L.size)
-            break
+    for _ in range(MAX_REFINE_DEPTH):
         # split where an endpoint lies within REFINE_MULT sqrt(L) of 0
         near = _norms(left)
+        buf = np.empty(L.shape)
         np.minimum(near, _norms(right, out=buf), out=near)
         split = near < np.multiply(np.sqrt(L, out=buf), REFINE_MULT, out=buf)
         # each dead array goes before the next one is allocated
         del near, buf
-        idx, stop = np.flatnonzero(split), np.flatnonzero(~split)
-        del split
-        zeta += score(path[stop], L[stop], np.take(mid, stop, axis=0))
-        scored.append(stop.size)
-        del stop
+        idx = np.flatnonzero(split)
+        # scoring every row costs less than gathering the retired ones
+        w = _retired_score(table, alpha, left, right, L)
+        w[split] = 0.0
+        zeta += np.bincount(path, w, minlength=m)
+        scored.append(L.size - idx.size)
+        del split, w
         # [left; mid; right] of the split rows, so that the halves are
         # [left; mid] -> [mid; right]
         k = idx.size
         pts = np.empty((3 * k,) + left.shape[1:])
-        for i, x in enumerate((left, mid, right)):
-            np.take(x, idx, axis=0, out=pts[i * k:(i + 1) * k], mode="clip")
-        del left, mid, right, x
-        left, right = pts[:2 * k], pts[k:]
+        np.take(left, idx, axis=0, out=pts[:k], mode="clip")
+        np.take(right, idx, axis=0, out=pts[2 * k:], mode="clip")
+        del left, right
+        left, mid, right = pts[:2 * k], pts[k:2 * k], pts[k:]
         # halving is exact: these are the bits of (0.5 * L)[idx]
         L = _gather_twice(L, idx)
         L *= 0.5
+        # the midpoint of a bridge over the parent's length 2 L has
+        # variance L per coordinate for the speed-2 diffusion
+        rng.standard_normal(out=mid)
+        mid *= np.sqrt(L[:k])[row]
+        mid += 0.5 * (pts[:k] + pts[2 * k:])
         path = _gather_twice(path, idx)
         del idx
-        buf = np.empty(L.shape)
+    zeta += np.bincount(path, _cap_score(table, alpha, left, right, L),
+                        minlength=m)
+    scored.append(L.size)
     return zeta, scored
 
 
@@ -172,10 +301,11 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
         )
 
     log_nfact = math.lgamma(n + 1)
+    table = _mean_table(d, alpha)
     scored = []
 
     def draw(rng, m):
-        zeta, per_depth = _zeta_paths(rng, m, d, alpha, time_step)
+        zeta, per_depth = _zeta_paths(rng, m, d, alpha, time_step, table)
         scored.append(per_depth)
         return np.exp(n * np.log(np.maximum(zeta, 1e-300)) - log_nfact)
 

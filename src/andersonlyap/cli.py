@@ -280,7 +280,6 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
 
 
 def cmd_chaos(cfg: RunConfig) -> int:
-    from .brownian import tn_bm_oracle
     from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc, jn_fixed_time
 
     kernel = cfg.kernel()
@@ -308,6 +307,7 @@ def cmd_chaos(cfg: RunConfig) -> int:
     rows = []
     for query, oracle in zip(queries, oracles):
         if cfg.method == "bm":
+            from .brownian import tn_bm_oracle
             est = tn_bm_oracle(cfg.d, cfg.alpha, query.n, cfg.samples,
                                cfg.time_step, cfg.seed, threads=cfg.threads)
         elif cfg.t is None:

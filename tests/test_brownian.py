@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from andersonlyap.brownian import (MAX_REFINE_DEPTH, PATH_CHUNK, TAU_CLIP,
-                                  tn_bm_oracle)
-from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc
+from andersonlyap.brownian import (_CAP_NODES, KUMMER_SWITCH,
+                                   MAX_REFINE_DEPTH, MEAN_TABLE_CELLS,
+                                   PATH_CHUNK, TAU_CLIP, _bridge_mean,
+                                   _cap_score, _kummer_neg, _mean_table,
+                                   _retired_score, tn_bm_oracle)
+from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc, t1_exact
 from andersonlyap.errors import ParameterError
 from andersonlyap.mc import chunk_generator
 from andersonlyap.spectral import EquationKind, KernelSpec
@@ -15,6 +18,8 @@ from andersonlyap.spectral import EquationKind, KernelSpec
 SQRT_PI = 1.77245385090551602729816748334
 # scalar rows in d = 1, (rows, d) blocks above
 ROW_LAYOUTS = [(1, 0.5), (2, 0.8), (3, 1.2)]
+# every row layout plus the largest alpha the oracle is checked at
+MEAN_CASES = ROW_LAYOUTS + [(3, 1.5)]
 
 
 def combined_sigma(a, b):
@@ -56,14 +61,14 @@ class TestPathOracle:
             assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     @pytest.mark.parametrize("d,alpha,n,mean,std_error", [
-        (1, 0.5, 1, 1.7748304594551134, 0.08709614072582249),
-        (1, 0.5, 2, 3.03338506672481, 0.3765970361902483),
-        (2, 0.8, 1, 1.288468841623229, 0.05050654495357852),
-        (3, 1.2, 1, 1.168574280011085, 0.03803659346720182),
+        (1, 0.5, 1, 1.7770842659318926, 0.08695738503249498),
+        (1, 0.5, 2, 3.049255362607185, 0.38011720993117487),
+        (2, 0.8, 1, 1.2912190044835055, 0.05073888304353612),
+        (3, 1.2, 1, 1.1696380690127415, 0.03806249639167305),
     ])
     def test_pinned_draws(self, d, alpha, n, mean, std_error):
         # any change to the draw order or the refinement rule moves these
-        # by about 1e-2; the tolerance covers SIMD pow on other CPUs
+        # by about 1e-3 to 1e-2; the tolerance covers SIMD pow on other CPUs
         est = tn_bm_oracle(d, alpha, n, 300, 2e-3, 7)
         assert est.mean == pytest.approx(mean, rel=1e-12)
         assert est.std_error == pytest.approx(std_error, rel=1e-12)
@@ -105,3 +110,150 @@ class TestPathOracle:
     def test_parameter_errors(self, d, alpha, n, dt):
         with pytest.raises(ParameterError):
             tn_bm_oracle(d, alpha, n, 100, dt, 0)
+
+    def test_t1_no_cap_bias_at_large_alpha(self):
+        # at d = 3, alpha = 1.5 scoring the cap-depth rows by their
+        # midpoint read T_1 3.4 % low at this seed (z = -9.7); the bridge
+        # integral at the cap removes that bias
+        kernel = KernelSpec("riesz", d=3, alpha=1.5)
+        est = tn_bm_oracle(3, 1.5, 1, 20_000, 2e-3, 21, threads=2)
+        assert abs(est.z_score(t1_exact(kernel))) < 3.0
+
+
+def g0(d, alpha):
+    """E|Z|^(-alpha) for Z standard normal in d dimensions."""
+    return 2.0 ** (-alpha / 2) * math.gamma((d - alpha) / 2) / math.gamma(d / 2)
+
+
+def gauss_mean(d, alpha, y):
+    """G(y) = E|Z + y e|^(-alpha) from the table, e along the first axis."""
+    c = np.zeros((len(y), d)) if d > 1 else np.zeros(len(y))
+    c.reshape(len(y), -1)[:, 0] = y
+    return _bridge_mean(_mean_table(d, alpha), alpha, c, np.ones(len(y)))
+
+
+def gauss_mean_direct(d, alpha, y2):
+    """G from Kummer's function at |y|^2 = y2, with no table."""
+    return g0(d, alpha) * _kummer_neg(alpha / 2, d / 2, 0.5 * y2)
+
+
+class TestConditionalMean:
+    """E|N(c, var I_d)|^(-alpha), the score of a retired interval."""
+
+    @pytest.mark.parametrize("d,alpha", MEAN_CASES)
+    def test_kummer_against_mpmath(self, d, alpha):
+        mp = pytest.importorskip("mpmath")
+        # both sides of the switch between the two series
+        z = np.array([0.0, 1e-9, 0.3, 7.0, 31.0, 49.99, KUMMER_SWITCH,
+                      np.nextafter(KUMMER_SWITCH, np.inf), 50.01, 64.0,
+                      1e3, 1e7, 1e300])
+        got = _kummer_neg(alpha / 2, d / 2, z)
+        with mp.workdps(40):
+            want = [float(mp.hyp1f1(alpha / 2, d / 2, -mp.mpf(x)))
+                    for x in z]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("d,alpha", MEAN_CASES)
+    def test_table_nodes_and_far_end(self, d, alpha):
+        values, slopes = _mean_table(d, alpha)
+        assert values.shape == slopes.shape == (MEAN_TABLE_CELLS + 1,)
+        assert np.all(np.isfinite(values)) and np.all(values > 0)
+        # the last node is the s -> 1 limit; s = 1 itself reads it
+        assert values[-1] == 1.0 and slopes[-1] == 0.0
+        s = np.arange(MEAN_TABLE_CELLS) / MEAN_TABLE_CELLS
+        y2 = s / (1.0 - s)
+        np.testing.assert_allclose(
+            values[:-1], gauss_mean_direct(d, alpha, y2) * (1 + y2)
+            ** (alpha / 2), rtol=1e-13)
+        # |c|^2 = 1e300 puts s at 1.0 exactly
+        got = gauss_mean(d, alpha, np.array([1e150, 1e200 ** 0.5]))
+        np.testing.assert_allclose(got, [1e-150 ** alpha, 1e-100 ** alpha],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("d,alpha", MEAN_CASES)
+    def test_interpolation_off_grid(self, d, alpha):
+        # cell midpoints, where linear interpolation errs most, and
+        # random points; the error is h^2 / 8 |H''| with h = 2^-13, at
+        # most 2.8e-8 relative (d = 1, alpha = 1/2, s near 0.92)
+        rng = np.random.default_rng(3)
+        s = np.concatenate([
+            (np.arange(MEAN_TABLE_CELLS) + 0.5) / MEAN_TABLE_CELLS,
+            rng.uniform(0.0, 1.0, 5000),
+        ])
+        y2 = s / (1.0 - s)
+        np.testing.assert_allclose(gauss_mean(d, alpha, np.sqrt(y2)),
+                                   gauss_mean_direct(d, alpha, y2),
+                                   rtol=4e-8)
+
+    @pytest.mark.parametrize("d,alpha", MEAN_CASES)
+    def test_limits(self, d, alpha):
+        assert gauss_mean(d, alpha, np.zeros(1))[0] == pytest.approx(
+            g0(d, alpha), rel=1e-15)
+        # y^alpha G(y) -> 1, from the table and from the series
+        y = np.array([1e4, 1e8, 1e100])
+        np.testing.assert_allclose(y ** alpha * gauss_mean(d, alpha, y), 1.0,
+                                   rtol=1e-8)
+        np.testing.assert_allclose(
+            y ** alpha * gauss_mean_direct(d, alpha, y * y), 1.0, rtol=1e-8)
+
+    @pytest.mark.parametrize("d,alpha", MEAN_CASES)
+    def test_gaussian_mean_by_quadrature(self, d, alpha):
+        # the Kummer closed form against the radial law of |Z + y e|
+        from scipy.integrate import quad
+        from scipy.special import i0e
+
+        def density(r, y):  # of |Z + y e|, with r^(d-1) included
+            if d == 1:
+                return (math.exp(-0.5 * (r - y) ** 2)
+                        + math.exp(-0.5 * (r + y) ** 2)) / math.sqrt(2 * math.pi)
+            if d == 2:
+                return r * math.exp(-0.5 * (r - y) ** 2) * i0e(r * y)
+            return (r / y) * (math.exp(-0.5 * (r - y) ** 2)
+                              - math.exp(-0.5 * (r + y) ** 2)) / math.sqrt(
+                                  2 * math.pi)
+
+        def mean(y):
+            # the r^(-alpha) end and the bulk near r = y apart
+            return sum(quad(lambda r: r ** -alpha * density(r, y), lo, hi,
+                            epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                       for lo, hi in ((0.0, 0.5), (0.5, y + 0.5),
+                                      (y + 0.5, np.inf)))
+
+        ys = np.array([0.3, 1.0, 2.5, 6.0])
+        want = [mean(y) for y in ys]
+        np.testing.assert_allclose(gauss_mean_direct(d, alpha, ys * ys), want,
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("d,alpha", MEAN_CASES)
+    def test_scores_are_bounded(self, d, alpha):
+        # the score of a retired row peaks at c = 0, at L (L/2)^(-alpha/2)
+        # G(0), and a cap row's at both ends on the origin, K times that;
+        # so no score passes a constant times L^(1 - alpha/2) and every
+        # moment of zeta is finite
+        table = _mean_table(d, alpha)
+        rng = np.random.default_rng(11)
+        m = 20_000
+        L = 2e-3 * 0.5 ** rng.integers(0, MAX_REFINE_DEPTH + 1, m)
+        # ends within a few sqrt(L) of the origin, some exactly on it
+        shape = (m, d) if d > 1 else (m,)
+        scale = np.sqrt(L)[:, None] if d > 1 else np.sqrt(L)
+        left = rng.normal(0.0, 1.0, shape) * scale * rng.uniform(0, 4, scale.shape)
+        right = left + rng.normal(0.0, 1.0, shape) * scale * np.sqrt(2.0)
+        left[:100] = 0.0
+        right[:100] = 0.0
+        right[100:200] = -left[100:200]
+        peak = L * (L / 2) ** (-alpha / 2) * g0(d, alpha)
+        K = sum(2 * weight * (2 * var) ** (-alpha / 2)
+                for _, var, weight in _CAP_NODES)
+        # rounding of the products only
+        retired = _retired_score(table, alpha, left, right, L)
+        assert np.all(retired <= peak * (1 + 1e-14))
+        np.testing.assert_allclose(retired[:100], peak[:100], rtol=1e-14)
+        cap = _cap_score(table, alpha, left, right, L)
+        assert np.all(cap <= K * peak * (1 + 1e-14))
+        np.testing.assert_allclose(cap[:100], K * peak[:100], rtol=1e-14)
+        # the graded rule integrates the endpoint singularity of
+        # (s (L - s))^(-alpha/2): K is 4^(-alpha/2) B(1 - alpha/2, 1 - alpha/2)
+        a = alpha / 2
+        exact = 4 ** -a * math.gamma(1 - a) ** 2 / math.gamma(2 - 2 * a)
+        assert K == pytest.approx(exact, rel=5e-3)

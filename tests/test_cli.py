@@ -685,6 +685,31 @@ def test_closed_form_commands_skip_scipy():
     assert scipy_modules == "[]"
 
 
+_BM_IMPORT_SCRIPT = """
+import contextlib, io, sys
+from andersonlyap.cli import main
+loaded = []
+for argv in (["chaos", "--family", "white", "--eq", "heat", "--samples",
+              "2000"],
+             ["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+              "--method", "bm", "--samples", "200"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--format", "json"]) == 0
+    loaded.append("andersonlyap.brownian" in sys.modules)
+print(loaded)
+"""
+
+
+def test_chaos_loads_the_path_oracle_only_for_bm():
+    src = os.path.dirname(os.path.dirname(andersonlyap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("ANDERSON_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", _BM_IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, True]"
+
+
 def test_every_lazy_export_resolves():
     # the table is read only on first use, so a stale name would fail
     # nowhere else
