@@ -24,16 +24,13 @@ def main():
     parser.add_argument("--d", type=int, default=1)
     parser.add_argument("--alphas", type=float, nargs="+",
                         default=[0.3, 0.5, 0.7, 0.9])
-    parser.add_argument("--grid-radius", type=float, default=50.0)
-    parser.add_argument("--grid-points", type=int, default=None)
     parser.add_argument("--format", choices=["table", "csv"],
                         default="table")
     args = parser.parse_args()
 
     rows = []
     for alpha in args.alphas:
-        est = rho_eigen(args.d, alpha, R=args.grid_radius,
-                        m=args.grid_points)
+        est = rho_eigen(args.d, alpha)
         kernel = KernelSpec("riesz", d=args.d, alpha=alpha)
         wave = lambda2_closed_form(EquationKind("wave"), kernel,
                                    rho=est.value)

@@ -4,7 +4,8 @@
 For each order n the exponential-time heat moment T_n is estimated by
 the spectral Monte Carlo (``log_rate_tn``, which also gives the rate
 (1/n) log T_n) and by the Brownian-path oracle; the rate sequence is
-compared against log(rho) from the eigensolver.
+compared against log(rho) from the eigensolver, printed with its
+Richardson gap and the tolerance that gap should meet.
 
     python3 scripts/moment_crosscheck.py --alpha 0.5 --n-max 4
 """
@@ -44,10 +45,12 @@ def main():
             "rate": rate,
         })
     est = rho_eigen(args.d, args.alpha)
+    gap, refine_tol = est.params["richardson_gap"], est.params["refine_tol"]
     sys.stdout.write(table_render(rows, title="exponential-time moments"))
     sys.stdout.write(
         f"\nlog(rho) = {math.log(est.value):.6f}   "
-        f"(rho = {est.value:.6f}, grid {est.grid_points} points)\n"
+        f"(rho = {est.value:.6f}, grid {est.grid_points} points, "
+        f"richardson_gap {gap:.3e}, refine_tol {refine_tol:.3e})\n"
     )
 
 

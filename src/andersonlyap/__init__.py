@@ -17,11 +17,9 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("FunctionalValues", "LyapunovReport", "at_growth",
-                     "beta0_power_law", "functionals_from_rho",
-                     "lambda2_closed_form", "mittag_leffler",
-                     "remark14_residual", "scaling_exponent",
-                     "wave_heat_factor"), "asymptotics"),
+    **dict.fromkeys(("LyapunovReport", "at_growth", "lambda2_closed_form",
+                     "mittag_leffler", "remark14_residual",
+                     "scaling_exponent", "wave_heat_factor"), "asymptotics"),
     "tn_bm_oracle": "brownian",
     **dict.fromkeys(("ChaosQuery", "exact_moment", "jn_exp_time_mc",
                      "jn_fixed_time", "log_rate_tn", "t1_exact"), "chaos"),

@@ -17,16 +17,16 @@ the variational-functional route and (wave) the fixed point are all
 computed in log space, exponentiating only the reported values, and
 their agreement reported; the gap is algebraic, so it measures only
 rounding, never model error.  E_a, too, is evaluated from log x.  The
-chaos time-scaling law and the rho -> functional-value power laws live
-here too, and nothing here imports numpy: the closed-form commands
-load only this layer.
+chaos time-scaling law and the rho -> functional-value power laws (in
+log space, read only by the report) live here too, and nothing here
+imports numpy: the closed-form commands load only this layer.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConvergenceError, ParameterError
@@ -37,12 +37,9 @@ __all__ = [
     "mittag_leffler",
     "log_mittag_leffler",
     "at_growth",
-    "beta0_power_law",
     "lambda2_closed_form",
     "scaling_exponent",
     "wave_heat_factor",
-    "FunctionalValues",
-    "functionals_from_rho",
     "remark14_residual",
 ]
 
@@ -145,59 +142,24 @@ def at_growth(a: float, c: float, t: float) -> float:
 # ----------------------------------------------------------------------
 
 def _log_beta0(log_c: float, p: float) -> float:
-    """log of the root (4c)^(1/(p+2)) of 4 c beta^(-p) = beta^2."""
+    """log of the root (4c)^(1/(p+2)) of 4 c beta^(-p) = beta^2; Riesz
+    coupling has c = 2^(-p) e2 with p = 2/(2-alpha)."""
     return (math.log(4.0) + log_c) / (p + 2.0)
-
-
-def beta0_power_law(c: float, p: float) -> float:
-    """Closed-form root of 4 c beta^(-p) = beta^2: (4c)^(1/(p+2)).
-
-    Riesz coupling gives lambda(beta) = (2 beta)^(-p) e2, p = 2/(2-alpha),
-    so c = 2^(-p) e2."""
-    if c <= 0.0 or p < 0.0:
-        raise ParameterError("need c > 0 and p >= 0")
-    return math.exp(_log_beta0(math.log(c), p))
 
 
 # ----------------------------------------------------------------------
 # functional algebra
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionalValues:
-    """The three Riesz variational functionals derived from rho.
-
-    e_a1 is the unit-coupling functional, e the half-coupling one
-    (e = 2^(-alpha/(alpha-2)) * e_a1) and e2 the doubled-variable one
-    (e2 = 2^(-alpha/(2-alpha)) * e).
-    """
-
-    e_a1: float
-    e: float
-    e2: float
-    alpha: float
-
-
 def _log_functionals(alpha: float, rho: float) -> tuple:
-    """(log e_a1, log e, log e2): finite even where the values are not."""
+    """(log e_a1, log e, log e2), finite even where the values are not:
+    e_a1 = rho^(2/(2-alpha)) (unit coupling), e = 2^(-alpha/(alpha-2)) e_a1
+    (half coupling) and e2 = 2^(-alpha/(2-alpha)) e (doubled variable)."""
     log2 = math.log(2.0)
     log_e_a1 = 2.0 * math.log(rho) / (2.0 - alpha)
     log_e = log_e_a1 - alpha / (alpha - 2.0) * log2
     log_e2 = log_e - alpha / (2.0 - alpha) * log2
     return log_e_a1, log_e, log_e2
-
-
-def functionals_from_rho(alpha: float, rho: float) -> FunctionalValues:
-    """Exact power-law conversion rho -> functional values."""
-    require_admissible(alpha)
-    if not 0.0 < rho < math.inf:
-        raise ParameterError(f"rho must be positive and finite, got {rho}")
-    logs = _log_functionals(alpha, rho)
-    if not all(abs(v) <= _LOG_DOUBLE_MAX for v in logs):
-        raise ParameterError(f"rho={rho!r} at alpha={alpha!r} puts the "
-                             "functional values outside the double range")
-    e_a1, e, e2 = (math.exp(v) for v in logs)
-    return FunctionalValues(e_a1=e_a1, e=e, e2=e2, alpha=alpha)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +205,7 @@ class LyapunovReport:
     lambda2_thm1: Optional[float] = None
     beta0: Optional[float] = None
     consistency_gap: Optional[float] = None
-    extra: dict = field(default_factory=dict)
+    e_gamma: Optional[float] = None  # the fractional family's input
 
     def to_dict(self) -> dict:
         out = {
@@ -262,7 +224,8 @@ class LyapunovReport:
             "beta0": self.beta0,
             "consistency_gap": self.consistency_gap,
         }
-        out.update(self.extra)
+        if self.e_gamma is not None:
+            out["e_gamma"] = self.e_gamma
         return out
 
 
@@ -332,9 +295,6 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
         lam1 = math.exp(log_lam1)
         gap = abs(math.expm1(min(logs) - max(logs)))  # max |x-y| / max(x, y)
 
-    extra = {}
-    if kernel.family == "fractional":
-        extra["e_gamma"] = e_gamma
     return LyapunovReport(
         eq=eq,
         kernel=kernel,
@@ -345,7 +305,7 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
         lambda2_thm1=lam1,
         beta0=beta0,
         consistency_gap=gap,
-        extra=extra,
+        e_gamma=e_gamma if kernel.family == "fractional" else None,
     )
 
 

@@ -49,7 +49,8 @@ CONFIG_ENV = "ANDERSON_CONFIG"
 @dataclass
 class RunConfig:
     """Resolved run configuration (flags over config file over defaults);
-    a solver setting left None takes ``rho_eigen``'s default."""
+    a solver setting left None takes ``rho_eigen``'s default.  The grid
+    (radius and points) is the solver's own and not a setting."""
 
     command: str = "lyapunov"
     family: str = "white"
@@ -62,8 +63,6 @@ class RunConfig:
     t: Optional[float] = None
     samples: int = 1_000_000
     seed: int = 0
-    grid_radius: Optional[float] = None
-    grid_points: Optional[int] = None
     tol: Optional[float] = None
     rho: Optional[float] = None
     e_gamma: Optional[float] = None
@@ -129,7 +128,7 @@ def load_config_file(path: str) -> dict:
 # The RunConfig settings each subcommand reads: its flags, besides
 # --format and --out.  A config file may set any of them for any command.
 _MODEL = ("family", "d", "alpha", "H", "eq", "beta_l")
-_SOLVER = ("grid_radius", "grid_points", "tol", "max_iters")
+_SOLVER = ("tol", "max_iters")
 _COMMAND_KEYS = {
     "lyapunov": _MODEL + _SOLVER + ("rho", "e_gamma"),
     "chaos": _MODEL + ("n", "t", "samples", "seed", "threads", "method",
@@ -243,12 +242,11 @@ def _emit(cfg: RunConfig, payload, rows=None, title=""):
 
 def _solve_rho(cfg: RunConfig, kernel: KernelSpec):
     """The eigensolver's RhoEstimate for a checked Riesz or white kernel
-    at the configured grid; a Richardson pair that still disagrees after
+    on the solver's own grid; a Richardson pair that still disagrees after
     the last refinement is a convergence error."""
     from .variational import rho_eigen
 
-    solver = {"R": cfg.grid_radius, "m": cfg.grid_points, "tol": cfg.tol,
-              "max_iters": cfg.max_iters}
+    solver = {"tol": cfg.tol, "max_iters": cfg.max_iters}
     est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l,
                     **{k: v for k, v in solver.items() if v is not None},
                     profile="flat" if kernel.family == "white" else "riesz")

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, precedence, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import importlib
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import andersonlyap
 import andersonlyap.verify
 from andersonlyap import mc
-from andersonlyap.asymptotics import functionals_from_rho
+from andersonlyap.asymptotics import _log_functionals
 from andersonlyap.cli import (
     EXIT_CONVERGENCE,
     EXIT_PARAMETER,
@@ -54,7 +55,7 @@ class TestLyapunovCommand:
     def test_riesz_runs_eigensolver(self, capsys):
         code, out, _ = run_cli(capsys, "lyapunov", "--family", "riesz",
                                "--d", "1", "--alpha", "0.5", "--eq", "heat",
-                               "--grid-points", "1024", "--format", "json")
+                               "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data["consistency_gap"] < 1e-10
@@ -140,28 +141,38 @@ class TestExitCodes:
          "beta_l must lie in (0, 2], got 5.0"),
         (["--family", "white", "--beta-l", "7"],
          "beta_l must lie in (0, 2], got 7.0"),
-        (["--family", "riesz", "--d", "1", "--alpha", "0.5",
-          "--grid-radius", "nan"], "R=nan"),
-        (["--family", "riesz", "--d", "1", "--alpha", "0.5",
-          "--grid-radius", "inf"], "R=inf"),
-        *[(["--family", "riesz", "--d", d, "--alpha", "0.5",
-            "--grid-radius", "1e300"], "R=1e+300") for d in "123"],
         (["--family", "riesz", "--d", "1", "--alpha", "0.5", "--tol", "nan"],
          "tol=nan"),
         (["--family", "riesz", "--d", "1", "--alpha", "0.5",
           "--max-iters", "0"], "max_iters=0"),
-    ], ids=["riesz-beta-l-5", "white-beta-l-7", "grid-radius-nan",
-            "grid-radius-inf", "grid-radius-1e300-d1", "grid-radius-1e300-d2",
-            "grid-radius-1e300-d3", "tol-nan", "max-iters-0"])
+    ], ids=["riesz-beta-l-5", "white-beta-l-7", "tol-nan", "max-iters-0"])
     def test_rho_rejects_inputs_outside_the_model(self, capsys, argv, named):
         code, out, err = run_cli(capsys, "rho", *argv)
         assert code == EXIT_PARAMETER
         assert out == ""
         assert named in err
 
+    @pytest.mark.parametrize("flag, value", [("--grid-radius", "50"),
+                                             ("--grid-points", "64")])
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
+        ["rho", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
+        ["chaos", "--family", "white"],
+        ["verify"],
+        ["ml", "--a", "1", "--x", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_grid_flags_are_retired(self, capsys, argv, flag, value):
+        # the grid is the solver's own: no subcommand takes it as a flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == EXIT_PARAMETER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
     def test_convergence_error(self, capsys):
         code, _, err = run_cli(capsys, "rho", "--family", "riesz", "--d", "1",
-                               "--alpha", "0.5", "--grid-points", "256",
+                               "--alpha", "0.5",
                                "--tol", "1e-15", "--max-iters", "3")
         assert code == EXIT_CONVERGENCE
         assert "residual" in err
@@ -209,10 +220,13 @@ class TestExitCodes:
         assert f"alpha={float(alpha)!r} is too close to 0" in err
 
     def test_unconverged_rho_grid(self, capsys):
-        code, _, err = run_cli(capsys, "rho", "--family", "riesz", "--d", "1",
-                               "--alpha", "0.5", "--grid-points", "1")
+        # the default grid refines to 4800 points and still misses
+        code, out, err = run_cli(capsys, "rho", "--family", "riesz", "--d",
+                                 "3", "--alpha", "0.5")
         assert code == EXIT_CONVERGENCE
-        assert "richardson_gap" in err and "refine_tol 1.000e-03" in err
+        assert out == ""
+        assert ("stopped at 4800 points with richardson_gap 2.169e-03 above "
+                "refine_tol 1.000e-03") in err
 
     @pytest.mark.parametrize("step", ["1e-300", "1e-17"])
     def test_bm_time_step_below_floor(self, capsys, step):
@@ -233,7 +247,7 @@ class TestExitCodes:
     def test_verify_injection_fails(self, capsys, monkeypatch):
         def wrong_residual(a, r):
             # the remark-14 identity with a wrong denominator exponent
-            e = functionals_from_rho(a, r).e
+            e = math.exp(_log_functionals(a, r)[1])
             lhs = (2.0 ** (1.0 - a) * r) ** (1.0 / (3.0 - a))
             rhs = 2.0 ** ((2.0 - 3.0 * a) / (6.0 - 3.0 * a)) * e ** (
                 (2.0 - a) / (6.0 - 2.0 * a)
@@ -416,6 +430,17 @@ class TestConfigPrecedence:
         assert out == ""
         assert f"{cfg}:2: unknown key 'command'" in err
 
+    @pytest.mark.parametrize("key", ["grid_radius", "grid_points"])
+    @pytest.mark.parametrize("command", ["lyapunov", "rho"])
+    def test_retired_grid_key_rejected(self, capsys, tmp_path, monkeypatch,
+                                       key, command):
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text(f"family = white\n{key} = 64\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, command)
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert f"{cfg}:2: unknown key {key!r}" in err
+
     def test_bad_value_names_line_and_key(self, capsys, tmp_path,
                                           monkeypatch):
         cfg = tmp_path / "anderson.cfg"
@@ -452,7 +477,7 @@ class TestFlagTable:
         options = [opt for p in sub.choices.values() for a in p._actions
                    for opt in a.option_strings
                    if opt.startswith("--") and opt != "--help"]
-        assert len(options) == 49
+        assert len(options) == 45
 
     @pytest.mark.parametrize("argv", [
         ["lyapunov", "--family", "white", "--samples", "5"],
@@ -472,7 +497,7 @@ class TestFlagTable:
         (["lyapunov", "--family", "white", "--d", "3", "--alpha", "1.7",
           "--H", "0.1"], "--d"),
         (["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5",
-          "--rho", "1.0", "--grid-points", "7"], "--grid-points"),
+          "--rho", "1.0", "--tol", "1e-9"], "--tol"),
         (["lyapunov", "--family", "white", "--tol", "1e-9"], "--tol"),
         (["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5",
           "--e-gamma", "1.0"], "--e-gamma"),
@@ -496,7 +521,7 @@ class TestFlagTable:
     def test_config_keys_the_family_does_not_read_stay_accepted(
             self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "anderson.cfg"
-        cfg.write_text("d = 3\nalpha = 1.7\nH = 0.1\ngrid_points = 7\n"
+        cfg.write_text("d = 3\nalpha = 1.7\nH = 0.1\ntol = 1e-9\n"
                        "time_step = 0.01\n")
         monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
         code, out, _ = run_cli(capsys, "lyapunov", "--family", "white",
@@ -718,6 +743,30 @@ def test_every_lazy_export_resolves():
     for name, module in andersonlyap._EXPORTS.items():
         assert name in importlib.import_module(
             f"andersonlyap.{module}").__all__, name
+
+
+def test_every_public_name_has_a_caller():
+    # a name in _EXPORTS or a module's __all__ that no module (bar the
+    # lazy-export table) and no script reads gets a caller or is deleted
+    pkg = os.path.dirname(andersonlyap.__file__)
+    scripts = os.path.join(os.path.dirname(os.path.dirname(pkg)), "scripts")
+    paths = [os.path.join(folder, name) for folder in (pkg, scripts)
+             for name in sorted(os.listdir(folder))
+             if name.endswith(".py") and name != "__init__.py"]
+    public, read = set(andersonlyap._EXPORTS), set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                public.update(ast.literal_eval(node.value))
+    assert len(paths) > 12
+    assert sorted(public - read) == []
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from andersonlyap.asymptotics import (
-    functionals_from_rho,
     lambda2_closed_form,
     remark14_residual,
     scaling_exponent,
@@ -143,8 +142,6 @@ ENTRY_POINTS = {
     "lambda2_closed_form": (lambda d, a, b: lambda2_closed_form(
         EquationKind("wave", b), KernelSpec("riesz", d=d, alpha=a), rho=1.0),
         _ALL),
-    "functionals_from_rho": (lambda d, a, b: functionals_from_rho(a, 1.0),
-                             ("alpha", "dalang")),
     "remark14_residual": (lambda d, a, b: remark14_residual(a, 1.0),
                           ("alpha", "dalang")),
     "rho_eigen": (lambda d, a, b: rho_eigen(d, a, b, m=16), _ALL),

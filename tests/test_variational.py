@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from andersonlyap import variational
-from andersonlyap.asymptotics import functionals_from_rho, remark14_residual
+from andersonlyap.asymptotics import _log_functionals, remark14_residual
 from andersonlyap.cli import main
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.spectral import riesz_constant
@@ -150,6 +150,16 @@ class TestRieszSolver:
             rho_eigen(1, 1.5)
         with pytest.raises(ParameterError):
             rho_eigen(2, 1.0, beta_l=0.9)
+
+    @pytest.mark.parametrize("d, R, named", [
+        (1, math.nan, "R=nan"), (1, math.inf, "R=inf"),
+        *[(d, 1e300, "R=1e+300") for d in (1, 2, 3)],
+    ], ids=["nan", "inf", "1e300-d1", "1e300-d2", "1e300-d3"])
+    def test_rejects_radius_outside_the_model(self, d, R, named):
+        # R is a library argument only: the CLI solves on its own grid
+        with pytest.raises(ParameterError) as err:
+            rho_eigen(d, 0.5, R=R)
+        assert named in str(err.value)
 
     def test_non_convergence(self):
         with pytest.raises(ConvergenceError) as err:
@@ -346,26 +356,31 @@ class TestAngularProfile2D:
         assert prof.g_at_1 == pytest.approx(float(limit), rel=1e-14)
 
 
+def functionals(alpha, rho):
+    """(e_a1, e, e2) from their log-space home."""
+    return [math.exp(v) for v in _log_functionals(alpha, rho)]
+
+
 class TestFunctionalAlgebra:
     def test_reference_point(self):
-        fv = functionals_from_rho(1.0, 0.5)
-        assert fv.e_a1 == pytest.approx(0.25, rel=1e-14)
-        assert fv.e == pytest.approx(0.5, rel=1e-14)
-        assert fv.e2 == pytest.approx(0.25, rel=1e-14)
+        e_a1, e, e2 = functionals(1.0, 0.5)
+        assert e_a1 == pytest.approx(0.25, rel=1e-14)
+        assert e == pytest.approx(0.5, rel=1e-14)
+        assert e2 == pytest.approx(0.25, rel=1e-14)
 
     @given(st.floats(0.05, 1.95))
     def test_unit_fixed_point(self, alpha):
-        assert functionals_from_rho(alpha, 1.0).e_a1 == pytest.approx(1.0)
+        assert functionals(alpha, 1.0)[0] == pytest.approx(1.0)
 
     @given(st.floats(0.05, 1.95), st.floats(-3, 3))
     @settings(max_examples=60)
     def test_internal_identities(self, alpha, logr):
-        fv = functionals_from_rho(alpha, 10.0 ** logr)
-        assert fv.e == pytest.approx(
-            2.0 ** (-alpha / (alpha - 2.0)) * fv.e_a1, rel=1e-12
+        e_a1, e, e2 = functionals(alpha, 10.0 ** logr)
+        assert e == pytest.approx(
+            2.0 ** (-alpha / (alpha - 2.0)) * e_a1, rel=1e-12
         )
-        assert fv.e2 == pytest.approx(
-            2.0 ** (-alpha / (2.0 - alpha)) * fv.e, rel=1e-12
+        assert e2 == pytest.approx(
+            2.0 ** (-alpha / (2.0 - alpha)) * e, rel=1e-12
         )
 
 
