@@ -17,7 +17,10 @@ singularity are resolved at step/16.  The midpoint does not enter that
 test: an interval kept only when its own midpoint lands far from the
 origin would bias zeta low.  Rows are scalars in d = 1.  Each depth
 draws midpoints for the split rows only and gathers their endpoints
-and midpoints straight into the arrays the next depth reads.
+and midpoints straight into the arrays the next depth reads.  The split
+test and the scores run on blocks of SCORE_BLOCK rows, whose
+temporaries stay in cache; every draw and each path's sum of its
+scores stay chunk-wide, so no bit depends on the block size.
 This path estimator shares zero machinery with the Fourier-side Monte
 Carlo, which is the point.
 
@@ -41,24 +44,29 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
-from .mc import MCEstimate, derive_seed, run_chunked
+from .errors import ConvergenceError, ParameterError
+from .mc import N_CONFIDENT, MCEstimate, derive_seed, run_chunked
 from .spectral import KernelSpec, require_admissible
 
 __all__ = ["tn_bm_oracle"]
 
 MAX_REFINE_DEPTH = 4
 MAX_TIME_STEP = 0.1
-# Finer steps lay out too many rows: a d = 1 chunk starts with about
-# 1.3e7 rows at this floor (1.6e7 at the 99th percentile of chunks), and
-# at about 73 bytes a row (129 in d = 3, both measured by tracemalloc)
-# the loop peaks near 0.95 GB per chunk in flight; far below it the step
-# counts overflow.
+# Finer steps lay out too many rows: a chunk starts with about 1.3e7
+# rows at this floor (1.6e7 at the 99th percentile of chunks), and at
+# about 42 bytes a row in d = 1 (88 in d = 3, both measured by
+# tracemalloc) the loop peaks near 0.55 GB per chunk in flight (1.1 GB
+# in d = 3); far below it the step counts overflow.
 MIN_TIME_STEP = 1e-5
 # Exponential horizons above this are clipped; the discarded mass is
 # exp(-40) ~ 4e-18, far below any achievable standard error.
 TAU_CLIP = 40.0
 PATH_CHUNK = 128
+# Rows split-tested and scored at a time.  A block's temporaries stay in
+# L2 and are reused from the heap, where chunk-wide ones were mapped and
+# unmapped afresh, a page fault a page.  Smaller blocks cost more numpy
+# calls, each of which hands the GIL between the workers of a chunked run.
+SCORE_BLOCK = 16384
 # Refine any substep of length L with an endpoint within
 # REFINE_MULT * sqrt(L) of the origin.  The bridged midpoint carries
 # noise of std sqrt(L/2), so a unit multiple leaves a percent-level
@@ -135,11 +143,26 @@ def _mean_table(d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return values, slopes
 
 
-def _norms(x, out=None):
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Bit for bit np.einsum("ij,ij->i", x, x) of an (n, d) array.
+
+    einsum adds the squares of a row of 2 in order and of a row of 3 as
+    (x0^2 + x2^2) + x1^2; a column at a time that costs a third as much.
+    """
+    if x.shape[1] > 3:
+        return np.einsum("ij,ij->i", x, x)
+    total = np.square(x[:, 0])
+    sq = np.empty_like(total)
+    for j in (1,) if x.shape[1] == 2 else (2, 1):
+        total += np.square(x[:, j], out=sq)
+    return total
+
+
+def _norms(x):
     if x.ndim == 1:
-        return np.abs(x, out=out)
-    out = np.einsum("...i,...i->...", x, x, out=out)
-    return np.sqrt(out, out=out)
+        return np.abs(x)
+    r2 = _sq_norms(x)
+    return np.sqrt(r2, out=r2)
 
 
 def _bridge_mean(table, alpha: float, c: np.ndarray,
@@ -154,7 +177,7 @@ def _bridge_mean(table, alpha: float, c: np.ndarray,
     if c.ndim == 1:
         r2 = np.multiply(c, c, out=c)
     else:
-        r2 = np.einsum("ij,ij->i", c, c)
+        r2 = _sq_norms(c)
     total = r2 + var
     r2 *= MEAN_TABLE_CELLS
     r2 /= total
@@ -198,6 +221,24 @@ def _cap_score(table, alpha, left, right, L):
     return w
 
 
+def _depth_score(table, alpha, left, right, L):
+    """(score, split): rows with an endpoint within REFINE_MULT sqrt(L)
+    of the origin split and score 0, the rest retire by _retired_score."""
+    near = _norms(left)
+    np.minimum(near, _norms(right), out=near)
+    split = near < np.multiply(np.sqrt(L), REFINE_MULT)
+    # scoring every row costs less than gathering the retired ones
+    w = _retired_score(table, alpha, left, right, L)
+    w[split] = 0.0
+    return w, split
+
+
+def _blocks(n: int):
+    """Slices of SCORE_BLOCK rows covering range(n); each blocked pass
+    works row by row, so its bits do not depend on the block size."""
+    return (slice(lo, lo + SCORE_BLOCK) for lo in range(0, n, SCORE_BLOCK))
+
+
 def _gather_twice(x, idx):
     """x[idx] twice over: the children's copy of a per-row value.
 
@@ -235,25 +276,21 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     buf = np.multiply(L, 2.0)
     inc = rng.standard_normal(shape)
     inc *= np.sqrt(buf, out=buf)[row]
+    del buf
     right = np.cumsum(inc, axis=0)
     right -= np.repeat(right[first] - inc[first], n_steps, axis=0)
     left = np.subtract(right, inc, out=inc)
-    del inc, buf
+    del inc
 
     zeta = np.zeros(m)
     scored = []
     for _ in range(MAX_REFINE_DEPTH):
-        # split where an endpoint lies within REFINE_MULT sqrt(L) of 0
-        near = _norms(left)
-        buf = np.empty(L.shape)
-        np.minimum(near, _norms(right, out=buf), out=near)
-        split = near < np.multiply(np.sqrt(L, out=buf), REFINE_MULT, out=buf)
-        # each dead array goes before the next one is allocated
-        del near, buf
+        w = np.empty(L.shape)
+        split = np.empty(L.shape, bool)
+        for rows in _blocks(L.size):
+            w[rows], split[rows] = _depth_score(table, alpha, left[rows],
+                                                right[rows], L[rows])
         idx = np.flatnonzero(split)
-        # scoring every row costs less than gathering the retired ones
-        w = _retired_score(table, alpha, left, right, L)
-        w[split] = 0.0
         zeta += np.bincount(path, w, minlength=m)
         scored.append(L.size - idx.size)
         del split, w
@@ -275,8 +312,10 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         mid += 0.5 * (pts[:k] + pts[2 * k:])
         path = _gather_twice(path, idx)
         del idx
-    zeta += np.bincount(path, _cap_score(table, alpha, left, right, L),
-                        minlength=m)
+    w = np.empty(L.shape)
+    for rows in _blocks(L.size):
+        w[rows] = _cap_score(table, alpha, left[rows], right[rows], L[rows])
+    zeta += np.bincount(path, w, minlength=m)
     scored.append(L.size)
     return zeta, scored
 
@@ -313,6 +352,14 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
     subseed = derive_seed(seed, label)
     mean, se = run_chunked(draw, n_paths, subseed, threads=threads,
                            chunk_size=PATH_CHUNK)
+    if mean == 0.0:
+        raise ConvergenceError(
+            f"every path's zeta^{n} / {n}! underflows the double range, so "
+            f"the estimate of T_{n} reads 0; the paths sample too little of "
+            "the tail this moment lives in"
+        )
+    if n > N_CONFIDENT:
+        label += "|low-confidence"
     params = {
         "d": d,
         "alpha": alpha,

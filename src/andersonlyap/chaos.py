@@ -24,7 +24,7 @@ import numpy as np
 
 from .asymptotics import scaling_exponent, wave_heat_factor
 from .errors import ParameterError
-from .mc import MCEstimate, derive_seed, run_chunked
+from .mc import N_CONFIDENT, MCEstimate, derive_seed, run_chunked
 from .propagators import fourier_green_sq, laplace_green_sq
 from .spectral import EquationKind, KernelSpec, _sphere_area, require_admissible
 
@@ -44,10 +44,6 @@ __all__ = [
 R_CAP = 800.0
 R_FLOOR = 50.0
 DEFAULT_TAIL_FRAC = 1e-4
-
-# Past this chaos order the weight variance grows geometrically and the
-# estimate is labeled rather than refused.
-N_CONFIDENT = 6
 
 
 @dataclass(frozen=True)

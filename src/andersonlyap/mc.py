@@ -25,6 +25,9 @@ CHUNK_SIZE = 1 << 16
 # Ceiling on worker threads: every running worker holds a chunk's arrays,
 # and past the core count threads add memory, not speed.
 MAX_THREADS = 256
+# Past this moment order the weights' variance grows geometrically, and
+# every estimator labels its estimate rather than refusing it.
+N_CONFIDENT = 6
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,9 @@ def derive_seed(seed: int, label: str) -> int:
     Sub-streams depend only on (seed, label), so adding new targets
     never perturbs the draws of existing ones.
     """
+    # the seed keys the hash as 8 unsigned bytes
+    if not 0 <= seed < 1 << 64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
     key = int(seed).to_bytes(8, "little", signed=False)
     digest = hashlib.blake2b(label.encode("utf-8"), key=key, digest_size=8).digest()
     return int.from_bytes(digest, "little")

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from andersonlyap import brownian
 from andersonlyap.brownian import (_CAP_NODES, KUMMER_SWITCH,
                                    MAX_REFINE_DEPTH, MEAN_TABLE_CELLS,
-                                   PATH_CHUNK, TAU_CLIP, _bridge_mean,
-                                   _cap_score, _kummer_neg, _mean_table,
-                                   _retired_score, tn_bm_oracle)
+                                   PATH_CHUNK, SCORE_BLOCK, TAU_CLIP,
+                                   _bridge_mean, _cap_score, _kummer_neg,
+                                   _mean_table, _retired_score, _sq_norms,
+                                   _zeta_paths, tn_bm_oracle)
 from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc, t1_exact
-from andersonlyap.errors import ParameterError
-from andersonlyap.mc import chunk_generator
+from andersonlyap.errors import ConvergenceError, ParameterError
+from andersonlyap.mc import N_CONFIDENT, chunk_generator, derive_seed
 from andersonlyap.spectral import EquationKind, KernelSpec
 
 SQRT_PI = 1.77245385090551602729816748334
@@ -72,6 +74,46 @@ class TestPathOracle:
         est = tn_bm_oracle(d, alpha, n, 300, 2e-3, 7)
         assert est.mean == pytest.approx(mean, rel=1e-12)
         assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, PATH_CHUNK])
+    @pytest.mark.parametrize("d,alpha", ROW_LAYOUTS)
+    def test_bits_do_not_depend_on_the_block_size(self, monkeypatch, d,
+                                                  alpha, m):
+        # one block, the default, and ragged blocks of 7 rows: the
+        # per-path sums stay chunk-wide, so every bit must agree
+        table = _mean_table(d, alpha)
+        runs = []
+        for block in (1 << 40, SCORE_BLOCK, 7):
+            monkeypatch.setattr(brownian, "SCORE_BLOCK", block)
+            zeta, scored = _zeta_paths(chunk_generator(11, 0), m, d, alpha,
+                                       2e-3, table)
+            runs.append((zeta.tobytes(), scored))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sq_norms_are_einsums_bits(self, d):
+        # rows of squares spread over many binades, so that any other
+        # order of the additions rounds differently somewhere
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((100_000, d)) * rng.exponential(1.0, (
+            100_000, 1)) ** 4
+        assert np.array_equal(_sq_norms(x), np.einsum("ij,ij->i", x, x))
+
+    def test_low_confidence_label(self):
+        # labelled past N_CONFIDENT like the Fourier rows; the label
+        # suffix leaves the sub-seed, and so the draws, as they were
+        for n in (N_CONFIDENT, N_CONFIDENT + 1):
+            est = tn_bm_oracle(1, 0.5, n, 64, 0.1, 3)
+            label = f"tn_bm/d1_a0.5/n{n}/dt0.1"
+            assert est.params["subseed"] == derive_seed(3, label)
+            if n > N_CONFIDENT:
+                label += "|low-confidence"
+            assert est.target == label
+
+    def test_underflow_is_a_convergence_error(self):
+        # zeta^300 / 300! underflows to 0 on every path: no estimate
+        with pytest.raises(ConvergenceError, match="underflows"):
+            tn_bm_oracle(1, 0.5, 300, 100, 2e-3, 0)
 
     @pytest.mark.parametrize("d,alpha", ROW_LAYOUTS)
     def test_scored_per_depth(self, d, alpha):

@@ -237,6 +237,30 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER
         assert "time_step must lie in [1e-05, 0.1]" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "-5", str(2 ** 64)])
+    @pytest.mark.parametrize("argv", [
+        ("chaos", "--family", "white", "--eq", "heat", "--n", "1",
+         "--samples", "100"),
+        ("chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+         "--method", "bm", "--n", "1", "--samples", "100"),
+        ("verify",),
+    ])
+    def test_seed_outside_the_key_range(self, capsys, argv, seed):
+        code, out, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert f"seed must lie in [0, 2**64), got {seed}" in err
+
+    def test_bm_underflow_exits_3(self, capsys):
+        # every path's zeta^n / n! underflows long before n = 300
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "1", "--alpha", "0.5", "--method", "bm",
+                                 "--n", "300", "--samples", "100",
+                                 "--time-step", "0.1")
+        assert code == EXIT_CONVERGENCE
+        assert out == ""
+        assert "underflows the double range" in err
+
     def test_bm_method_rejects_fixed_time(self, capsys):
         code, _, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
                                "1", "--alpha", "0.5", "--method", "bm",
@@ -405,6 +429,16 @@ class TestConfigPrecedence:
         code, out, _ = run_cli(capsys, "lyapunov")
         assert code == 0
         assert json.loads(out)["lambda2"] == 0.25
+
+    def test_config_seed_outside_the_key_range(self, capsys, tmp_path,
+                                               monkeypatch):
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text("seed = -1\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, "verify")
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert "seed must lie in [0, 2**64), got -1" in err
 
     def test_flag_overrides_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "anderson.cfg"

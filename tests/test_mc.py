@@ -23,6 +23,16 @@ class TestDeriveSeed:
         assert a != derive_seed(43, "target/a")
         assert 0 <= a < 2 ** 64
 
+    def test_valid_seeds_keep_their_bits(self):
+        # the keyed hash of the 8 little-endian bytes of the seed
+        assert derive_seed(42, "target/a") == 12352733235450646003
+        assert derive_seed(2 ** 64 - 1, "target/a") == 8327097234911409285
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2 ** 64, 2 ** 70])
+    def test_rejects_seeds_outside_the_key_range(self, seed):
+        with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+            derive_seed(seed, "target/a")
+
 
 class TestRunChunked:
     def test_bitwise_reproducible(self):
