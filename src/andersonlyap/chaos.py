@@ -1,23 +1,28 @@
 """Chaos-expansion moments by importance-sampled Fourier integration.
 
-The n-th second-moment term J_n(t) and its exponential-time average
-E[J_n(tau)] are n*d-dimensional integrals of products of propagator
-factors evaluated at the partial sums eta_i = xi_1 + ... + xi_i against
-the spectral measure.  Sampling happens in the partial-sum coordinates:
-for Riesz kernels the increments eta_i - eta_{i-1} follow an isotropic
-proposal with radial density proportional to r^(alpha-1) / (1 + r^2)
-truncated to r <= R, matching both the spectral singularity at 0 and
-the Lorentzian decay of the Laplace-transformed propagators; for the
-flat white-noise density the eta_i decouple and are drawn directly.
-Any truncation bias is bounded in closed form, like the proposal's
-normalizer, and reported with each estimate: the module needs numpy only.
+The exponential-time average E[J_n(tau)] of the n-th second-moment term
+is an n*d-dimensional integral of products of Laplace-transformed
+propagator factors evaluated at the partial sums eta_i = xi_1 + ... +
+xi_i against the spectral measure.  Sampling happens in the partial-sum
+coordinates: for Riesz kernels the increments eta_i - eta_{i-1} follow
+an isotropic proposal with radial density proportional to
+r^(alpha-1) / (1 + r^2) truncated to r <= R, matching both the spectral
+singularity at 0 and the Lorentzian decay of the propagator factors;
+for the flat white-noise density the eta_i decouple and are drawn
+directly from the untruncated Cauchy law.  Any truncation bias is
+bounded in closed form, like the proposal's normalizer, and reported
+with each estimate: the module needs numpy only.
+
+A fixed-time term follows exactly from the same estimate: the scaling
+law J_n(t) = t^(a n) J_n(1), averaged over tau, gives J_n(t) =
+t^(a n) E[J_n(tau)] / Gamma(a n + 1), with a = ``scaling_exponent``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +30,7 @@ import numpy as np
 from .asymptotics import scaling_exponent, wave_heat_factor
 from .errors import ParameterError
 from .mc import N_CONFIDENT, MCEstimate, derive_seed, run_chunked
-from .propagators import fourier_green_sq, laplace_green_sq
+from .propagators import laplace_green_sq
 from .spectral import EquationKind, KernelSpec, _sphere_area, require_admissible
 
 __all__ = [
@@ -97,10 +102,7 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
 
     The exponential-time heat moment T_n is 2^-n for white noise and
     ``t1_exact`` at n = 1 for every family; the wave moment is T_n times
-    ``wave_heat_factor``.  A fixed-time target follows from the scaling
-    law J_n(t) = t^(a n) J_n(1) as J_n(t) = t^(a n) E[J_n(tau)] /
-    Gamma(a n + 1), with a = ``scaling_exponent``; where a factor of it
-    leaves the double range the identity is evaluated in log space.
+    ``wave_heat_factor``.  A fixed-time target follows by ``_at_time``.
     """
     eq, kernel, n = query.eq, query.kernel, query.n
     if n == 0:
@@ -113,9 +115,17 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
         return None
     if eq.is_wave:
         moment *= wave_heat_factor(n, kernel.alpha_eff, eq.beta_l)
-    if query.t is None:
-        return moment
-    an, t = scaling_exponent(eq, kernel.alpha_eff) * n, query.t
+    return moment if query.t is None else _at_time(query, moment)
+
+
+def _at_time(query: ChaosQuery, moment: float) -> float:
+    """J_n(t) = t^(a n) moment / Gamma(a n + 1) from the exponential-time
+    moment E[J_n(tau)], with a = ``scaling_exponent``: the scaling law
+    J_n(t) = t^(a n) J_n(1) averaged over tau.  Where a factor of it
+    leaves the double range the identity is evaluated in log space; a
+    value beyond that range is a parameter error."""
+    n, t = query.n, query.t
+    an = scaling_exponent(query.eq, query.kernel.alpha_eff) * n
     try:
         value = t ** an * moment / math.gamma(an + 1.0)
     except OverflowError:
@@ -141,11 +151,10 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
 # Short-row kernels
 # ----------------------------------------------------------------------
 
-# A chunk is m x n with m large and n small, and numpy's row-wise sum and
-# sort pay a call per row; below these lengths a pass per column is
-# cheaper and gives the same bits.  Past them numpy's own kernels run.
+# A chunk is m x n with m large and n small, and numpy's row-wise sum
+# pays a call per row; below this length a pass per column is cheaper
+# and gives the same bits.  Past it numpy's own kernel runs.
 _ROW_SUM_PLAIN_MAX = 7  # numpy sums a row of 8 or more pairwise
-_SORT_NETWORK_MAX = 6
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -163,34 +172,12 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sorted_columns(x: np.ndarray) -> list:
-    """The columns of ``np.sort(x, axis=1)``, as a list of 1-D arrays.
-
-    Short rows are sorted by an odd-even transposition network of
-    np.minimum/np.maximum over contiguous copies of the columns; sorting
-    is exact, so the values are those of the sort.  Longer rows are
-    sorted in place and returned as column views of ``x``."""
-    n = x.shape[1]
-    if n > _SORT_NETWORK_MAX:
-        x.sort(axis=1)
-        return list(x.T)
-    cols = list(x.T.copy())
-    spare = np.empty(x.shape[0])
-    for k in range(n):
-        for i in range(k % 2, n - 1, 2):
-            lo, hi = cols[i], cols[i + 1]
-            np.minimum(lo, hi, out=spare)
-            np.maximum(lo, hi, out=hi)
-            cols[i], spare = spare, lo
-    return cols
-
-
 # ----------------------------------------------------------------------
 # Spatial proposal
 # ----------------------------------------------------------------------
 
 class _SpatialSampler:
-    """Spectral proposal shared by the chaos estimators.
+    """Spectral proposal of the exponential-time chaos estimator.
 
     Sampling happens in the partial-sum coordinates eta_i.  For the
     Riesz family the integrand couples consecutive eta through the
@@ -202,11 +189,10 @@ class _SpatialSampler:
     a round draws need / ``accept_rate`` candidates and a small margin.
     Normalizer, ``accept_rate`` and ``tail_frac_bound`` are closed forms.
     For the flat white-noise density the integrand factorizes over the
-    eta_i themselves, so each eta_i is drawn independently from the same
-    Lorentzian-shaped proposal -- untruncated where the integrand factors
-    are themselves Lorentzian (exponential-time targets), which removes
-    the truncation bias entirely and makes the heat-side weights exactly
-    constant.
+    eta_i themselves, so each eta_i is drawn independently from the
+    untruncated Cauchy law, whose density is proportional to the
+    classical heat-side Laplace factor 1/(1 + eta^2): no truncation bias,
+    and exactly constant heat-side weights.
 
     ``sample`` returns (eta_norm, log_ratio) where log_ratio is the log
     of the product of mu-density / proposal-density factors.  A chunk is
@@ -215,8 +201,7 @@ class _SpatialSampler:
     bits as the plain array expressions.
     """
 
-    def __init__(self, kernel: KernelSpec, n: int, beta_l: float,
-                 prefer_untruncated: bool = False):
+    def __init__(self, kernel: KernelSpec, n: int, beta_l: float):
         if kernel.family not in ("riesz", "white"):
             raise ParameterError(
                 f"chaos Monte Carlo supports riesz/white kernels, got {kernel.family}"
@@ -226,8 +211,7 @@ class _SpatialSampler:
         self.n = n
         self.eta_mode = kernel.family == "white"
         self._local = threading.local()
-        if self.eta_mode and prefer_untruncated:
-            self.R = math.inf
+        if self.eta_mode:
             self.weight_const = kernel.constant * math.pi  # full Cauchy mass
             self.tail_frac_bound = 0.0
             return
@@ -310,11 +294,10 @@ class _SpatialSampler:
         eta_norm a view of the thread's workspace."""
         n, d = self.n, self.d
         if self.eta_mode:
-            # (u - 1/2) 2 atan(R), pi when untruncated: u - 1/2 and the
-            # doubling are exact, so this is bitwise (2u - 1) atan(R)
+            # standard Cauchy by inversion, tan((u - 1/2) pi)
             eta = rng.random(out=self._scratch(m * n).reshape(m, n))
             eta -= 0.5
-            eta *= 2.0 * math.atan(self.R)
+            eta *= math.pi
             np.tan(eta, out=eta)
             sq = eta * eta
             eta_norm = np.abs(eta, out=eta)
@@ -355,9 +338,8 @@ def _finalize(mean, se, n_samples, seed, label, query, sampler, extra=None):
         label = label + "|zero-variance"
     if query.n > N_CONFIDENT:
         label = label + "|low-confidence"
-    radius = None
-    if sampler is not None and math.isfinite(sampler.R):
-        radius = sampler.R
+    # white noise draws its untruncated proposal directly, with no rejection
+    direct = sampler is None or sampler.eta_mode
     params = {
         "family": query.kernel.family,
         "d": query.kernel.d,
@@ -365,11 +347,9 @@ def _finalize(mean, se, n_samples, seed, label, query, sampler, extra=None):
         "eq": query.eq.kind,
         "beta_l": query.eq.beta_l,
         "n": query.n,
-        "R": radius,
+        "R": None if direct else sampler.R,
         "tail_frac_bound": sampler.tail_frac_bound if sampler is not None else 0.0,
-        # white noise draws its proposal directly, with no rejection
-        "accept_rate": None if sampler is None or sampler.eta_mode
-        else sampler.accept_rate,
+        "accept_rate": None if direct else sampler.accept_rate,
     }
     if extra:
         params.update(extra)
@@ -382,18 +362,18 @@ def _kernel_tag(kernel: KernelSpec) -> str:
     return kernel.family
 
 
-def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
-                   threads: int = 1) -> MCEstimate:
-    """Monte-Carlo estimate of E[J_n(tau)], tau a unit-mean exponential
-    time, i.e. the n*d-dimensional integral of the rate-1 Laplace
-    propagator factors at the partial sums against mu^(x)n."""
-    eq, kernel, n = query.eq, query.kernel, query.n
-    if query.t is not None:
-        raise ParameterError(f"t = {query.t}: use jn_fixed_time for J_n(t)")
-    label = f"jn_exp_time/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}"
+def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
+                threads: int) -> MCEstimate:
+    """Monte-Carlo estimate of E[J_n(tau)] on the sub-stream of ``label``:
+    the n*d-dimensional integral of the rate-1 Laplace propagator factors
+    at the partial sums against mu^(x)n.  The sub-seed is derived before
+    the order-0 shortcut, so every order checks the seed."""
+    eq, n = query.eq, query.n
+    subseed = derive_seed(seed, label)
     if n == 0:
-        return _finalize(1.0, 0.0, 1, seed, label, query, None)
-    sampler = _SpatialSampler(kernel, n, eq.beta_l, prefer_untruncated=True)
+        return _finalize(1.0, 0.0, 1, seed, label, query, None,
+                         extra={"subseed": subseed})
+    sampler = _SpatialSampler(query.kernel, n, eq.beta_l)
 
     def draw(rng, m):
         eta_norm, log_ratio = sampler.sample(rng, m)
@@ -401,50 +381,37 @@ def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
         log_ratio += _row_sums(np.log(lap, out=lap))
         return np.exp(log_ratio, out=log_ratio)
 
-    subseed = derive_seed(seed, label)
     mean, se = run_chunked(draw, n_samples, subseed, threads=threads)
     return _finalize(mean, se, n_samples, seed, label, query, sampler,
                      extra={"subseed": subseed})
 
 
+def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
+                   threads: int = 1) -> MCEstimate:
+    """Monte-Carlo estimate of E[J_n(tau)], tau a unit-mean exponential
+    time."""
+    eq, kernel, n = query.eq, query.kernel, query.n
+    if query.t is not None:
+        raise ParameterError(f"t = {query.t}: use jn_fixed_time for J_n(t)")
+    label = f"jn_exp_time/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}"
+    return _laplace_mc(query, label, n_samples, seed, threads)
+
+
 def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
                   threads: int = 1) -> MCEstimate:
-    """Monte-Carlo estimate of the fixed-time chaos term J_n(t).
-
-    The ordered time simplex is sampled by sorted uniforms (volume
-    t^n/n!) and the spatial increments by the spectral proposal.
-    J_0(t) = 1 is returned exactly.
-    """
+    """Monte-Carlo estimate of the fixed-time chaos term J_n(t): the
+    estimate of E[J_n(tau)] on this target's own sub-stream, scaled to
+    time t by ``_at_time``.  J_0(t) = 1 is returned exactly."""
     eq, kernel, n, t = query.eq, query.kernel, query.n, query.t
-    label = f"jn_fixed/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}/t{t:g}"
-    if n == 0:
-        return _finalize(1.0, 0.0, 1, seed, label, query, None)
     if t is None:
         raise ParameterError("fixed-time target needs t")
-    sampler = _SpatialSampler(kernel, n, eq.beta_l)
-    log_vol = n * math.log(t) - math.log(math.factorial(n))
-
-    def draw(rng, m):
-        # drawn into the sampler's workspace: spent before it draws there
-        times = _sorted_columns(
-            rng.random(out=sampler._scratch(m * n).reshape(m, n)))
-        for col in times:
-            col *= t
-        gaps = np.empty((m, n))
-        for j in range(n - 1):
-            np.subtract(times[j + 1], times[j], out=gaps[:, j])
-        np.subtract(t, times[-1], out=gaps[:, -1])
-        eta_norm, log_ratio = sampler.sample(rng, m)
-        green = fourier_green_sq(eq, gaps, eta_norm)
-        log_ratio += log_vol
-        with np.errstate(divide="ignore"):
-            log_ratio += _row_sums(np.log(green, out=green))
-        return np.exp(log_ratio, out=log_ratio)
-
-    subseed = derive_seed(seed, label)
-    mean, se = run_chunked(draw, n_samples, subseed, threads=threads)
-    return _finalize(mean, se, n_samples, seed, label, query, sampler,
-                     extra={"t": t, "subseed": subseed})
+    label = f"jn_fixed/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}/t{t:g}"
+    est = _laplace_mc(query, label, n_samples, seed, threads)
+    mean = _at_time(query, est.mean)
+    # one factor scales the mean, the error and the bias bound alike
+    std_error = mean * (est.std_error / est.mean) if est.std_error else 0.0
+    return replace(est, mean=mean, std_error=std_error,
+                   params={**est.params, "t": t})
 
 
 def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,

@@ -15,7 +15,6 @@ from andersonlyap.chaos import (
     _radial_mass,
     _radial_tail,
     _row_sums,
-    _sorted_columns,
     _SpatialSampler,
     exact_moment,
     jn_exp_time_mc,
@@ -205,25 +204,27 @@ class TestProposal:
     def test_alpha_too_close_to_zero(self, d, alpha):
         # the inner piece's share rounds to 1
         with pytest.raises(ParameterError, match=f"alpha={alpha!r}"):
-            _SpatialSampler(KernelSpec("riesz", d=d, alpha=alpha), 2, 2.0,
-                            prefer_untruncated=True)
+            _SpatialSampler(KernelSpec("riesz", d=d, alpha=alpha), 2, 2.0)
 
     def test_accept_rate_reported(self):
         est = jn_exp_time_mc(ChaosQuery(HEAT, RIESZ, 2), 1000, 0)
-        sampler = _SpatialSampler(RIESZ, 2, 2.0, prefer_untruncated=True)
+        sampler = _SpatialSampler(RIESZ, 2, 2.0)
         assert est.params["accept_rate"] == sampler.accept_rate
-        # white noise draws its proposal directly
+        assert est.params["R"] == sampler.R
+        # white noise draws its untruncated proposal directly
         for est in (jn_exp_time_mc(ChaosQuery(HEAT, WHITE, 2), 1000, 0),
                     jn_fixed_time(ChaosQuery(WAVE, WHITE, 2, 1.0), 1000, 0),
                     jn_exp_time_mc(ChaosQuery(HEAT, RIESZ, 0), 10, 0)):
             assert est.params["accept_rate"] is None
+            assert est.params["R"] is None
 
 
 # (kind, eq, kernel, n, t, mean, std_error) at 70,000 samples and seed 19:
 # one full and one partial chunk.  The white heat row's weights are
 # constant, so its std_error is rounding noise; n = 8 sums its rows on
-# numpy's unrolled reduction path, and the n = 9 fixed-time row, checked
-# at 1 and 3 threads, also sorts its times with numpy's sort.
+# numpy's unrolled reduction path.  A fixed-time row is the exponential-time
+# estimate on its own sub-stream, scaled by the time identity; the n = 9
+# one is checked at 1 and 3 threads.
 PINNED = [
     ("heat", KernelSpec("riesz", d=1, alpha=0.5), 3, None,
      4.020219219842275, 0.01693216091995984),
@@ -231,12 +232,12 @@ PINNED = [
      1.6325308671526055, 0.01607157613157982),
     ("heat", KernelSpec("riesz", d=3, alpha=1.5), 2, None,
      1.8584336691717638, 0.008171310222839987),
-    ("wave", RIESZ, 3, 2.0, 0.14806558426488903, 0.0029107530987950957),
-    ("wave", WHITE, 3, 1.0, 0.00017118570097454425, 2.9712164412098967e-06),
+    ("wave", RIESZ, 3, 2.0, 0.14831190554087706, 0.0006668056746703092),
+    ("wave", WHITE, 3, 1.0, 0.0001733715287017288, 6.374343009019718e-07),
     ("heat", WHITE, 4, None, 0.0625, 1.0572987922139093e-19),
     ("heat", RIESZ, 8, None, 27.24122077590349, 1.0208032431883391),
     ("heat", KernelSpec("riesz", d=2, alpha=0.8), 9, 1.0,
-     0.0008931948004508054, 7.512422640440314e-05),
+     0.0014421845448162045, 5.3635650803648565e-05),
 ]
 
 
@@ -250,6 +251,8 @@ def test_pinned_draws(eq, kernel, n, t, mean, std_error):
         est = fn(query, 70_000, 19, threads=threads)
         assert est.mean == pytest.approx(mean, rel=1e-12)
         assert est.std_error == pytest.approx(std_error, rel=1e-12)
+    oracle = exact_moment(query)
+    assert oracle is None or abs(est.z_score(oracle)) < 3.0
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -261,15 +264,6 @@ def test_row_sums_are_numpy_sums(n):
     x[:, -1] -= x[:, :-1].sum(axis=1)
     x[0] = -0.0
     assert _row_sums(x).tobytes() == x.sum(axis=1).tobytes()
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_sorted_columns_are_numpy_sort(n):
-    # few distinct values, exact +0.0 among them: ties in every row
-    rng = np.random.default_rng(n)
-    x = rng.integers(0, 4, (1000, n)) / 4.0
-    ref = np.sort(x, axis=1)
-    assert np.stack(_sorted_columns(x), axis=1).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("fn, query", [
@@ -397,7 +391,7 @@ class TestExpTimeMC:
         # The closed form also counts the unsampled outer mass, so it
         # reads 7e-13 lower; the estimator is right not to see it.
         kernel = KernelSpec("riesz", d=1, alpha=1e-12)
-        sampler = _SpatialSampler(kernel, 1, 2.0, prefer_untruncated=True)
+        sampler = _SpatialSampler(kernel, 1, 2.0)
         assert 1.0 - sampler._p1 < 1e-12
         est = jn_exp_time_mc(ChaosQuery(WAVE, kernel, 1), 10_000, 0)
         assert est.mean == 2.0 * sampler.weight_const
@@ -423,8 +417,7 @@ class TestFixedTimeMC:
         assert within(est, 0.25 / spgamma(2.0))
 
     def test_riesz_wave_j1_oracle(self):
-        # the wave oracle comes from T_1 through the fixed-time identity;
-        # the sin^2 weights are heavy-tailed, so this runs at 1e6 samples
+        # the wave oracle comes from T_1 through the fixed-time identity
         q = ChaosQuery(WAVE, RIESZ, 1, t=2.0)
         est = jn_fixed_time(q, 1_000_000, 13)
         assert within(est, exact_moment(q))
@@ -446,6 +439,31 @@ class TestFixedTimeMC:
         for t in (-1.0, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 ChaosQuery(HEAT, RIESZ, 1, t=t)
+        with pytest.raises(ParameterError, match="needs t"):
+            jn_fixed_time(ChaosQuery(HEAT, RIESZ, 0), 10, 1)
+
+
+class TestFixedTimeCoverage:
+    """Fixed-time error bars cover their oracles over named seeds, at high
+    orders and at large t."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_white_heat_orders_five_to_twelve(self, seed):
+        for n in range(5, 13):
+            q = ChaosQuery(HEAT, WHITE, n, t=1.5)
+            est = jn_fixed_time(q, 100_000, seed)
+            assert abs(est.z_score(exact_moment(q))) < 3.0, n
+
+    def test_white_wave_at_large_time(self):
+        # the sin^2 mass sits at |eta| of order 1/t
+        q = ChaosQuery(WAVE, WHITE, 1, t=1e8)
+        est = jn_fixed_time(q, 100_000, 0)
+        assert abs(est.z_score(exact_moment(q))) < 3.0
+
+    def test_riesz_wave_order_one(self):
+        q = ChaosQuery(WAVE, RIESZ, 1, t=2.0)
+        est = jn_fixed_time(q, 200_000, 13)
+        assert abs(est.z_score(exact_moment(q))) < 3.0
 
 
 class TestLogRateTn:

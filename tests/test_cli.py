@@ -251,6 +251,16 @@ class TestExitCodes:
         assert out == ""
         assert f"seed must lie in [0, 2**64), got {seed}" in err
 
+    @pytest.mark.parametrize("t", [(), ("--t", "1.5")], ids=["exp", "fixed"])
+    def test_order_zero_checks_the_seed(self, capsys, t):
+        # J_0 = 1 needs no draws, but its sub-seed is derived all the same
+        code, out, err = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                                 "heat", "--n", "0", "--samples", "100",
+                                 "--seed", "-1", *t)
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert "seed must lie in [0, 2**64), got -1" in err
+
     def test_bm_underflow_exits_3(self, capsys):
         # every path's zeta^n / n! underflows long before n = 300
         code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
@@ -362,25 +372,28 @@ class TestChaosCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_variance_overflow_exits_3(self, capsys):
-        # the n = 5 oracle is in range, the squared weights are not
-        code, out, err = run_cli(capsys, "chaos", "--family", "white", "--eq",
-                                 "wave", "--t", "1e30", "--n", "5",
-                                 "--samples", "1000", "--threads", "1")
-        assert code == EXIT_CONVERGENCE
-        assert out == ""
-        assert "overflows the double range" in err
+        # the n = 5 moment, 8.6e291, is in range; its weights are those of
+        # E[J_5(tau)], so their squares are too and the row prints
+        code, out, _ = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                               "wave", "--t", "1e30", "--n", "5",
+                               "--samples", "1000", "--threads", "1",
+                               "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][5]
+        assert row["oracle"] > 1e291 and abs(row["z"]) < 3.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_wave_time_exits_3_quietly(self, capsys):
-        # sinc at t r ~ 1e100 takes the direct branch; its unused small-x
-        # series must not overflow on the way
+        # no closed form from n = 2 on: the estimate of J_2(1e100), about
+        # 1e500, meets the oracle's range rule and exits 2 without a warning
         code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
                                  "1", "--alpha", "0.5", "--eq", "wave", "--t",
                                  "1e100", "--n", "4", "--samples", "1000",
                                  "--threads", "1")
-        assert code == EXIT_CONVERGENCE
+        assert code == EXIT_PARAMETER
         assert out == ""
-        assert "overflows the double range" in err
+        assert "fixed-time moment at n=2, t=1e+100 is exp(" in err
+        assert "beyond the double range" in err
 
 
 class TestFormats:
