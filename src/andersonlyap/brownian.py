@@ -15,14 +15,16 @@ whenever either endpoint lies within REFINE_MULT * sqrt(L) of the
 origin, up to MAX_REFINE_DEPTH = 4 times, so passages near the
 singularity are resolved at step/16.  The midpoint does not enter that
 test: an interval kept only when its own midpoint lands far from the
-origin would bias zeta low.  Rows are scalars in d = 1.  Each depth
+origin would bias zeta low.  Positions keep their rows last, as a
+(d, rows) array, and are flat rows of scalars in d = 1.  Each depth
 draws midpoints for the split rows only and gathers their endpoints
 and midpoints straight into the arrays the next depth reads.  The split
 test and the scores run on blocks of SCORE_BLOCK rows, whose
 temporaries stay in cache; every draw and each path's sum of its
 scores stay chunk-wide, so no bit depends on the block size.
-This path estimator shares zero machinery with the Fourier-side Monte
-Carlo, which is the point.
+Beyond the chunked driver and a squared norm from ``mc``, this path
+estimator shares no machinery with the Fourier-side Monte Carlo, which
+is the point.
 
 An interval that retires is scored by a conditional mean given its two
 ends, with no draw.  Below the cap that is L E|mid|^(-alpha), the
@@ -45,7 +47,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .mc import N_CONFIDENT, MCEstimate, derive_seed, run_chunked
+from .mc import N_CONFIDENT, MCEstimate, _sq_norms, derive_seed, run_chunked
 from .spectral import KernelSpec, require_admissible
 
 __all__ = ["tn_bm_oracle"]
@@ -143,21 +145,6 @@ def _mean_table(d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return values, slopes
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Bit for bit np.einsum("ij,ij->i", x, x) of an (n, d) array.
-
-    einsum adds the squares of a row of 2 in order and of a row of 3 as
-    (x0^2 + x2^2) + x1^2; a column at a time that costs a third as much.
-    """
-    if x.shape[1] > 3:
-        return np.einsum("ij,ij->i", x, x)
-    total = np.square(x[:, 0])
-    sq = np.empty_like(total)
-    for j in (1,) if x.shape[1] == 2 else (2, 1):
-        total += np.square(x[:, j], out=sq)
-    return total
-
-
 def _norms(x):
     if x.ndim == 1:
         return np.abs(x)
@@ -174,10 +161,7 @@ def _bridge_mean(table, alpha: float, c: np.ndarray,
     interpolation.
     """
     values, slopes = table
-    if c.ndim == 1:
-        r2 = np.multiply(c, c, out=c)
-    else:
-        r2 = _sq_norms(c)
+    r2 = np.multiply(c, c, out=c) if c.ndim == 1 else _sq_norms(c)
     total = r2 + var
     r2 *= MEAN_TABLE_CELLS
     r2 /= total
@@ -257,12 +241,12 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     """Simulate m independent paths to an exponential horizon; return
     each path's zeta and the number of intervals scored at each depth.
 
-    Every step of every path is one row of a flat queue, a scalar in
-    d = 1; each pass retires the intervals not flagged near the origin,
-    scored by their conditional mean, then bridges the flagged ones'
-    midpoints and gathers their endpoints and midpoints straight into
-    the next pass's rows.  The rows left at the cap retire by the
-    bridge integral.
+    Every step of every path is one row of a flat queue: a column of the
+    (d, rows) positions, a scalar in d = 1.  Each pass retires the
+    intervals not flagged near the origin, scored by their conditional
+    mean, then bridges the flagged ones' midpoints and gathers their
+    endpoints and midpoints straight into the next pass's rows.  The
+    rows left at the cap retire by the bridge integral.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
@@ -271,14 +255,13 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     first = ends - n_steps
     L = np.full(ends[-1], dt)
     L[ends - 1] = tau - (n_steps - 1) * dt
-    shape, row = (L.shape, ...) if d == 1 else ((L.size, d), np.s_[:, None])
     # positions at step boundaries; variance 2 L per coordinate
     buf = np.multiply(L, 2.0)
-    inc = rng.standard_normal(shape)
-    inc *= np.sqrt(buf, out=buf)[row]
+    inc = rng.standard_normal(L.shape if d == 1 else (d, L.size))
+    inc *= np.sqrt(buf, out=buf)
     del buf
-    right = np.cumsum(inc, axis=0)
-    right -= np.repeat(right[first] - inc[first], n_steps, axis=0)
+    right = np.cumsum(inc, axis=-1)
+    right -= np.repeat(right[..., first] - inc[..., first], n_steps, axis=-1)
     left = np.subtract(right, inc, out=inc)
     del inc
 
@@ -288,33 +271,36 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         w = np.empty(L.shape)
         split = np.empty(L.shape, bool)
         for rows in _blocks(L.size):
-            w[rows], split[rows] = _depth_score(table, alpha, left[rows],
-                                                right[rows], L[rows])
+            w[rows], split[rows] = _depth_score(table, alpha, left[..., rows],
+                                                right[..., rows], L[rows])
         idx = np.flatnonzero(split)
         zeta += np.bincount(path, w, minlength=m)
         scored.append(L.size - idx.size)
         del split, w
-        # [left; mid; right] of the split rows, so that the halves are
-        # [left; mid] -> [mid; right]
+        # [left, mid, right] of the split rows, so that the halves are
+        # [left, mid] -> [mid, right]
         k = idx.size
-        pts = np.empty((3 * k,) + left.shape[1:])
-        np.take(left, idx, axis=0, out=pts[:k], mode="clip")
-        np.take(right, idx, axis=0, out=pts[2 * k:], mode="clip")
+        pts = np.empty(left.shape[:-1] + (3 * k,))
+        np.take(left, idx, axis=-1, out=pts[..., :k], mode="clip")
+        np.take(right, idx, axis=-1, out=pts[..., 2 * k:], mode="clip")
         del left, right
-        left, mid, right = pts[:2 * k], pts[k:2 * k], pts[k:]
+        left, right = pts[..., :2 * k], pts[..., k:]
         # halving is exact: these are the bits of (0.5 * L)[idx]
         L = _gather_twice(L, idx)
         L *= 0.5
         # the midpoint of a bridge over the parent's length 2 L has
-        # variance L per coordinate for the speed-2 diffusion
-        rng.standard_normal(out=mid)
-        mid *= np.sqrt(L[:k])[row]
-        mid += 0.5 * (pts[:k] + pts[2 * k:])
+        # variance L per coordinate for the speed-2 diffusion; a (d, k)
+        # view is not contiguous, so the draws land in a fresh array
+        mid = rng.standard_normal(pts.shape[:-1] + (k,))
+        mid *= np.sqrt(L[:k])
+        mid += 0.5 * (pts[..., :k] + pts[..., 2 * k:])
+        pts[..., k:2 * k] = mid
         path = _gather_twice(path, idx)
-        del idx
+        del idx, mid
     w = np.empty(L.shape)
     for rows in _blocks(L.size):
-        w[rows] = _cap_score(table, alpha, left[rows], right[rows], L[rows])
+        w[rows] = _cap_score(table, alpha, left[..., rows], right[..., rows],
+                             L[rows])
     zeta += np.bincount(path, w, minlength=m)
     scored.append(L.size)
     return zeta, scored

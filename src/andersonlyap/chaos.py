@@ -11,7 +11,10 @@ singularity at 0 and the Lorentzian decay of the propagator factors;
 for the flat white-noise density the eta_i decouple and are drawn
 directly from the untruncated Cauchy law.  Any truncation bias is
 bounded in closed form, like the proposal's normalizer, and reported
-with each estimate: the module needs numpy only.
+with each estimate: the module needs numpy only.  A chunk of m samples
+keeps its sample axis last, as n rows of m partial sums (n x d x m in
+d >= 2), so the partial sums, norms and log-weight sums are contiguous
+numpy passes over whole rows.
 
 A fixed-time term follows exactly from the same estimate: the scaling
 law J_n(t) = t^(a n) J_n(1), averaged over tau, gives J_n(t) =
@@ -29,7 +32,7 @@ import numpy as np
 
 from .asymptotics import scaling_exponent, wave_heat_factor
 from .errors import ParameterError
-from .mc import N_CONFIDENT, MCEstimate, derive_seed, run_chunked
+from .mc import N_CONFIDENT, MCEstimate, _sq_norms, derive_seed, run_chunked
 from .propagators import laplace_green_sq
 from .spectral import EquationKind, KernelSpec, _sphere_area, require_admissible
 
@@ -148,31 +151,6 @@ def _at_time(query: ChaosQuery, moment: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Short-row kernels
-# ----------------------------------------------------------------------
-
-# A chunk is m x n with m large and n small, and numpy's row-wise sum
-# pays a call per row; below this length a pass per column is cheaper
-# and gives the same bits.  Past it numpy's own kernel runs.
-_ROW_SUM_PLAIN_MAX = 7  # numpy sums a row of 8 or more pairwise
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Bit for bit ``x.sum(axis=1)`` of a 2-D array, as a new array.
-
-    numpy adds a short row in plain order starting from +0.0, so the
-    columns are added one at a time from ``x[:, 0] + 0.0``: the +0.0 keeps
-    numpy's sign of zero, a row of -0.0 summing to +0.0."""
-    n = x.shape[1]
-    if n > _ROW_SUM_PLAIN_MAX:
-        return x.sum(axis=1)
-    total = x[:, 0] + 0.0
-    for j in range(1, n):
-        total += x[:, j]
-    return total
-
-
-# ----------------------------------------------------------------------
 # Spatial proposal
 # ----------------------------------------------------------------------
 
@@ -196,9 +174,10 @@ class _SpatialSampler:
 
     ``sample`` returns (eta_norm, log_ratio) where log_ratio is the log
     of the product of mu-density / proposal-density factors.  A chunk is
-    drawn into a per-thread workspace that outlives it and transformed
-    there in place, with the same draws in the same order and the same
-    bits as the plain array expressions.
+    drawn into a per-thread workspace that outlives it, with the sample
+    axis last: an (n, m) array, (n, d, m) in d >= 2, whose row for each
+    factor takes the next m draws of a flat stream.  It is transformed
+    there in place, to the bits of the plain array expressions.
     """
 
     def __init__(self, kernel: KernelSpec, n: int, beta_l: float):
@@ -291,42 +270,36 @@ class _SpatialSampler:
 
     def sample(self, rng: np.random.Generator, m: int):
         """Draw m paths of n partial sums; returns (eta_norm, log_ratio),
-        eta_norm a view of the thread's workspace."""
+        eta_norm an (n, m) view of the thread's workspace."""
         n, d = self.n, self.d
         if self.eta_mode:
             # standard Cauchy by inversion, tan((u - 1/2) pi)
-            eta = rng.random(out=self._scratch(m * n).reshape(m, n))
+            eta = rng.random(out=self._scratch(n * m).reshape(n, m))
             eta -= 0.5
             eta *= math.pi
             np.tan(eta, out=eta)
             sq = eta * eta
             eta_norm = np.abs(eta, out=eta)
         else:
-            r = self._radii(rng, m * n).reshape(m, n)
+            r = self._radii(rng, n * m).reshape(n, m)
             if d == 1:
-                x = rng.random(out=self._scratch(m * n).reshape(m, n))
+                x = rng.random(out=self._scratch(n * m).reshape(n, m))
                 x -= 0.5
                 np.copysign(r, x, out=x)
             else:
-                ws = self._scratch((d + 1) * m * n)
-                x = rng.standard_normal(out=ws[m * n:].reshape(m, n, d))
-                norm = ws[:m * n].reshape(m, n)
-                # einsum's order, not a plain loop's: at d = 3 it sums
-                # (x0^2 + x2^2) + x1^2
-                np.sqrt(np.einsum("...i,...i", x, x, out=norm), out=norm)
-                scale = np.divide(r, norm, out=norm)
-                for i in range(d):
-                    x[..., i] *= scale
-            cols = x.reshape(m, n * d)  # np.cumsum's sums, a column at a time
-            for j in range(d, n * d):
-                cols[:, j] += cols[:, j - d]
+                ws = self._scratch((d + 1) * n * m)
+                x = rng.standard_normal(out=ws[n * m:].reshape(n, d, m))
+                norm = ws[:n * m].reshape(n, m)
+                np.sqrt(_sq_norms(x, out=norm), out=norm)
+                x *= np.divide(r, norm, out=norm)[:, None]
+            for j in range(1, n):
+                x[j] += x[j - 1]
             if d == 1:
                 eta_norm = np.abs(x, out=x)
             else:
-                np.einsum("...i,...i", x, x, out=norm)
-                eta_norm = np.sqrt(norm, out=norm)
+                eta_norm = np.sqrt(_sq_norms(x, out=norm), out=norm)
             sq = np.multiply(r, r, out=r)
-        log_ratio = _row_sums(np.log1p(sq, out=sq))
+        log_ratio = np.log1p(sq, out=sq).sum(axis=0)
         log_ratio += n * math.log(self.weight_const)
         return eta_norm, log_ratio
 
@@ -378,7 +351,7 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
     def draw(rng, m):
         eta_norm, log_ratio = sampler.sample(rng, m)
         lap = laplace_green_sq(eq, 1.0, eta_norm)
-        log_ratio += _row_sums(np.log(lap, out=lap))
+        log_ratio += np.log(lap, out=lap).sum(axis=0)
         return np.exp(log_ratio, out=log_ratio)
 
     mean, se = run_chunked(draw, n_samples, subseed, threads=threads)

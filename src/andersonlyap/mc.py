@@ -88,6 +88,13 @@ def chunk_generator(subseed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _sq_norms(x: np.ndarray, out=None) -> np.ndarray:
+    """Squared Euclidean norms over the coordinate axis, the second last:
+    (n, d, m) -> (n, m) and (d, rows) -> (rows,), each a sum of d squares
+    in coordinate order.  The estimators keep the sample axis last."""
+    return np.einsum("...ij,...ij->...j", x, x, out=out)
+
+
 def _combine(stats_a, stats_b):
     """Chan et al. pairwise update of (count, mean, M2)."""
     n_a, mean_a, m2_a = stats_a

@@ -10,15 +10,15 @@ from andersonlyap.brownian import (_CAP_NODES, KUMMER_SWITCH,
                                    MAX_REFINE_DEPTH, MEAN_TABLE_CELLS,
                                    PATH_CHUNK, SCORE_BLOCK, TAU_CLIP,
                                    _bridge_mean, _cap_score, _kummer_neg,
-                                   _mean_table, _retired_score, _sq_norms,
-                                   _zeta_paths, tn_bm_oracle)
+                                   _mean_table, _retired_score, _zeta_paths,
+                                   tn_bm_oracle)
 from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc, t1_exact
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.mc import N_CONFIDENT, chunk_generator, derive_seed
 from andersonlyap.spectral import EquationKind, KernelSpec
 
 SQRT_PI = 1.77245385090551602729816748334
-# scalar rows in d = 1, (rows, d) blocks above
+# scalar rows in d = 1, (d, rows) blocks above
 ROW_LAYOUTS = [(1, 0.5), (2, 0.8), (3, 1.2)]
 # every row layout plus the largest alpha the oracle is checked at
 MEAN_CASES = ROW_LAYOUTS + [(3, 1.5)]
@@ -65,8 +65,8 @@ class TestPathOracle:
     @pytest.mark.parametrize("d,alpha,n,mean,std_error", [
         (1, 0.5, 1, 1.7770842659318926, 0.08695738503249498),
         (1, 0.5, 2, 3.049255362607185, 0.38011720993117487),
-        (2, 0.8, 1, 1.2912190044835055, 0.05073888304353612),
-        (3, 1.2, 1, 1.1696380690127415, 0.03806249639167305),
+        (2, 0.8, 1, 1.2584904225530187, 0.04951171036093454),
+        (3, 1.2, 1, 1.1853580892613873, 0.037455865916951596),
     ])
     def test_pinned_draws(self, d, alpha, n, mean, std_error):
         # any change to the draw order or the refinement rule moves these
@@ -89,15 +89,6 @@ class TestPathOracle:
                                        2e-3, table)
             runs.append((zeta.tobytes(), scored))
         assert runs[0] == runs[1] == runs[2]
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_sq_norms_are_einsums_bits(self, d):
-        # rows of squares spread over many binades, so that any other
-        # order of the additions rounds differently somewhere
-        rng = np.random.default_rng(d)
-        x = rng.standard_normal((100_000, d)) * rng.exponential(1.0, (
-            100_000, 1)) ** 4
-        assert np.array_equal(_sq_norms(x), np.einsum("ij,ij->i", x, x))
 
     def test_low_confidence_label(self):
         # labelled past N_CONFIDENT like the Fourier rows; the label
@@ -169,8 +160,8 @@ def g0(d, alpha):
 
 def gauss_mean(d, alpha, y):
     """G(y) = E|Z + y e|^(-alpha) from the table, e along the first axis."""
-    c = np.zeros((len(y), d)) if d > 1 else np.zeros(len(y))
-    c.reshape(len(y), -1)[:, 0] = y
+    c = np.zeros((d, len(y))) if d > 1 else np.zeros(len(y))
+    c.reshape(-1, len(y))[0] = y
     return _bridge_mean(_mean_table(d, alpha), alpha, c, np.ones(len(y)))
 
 
@@ -277,13 +268,13 @@ class TestConditionalMean:
         m = 20_000
         L = 2e-3 * 0.5 ** rng.integers(0, MAX_REFINE_DEPTH + 1, m)
         # ends within a few sqrt(L) of the origin, some exactly on it
-        shape = (m, d) if d > 1 else (m,)
-        scale = np.sqrt(L)[:, None] if d > 1 else np.sqrt(L)
-        left = rng.normal(0.0, 1.0, shape) * scale * rng.uniform(0, 4, scale.shape)
+        shape = (d, m) if d > 1 else (m,)
+        scale = np.sqrt(L)
+        left = rng.normal(0.0, 1.0, shape) * scale * rng.uniform(0, 4, m)
         right = left + rng.normal(0.0, 1.0, shape) * scale * np.sqrt(2.0)
-        left[:100] = 0.0
-        right[:100] = 0.0
-        right[100:200] = -left[100:200]
+        left[..., :100] = 0.0
+        right[..., :100] = 0.0
+        right[..., 100:200] = -left[..., 100:200]
         peak = L * (L / 2) ** (-alpha / 2) * g0(d, alpha)
         K = sum(2 * weight * (2 * var) ** (-alpha / 2)
                 for _, var, weight in _CAP_NODES)

@@ -122,3 +122,20 @@ class TestMCEstimate:
         est = MCEstimate(2.0, 0.1, 100, 0, "demo", {"tail_frac_bound": 1.0})
         assert est.error_bound() == math.inf
         assert math.isnan(est.z_score(1.0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sq_norms_sum_the_coordinate_axis(d):
+    # squares spread over many binades, so that any other order of the
+    # additions rounds differently somewhere: the chaos sampler's
+    # (n, d, m) chunks and a block of the oracle's (d, rows) positions,
+    # a strided view
+    rng = np.random.default_rng(d)
+    for x in (rng.standard_normal((4, d, 50_000)),
+              rng.standard_normal((d, 120_000))[:, 10_000:110_000]):
+        x *= rng.exponential(1.0, x.shape[-1]) ** 4
+        want = np.square(x).sum(axis=-2)
+        assert mc._sq_norms(x).tobytes() == want.tobytes()
+        out = np.empty(want.shape)
+        assert mc._sq_norms(x, out=out) is out
+        assert out.tobytes() == want.tobytes()
