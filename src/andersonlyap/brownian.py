@@ -22,7 +22,7 @@ and midpoints straight into the arrays the next depth reads.  The split
 test and the scores run on blocks of SCORE_BLOCK rows, whose
 temporaries stay in cache; every draw and each path's sum of its
 scores stay chunk-wide, so no bit depends on the block size.
-Beyond the chunked driver and a squared norm from ``mc``, this path
+Beyond ``mc``'s estimate pipeline and squared norm, this path
 estimator shares no machinery with the Fourier-side Monte Carlo, which
 is the point.
 
@@ -43,11 +43,12 @@ the error bar does not include.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-from .mc import N_CONFIDENT, MCEstimate, _sq_norms, derive_seed, run_chunked
+from .errors import ParameterError
+from .mc import MCEstimate, _sq_norms, estimate
 from .spectral import KernelSpec, require_admissible
 
 __all__ = ["tn_bm_oracle"]
@@ -335,25 +336,11 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
         return np.exp(n * np.log(np.maximum(zeta, 1e-300)) - log_nfact)
 
     label = f"tn_bm/d{d}_a{alpha:g}/n{n}/dt{time_step:g}"
-    subseed = derive_seed(seed, label)
-    mean, se = run_chunked(draw, n_paths, subseed, threads=threads,
-                           chunk_size=PATH_CHUNK)
-    if mean == 0.0:
-        raise ConvergenceError(
-            f"every path's zeta^{n} / {n}! underflows the double range, so "
-            f"the estimate of T_{n} reads 0; the paths sample too little of "
-            "the tail this moment lives in"
-        )
-    if n > N_CONFIDENT:
-        label += "|low-confidence"
-    params = {
-        "d": d,
-        "alpha": alpha,
-        "n": n,
-        "time_step": time_step,
-        "max_refine_depth": MAX_REFINE_DEPTH,
-        # intervals retired at each depth, summed over chunks in any order
-        "scored_per_depth": np.sum(scored, axis=0).tolist(),
-        "subseed": subseed,
-    }
-    return MCEstimate(mean, se, n_paths, seed, label, params)
+    # scored_per_depth: the intervals retired at each depth, summed over the
+    # chunks in any order once all are in
+    params = {"d": d, "alpha": alpha, "n": n, "time_step": time_step,
+              "max_refine_depth": MAX_REFINE_DEPTH, "scored_per_depth": None}
+    est = estimate(draw, n_paths, seed, label, n, params, threads=threads,
+                   chunk_size=PATH_CHUNK)
+    return replace(est, params={
+        **est.params, "scored_per_depth": np.sum(scored, axis=0).tolist()})

@@ -24,6 +24,7 @@ t^(a n) E[J_n(tau)] / Gamma(a n + 1), with a = ``scaling_exponent``.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -32,7 +33,7 @@ import numpy as np
 
 from .asymptotics import scaling_exponent, wave_heat_factor
 from .errors import ParameterError
-from .mc import N_CONFIDENT, MCEstimate, _sq_norms, derive_seed, run_chunked
+from .mc import MCEstimate, _sq_norms, estimate
 from .propagators import laplace_green_sq
 from .spectral import EquationKind, KernelSpec, _sphere_area, require_admissible
 
@@ -106,6 +107,7 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
     The exponential-time heat moment T_n is 2^-n for white noise and
     ``t1_exact`` at n = 1 for every family; the wave moment is T_n times
     ``wave_heat_factor``.  A fixed-time target follows by ``_at_time``.
+    A moment below the normal double range is a parameter error.
     """
     eq, kernel, n = query.eq, query.kernel, query.n
     if n == 0:
@@ -118,6 +120,9 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
         return None
     if eq.is_wave:
         moment *= wave_heat_factor(n, kernel.alpha_eff, eq.beta_l)
+    if moment < sys.float_info.min:
+        raise ParameterError(f"the closed form of E[J_n(tau)] at n={n}, "
+                             f"{moment:.6g}, underflows the double range")
     return moment if query.t is None else _at_time(query, moment)
 
 
@@ -135,11 +140,6 @@ def _at_time(query: ChaosQuery, moment: float) -> float:
         value = math.inf
     if value < math.inf:
         return value
-    if moment == 0.0:
-        raise ParameterError(
-            f"fixed-time moment at n={n}, t={t!r}: E[J_n(tau)] underflows "
-            "the double range"
-        )
     log_value = an * math.log(t) + math.log(moment) - math.lgamma(an + 1.0)
     try:
         return math.exp(log_value)
@@ -192,6 +192,8 @@ class _SpatialSampler:
         self._local = threading.local()
         if self.eta_mode:
             self.weight_const = kernel.constant * math.pi  # full Cauchy mass
+            # drawn directly from the untruncated law, with no rejection
+            self.R = self.accept_rate = None
             self.tail_frac_bound = 0.0
             return
 
@@ -304,31 +306,6 @@ class _SpatialSampler:
         return eta_norm, log_ratio
 
 
-def _finalize(mean, se, n_samples, seed, label, query, sampler, extra=None):
-    if se <= 1e-14 * abs(mean):
-        # no sampled weight differed beyond rounding; the integrand may
-        # still vary where no draw landed, as at tiny alpha
-        label = label + "|zero-variance"
-    if query.n > N_CONFIDENT:
-        label = label + "|low-confidence"
-    # white noise draws its untruncated proposal directly, with no rejection
-    direct = sampler is None or sampler.eta_mode
-    params = {
-        "family": query.kernel.family,
-        "d": query.kernel.d,
-        "alpha_eff": query.kernel.alpha_eff,
-        "eq": query.eq.kind,
-        "beta_l": query.eq.beta_l,
-        "n": query.n,
-        "R": None if direct else sampler.R,
-        "tail_frac_bound": sampler.tail_frac_bound if sampler is not None else 0.0,
-        "accept_rate": None if direct else sampler.accept_rate,
-    }
-    if extra:
-        params.update(extra)
-    return MCEstimate(mean, se, n_samples, seed, label, params)
-
-
 def _kernel_tag(kernel: KernelSpec) -> str:
     if kernel.family == "riesz":
         return f"riesz_d{kernel.d}_a{kernel.alpha:g}"
@@ -339,14 +316,18 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
                 threads: int) -> MCEstimate:
     """Monte-Carlo estimate of E[J_n(tau)] on the sub-stream of ``label``:
     the n*d-dimensional integral of the rate-1 Laplace propagator factors
-    at the partial sums against mu^(x)n.  The sub-seed is derived before
-    the order-0 shortcut, so every order checks the seed."""
-    eq, n = query.eq, query.n
-    subseed = derive_seed(seed, label)
+    at the partial sums against mu^(x)n.  J_0 = 1 is one unit weight on
+    the same pipeline, so every order checks the seed."""
+    eq, kernel, n = query.eq, query.kernel, query.n
+    params = {"family": kernel.family, "d": kernel.d,
+              "alpha_eff": kernel.alpha_eff, "eq": eq.kind,
+              "beta_l": eq.beta_l, "n": n, "R": None, "tail_frac_bound": 0.0,
+              "accept_rate": None}
     if n == 0:
-        return _finalize(1.0, 0.0, 1, seed, label, query, None,
-                         extra={"subseed": subseed})
-    sampler = _SpatialSampler(query.kernel, n, eq.beta_l)
+        return estimate(lambda rng, m: np.ones(m), 1, seed, label, n, params)
+    sampler = _SpatialSampler(kernel, n, eq.beta_l)
+    params.update(R=sampler.R, tail_frac_bound=sampler.tail_frac_bound,
+                  accept_rate=sampler.accept_rate)
 
     def draw(rng, m):
         eta_norm, log_ratio = sampler.sample(rng, m)
@@ -354,9 +335,7 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
         log_ratio += np.log(lap, out=lap).sum(axis=0)
         return np.exp(log_ratio, out=log_ratio)
 
-    mean, se = run_chunked(draw, n_samples, subseed, threads=threads)
-    return _finalize(mean, se, n_samples, seed, label, query, sampler,
-                     extra={"subseed": subseed})
+    return estimate(draw, n_samples, seed, label, n, params, threads=threads)
 
 
 def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
@@ -382,7 +361,7 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
     est = _laplace_mc(query, label, n_samples, seed, threads)
     mean = _at_time(query, est.mean)
     # one factor scales the mean, the error and the bias bound alike
-    std_error = mean * (est.std_error / est.mean) if est.std_error else 0.0
+    std_error = mean * (est.std_error / est.mean)
     return replace(est, mean=mean, std_error=std_error,
                    params={**est.params, "t": t})
 
@@ -404,8 +383,6 @@ def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
     for n in range(1, n_max + 1):
         est = jn_exp_time_mc(ChaosQuery(eq, kernel, n), samples_per_n, seed,
                              threads=threads)
-        if est.mean <= 0:
-            raise ParameterError(f"nonpositive moment estimate at n={n}")
         rows.append((n, math.log(est.mean) / n, est.std_error / (n * est.mean),
                      est))
     return rows

@@ -5,7 +5,9 @@ counter-based Philox stream keyed by (derived seed, chunk index).  Chunk
 results are merged with the pairwise-stable parallel mean/variance
 update in chunk-index order, so the final estimate is bit-for-bit
 reproducible for a given (seed, sample count) no matter how many worker
-threads executed the chunks, or in which order they finished.
+threads executed the chunks, or in which order they finished.  Both
+estimators build their results through ``estimate``, the one home of
+the sub-seed, the target's labels and the range rules.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 
-__all__ = ["MCEstimate", "derive_seed", "chunk_generator", "run_chunked"]
+__all__ = ["MCEstimate", "derive_seed", "chunk_generator", "run_chunked",
+           "estimate"]
 
 CHUNK_SIZE = 1 << 16
 # Ceiling on worker threads: every running worker holds a chunk's arrays,
@@ -111,7 +114,8 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
     """Accumulate mean and M2 of ``sampler(rng, m)`` over n_samples draws.
 
     ``sampler`` must return an array of m weights.  Returns
-    (mean, std_error).
+    (mean, std_error); squared deviations that overflow, or that
+    underflow in a chunk whose weights still spread, raise.
     """
     if n_samples <= 0:
         raise ParameterError(f"n_samples must be positive, got {n_samples}")
@@ -130,6 +134,11 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
         with np.errstate(over="ignore"):  # checked once, after the merge
             dev = w - mean
             m2 = float(np.square(dev, out=dev).sum())
+        # squares below the normal range lose the spread they measure
+        if m2 < sys.float_info.min and np.ptp(w) > 1e-12 * abs(mean):
+            raise ConvergenceError(
+                f"the weights' second moment underflows the double range "
+                f"(chunk mean {mean:.6g}), so the standard error would read 0")
         return m, mean, m2
 
     if threads > 1 and n_chunks > 1:
@@ -152,3 +161,27 @@ def run_chunked(sampler, n_samples: int, subseed: int, *, threads: int = 1,
             f"{mean:.6g}), so the standard error is not finite"
         )
     return mean, std_error
+
+
+def estimate(draw, n_samples: int, seed: int, label: str, order: int,
+             params: dict, *, threads: int = 1,
+             chunk_size: int = CHUNK_SIZE) -> MCEstimate:
+    """The estimate of the moment of ``order`` that ``label`` names: the
+    mean of ``draw(rng, m)``'s weights on the sub-stream of (seed, label).
+    A mean below the normal range raises.  The target gains
+    ``|zero-variance`` where no weight differed beyond rounding (the
+    integrand may still vary where no draw landed) and ``|low-confidence``
+    past N_CONFIDENT; ``params`` gains the bare label's sub-seed."""
+    subseed = derive_seed(seed, label)
+    mean, std_error = run_chunked(draw, n_samples, subseed, threads=threads,
+                                  chunk_size=chunk_size)
+    if mean < sys.float_info.min:
+        raise ConvergenceError(
+            f"the estimate of {label}, {mean:.6g}, underflows the double "
+            "range: its draws sample too little of where the moment lives")
+    if std_error <= 1e-14 * abs(mean):
+        label += "|zero-variance"
+    if order > N_CONFIDENT:
+        label += "|low-confidence"
+    return MCEstimate(mean, std_error, n_samples, seed, label,
+                      {**params, "subseed": subseed})

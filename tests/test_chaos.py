@@ -22,7 +22,7 @@ from andersonlyap.chaos import (
     t1_exact,
 )
 from andersonlyap.asymptotics import scaling_exponent, wave_heat_factor
-from andersonlyap.errors import ParameterError
+from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.mc import chunk_generator
 from andersonlyap.propagators import laplace_green_sq
 from andersonlyap.spectral import EquationKind, KernelSpec, riesz_constant
@@ -416,6 +416,38 @@ class TestExpTimeMC:
         est = jn_exp_time_mc(ChaosQuery(WAVE, kernel, 1), 10_000, 0)
         assert est.mean == 2.0 * sampler.weight_const
         assert est.std_error == 0.0 and "zero-variance" in est.target
+
+
+class TestRangeRules:
+    def test_underflowed_spread_is_a_convergence_error(self):
+        # rho^400 is about 1e65, yet these weights sit near 1e-185 and their
+        # squared deviations underflow to 0: the estimate read 3.4e-185
+        # +- 0 as zero-variance
+        with pytest.raises(ConvergenceError,
+                           match="second moment underflows the double range"):
+            jn_exp_time_mc(ChaosQuery(HEAT, RIESZ, 400), 2000, 0)
+
+    def test_underflowed_mean_is_a_convergence_error(self):
+        # every weight underflows to 0, and the estimate read 0.0
+        kernel = KernelSpec("riesz", d=3, alpha=1.5)
+        with pytest.raises(ConvergenceError,
+                           match="n150, 0, underflows the double range"):
+            jn_exp_time_mc(ChaosQuery(HEAT, kernel, 150), 2000, 0)
+
+    def test_white_heat_has_no_spread_to_lose(self):
+        # every weight is 2^-500 up to rounding, a normal double
+        est = jn_exp_time_mc(ChaosQuery(HEAT, WHITE, 500), 2000, 0)
+        assert est.mean == pytest.approx(0.5 ** 500, rel=1e-12)
+        assert est.std_error == 0.0
+        assert est.target.endswith("/n500|zero-variance|low-confidence")
+
+    def test_underflowed_closed_form_is_a_parameter_error(self):
+        # 2^-1022 is the smallest normal double
+        assert exact_moment(ChaosQuery(HEAT, WHITE, 1022)) == 0.5 ** 1022
+        for n, t in ((1023, None), (1080, None), (1080, 1.0)):
+            with pytest.raises(ParameterError,
+                               match=f"at n={n}, .* underflows the double"):
+                exact_moment(ChaosQuery(HEAT, WHITE, n, t))
 
 
 class TestFixedTimeMC:

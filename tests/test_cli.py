@@ -271,6 +271,28 @@ class TestExitCodes:
         assert out == ""
         assert "underflows the double range" in err
 
+    def test_underflowed_estimate_exits_3(self, capsys):
+        # the d = 3 rows underflow long before n = 150; none prints
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "3", "--alpha", "1.5", "--eq", "heat",
+                                 "--n", "150", "--samples", "200")
+        assert code == EXIT_CONVERGENCE
+        assert out == ""
+        assert "underflows the double range" in err
+
+    def test_underflowed_oracle_exits_2_unsampled(self, capsys, monkeypatch):
+        # 2^-n leaves the normal range at n = 1023, and every oracle is
+        # checked before the first draw
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking every oracle")
+
+        monkeypatch.setattr(mc, "run_chunked", no_draws)
+        code, out, err = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                                 "heat", "--n", "1080", "--samples", "10")
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert "at n=1023" in err and "underflows the double range" in err
+
     def test_bm_method_rejects_fixed_time(self, capsys):
         code, _, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
                                "1", "--alpha", "0.5", "--method", "bm",
@@ -371,7 +393,7 @@ class TestChaosCommand:
         assert "n=6, t=1e+30" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_weight_variance_overflow_exits_3(self, capsys):
+    def test_huge_moment_with_finite_squares_exits_0(self, capsys):
         # the n = 5 moment, 8.6e291, is in range; its weights are those of
         # E[J_5(tau)], so their squares are too and the row prints
         code, out, _ = run_cli(capsys, "chaos", "--family", "white", "--eq",
@@ -383,7 +405,7 @@ class TestChaosCommand:
         assert row["oracle"] > 1e291 and abs(row["z"]) < 3.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_huge_wave_time_exits_3_quietly(self, capsys):
+    def test_huge_wave_time_exits_2_quietly(self, capsys):
         # no closed form from n = 2 on: the estimate of J_2(1e100), about
         # 1e500, meets the oracle's range rule and exits 2 without a warning
         code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",

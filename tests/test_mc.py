@@ -1,14 +1,18 @@
 """Monte-Carlo plumbing: streams, stable accumulation, reproducibility."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from andersonlyap import mc
+from andersonlyap.brownian import tn_bm_oracle
+from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.mc import MCEstimate, chunk_generator, derive_seed, \
     run_chunked
+from andersonlyap.spectral import EquationKind, KernelSpec
 
 
 def gaussian_sampler(rng, m):
@@ -97,6 +101,37 @@ class TestRunChunked:
             return rng.random(m) * 1e300
         with pytest.raises(ConvergenceError, match="overflows"):
             run_chunked(huge, 100_000, 3, threads=threads)
+
+
+# (base label of order n, the estimate at order n from m samples or paths
+# at seed 4, an order whose every weight underflows to 0)
+ESTIMATORS = [
+    pytest.param(
+        lambda n: f"jn_exp_time/heat/b2/riesz_d3_a1.5/n{n}",
+        lambda n, m: jn_exp_time_mc(ChaosQuery(
+            EquationKind("heat"), KernelSpec("riesz", d=3, alpha=1.5), n),
+            m, 4),
+        150, id="spectral"),
+    pytest.param(
+        lambda n: f"tn_bm/d1_a0.5/n{n}/dt0.1",
+        lambda n, m: tn_bm_oracle(1, 0.5, n, m, 0.1, 4),
+        300, id="path"),
+]
+
+
+@pytest.mark.parametrize("label, run, underflow_n", ESTIMATORS)
+def test_both_estimators_share_one_pipeline(label, run, underflow_n):
+    # one sample has no spread, and past N_CONFIDENT the weights' variance
+    # grows; neither suffix moves the sub-stream
+    for n, m, suffix in ((2, 500, ""), (2, 1, "|zero-variance"),
+                         (mc.N_CONFIDENT + 1, 500, "|low-confidence")):
+        est = run(n, m)
+        assert est.target == label(n) + suffix
+        assert est.params["subseed"] == derive_seed(4, label(n))
+    message = (f"the estimate of {label(underflow_n)}, 0, underflows the "
+               "double range")
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        run(underflow_n, 200)
 
 
 class TestMCEstimate:

@@ -22,8 +22,8 @@ SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
          ["R", "m", "rho", "richardson_gap", "residual", "seconds"]),
         ("moment_crosscheck.py",
          ["--n-max", "1", "--samples", "2000", "--paths", "200"],
-         ["n", "spectral_mc", "spectral_se", "path_mc", "path_se", "z",
-          "rate"]),
+         ["n", "spectral_mc", "spectral_se", "path_mc", "path_se", "exact",
+          "z", "z_se", "rate"]),
     ],
 )
 def test_script_runs(script, args, header):
