@@ -1,7 +1,7 @@
 """Seeded, chunked Monte-Carlo plumbing.
 
 Sampling is split into fixed-size chunks, each driven by its own
-counter-based Philox stream keyed by (derived seed, chunk index).  Chunk
+PCG64DXSM stream seeded by (derived seed, chunk index).  Chunk
 results are merged with the pairwise-stable parallel mean/variance
 update in chunk-index order, so the final estimate is bit-for-bit
 reproducible for a given (seed, sample count) no matter how many worker
@@ -13,6 +13,7 @@ the sub-seed, the target's labels and the range rules.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -60,10 +61,14 @@ class MCEstimate:
 
     def z_score(self, reference: float) -> float:
         """Deviation from a reference in units of the total error bound,
-        floored at the rounding level 16 eps max(|mean|, |reference|): a
-        zero-variance estimate's last-bit differences are no deviation."""
-        err = max(self.error_bound(), 16 * sys.float_info.epsilon
-                  * max(abs(self.mean), abs(reference)))
+        floored at the rounding level (16 + 2 |log m|) eps m, m =
+        max(|mean|, |reference|): a zero-variance estimate's last-bit
+        differences are no deviation, and exp turns the last-bit error of
+        its argument x into a relative error of about |x| eps."""
+        m = max(abs(self.mean), abs(reference))
+        log_m = abs(math.log(m)) if m > 0 else 0.0
+        err = max(self.error_bound(),
+                  (16 + 2 * log_m) * sys.float_info.epsilon * m)
         if err == 0.0:
             return 0.0 if self.mean == reference else float("inf")
         if err == float("inf"):
@@ -86,9 +91,10 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 def chunk_generator(subseed: int, chunk_index: int) -> np.random.Generator:
-    """Independent Philox stream for one chunk of one target."""
-    key = (int(chunk_index) << 64) | int(subseed)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent PCG64DXSM stream for one chunk of one target: the
+    chunk index is the SeedSequence spawn key of the target's sub-seed."""
+    seq = np.random.SeedSequence(int(subseed), spawn_key=(int(chunk_index),))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def _sq_norms(x: np.ndarray, out=None) -> np.ndarray:

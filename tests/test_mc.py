@@ -8,7 +8,7 @@ import pytest
 
 from andersonlyap import mc
 from andersonlyap.brownian import tn_bm_oracle
-from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc
+from andersonlyap.chaos import ChaosQuery, exact_moment, jn_exp_time_mc
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.mc import MCEstimate, chunk_generator, derive_seed, \
     run_chunked
@@ -36,6 +36,29 @@ class TestDeriveSeed:
     def test_rejects_seeds_outside_the_key_range(self, seed):
         with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
             derive_seed(seed, "target/a")
+
+
+class TestChunkGenerator:
+    @staticmethod
+    def draws(subseed, chunk_index):
+        return chunk_generator(subseed, chunk_index).random(8)
+
+    def test_repeats_across_calls(self):
+        assert self.draws(7, 5).tobytes() == self.draws(7, 5).tobytes()
+
+    def test_neighbouring_keys_differ(self):
+        a = self.draws(7, 3)
+        for other in (self.draws(7, 4), self.draws(8, 3)):
+            assert not np.any(a == other)
+
+    def test_accepts_the_whole_key_range(self):
+        # the largest sub-seed, and a chunk index past 32 bits
+        top = self.draws(2 ** 64 - 1, 2 ** 32 + 1)
+        assert top.tobytes() != self.draws(2 ** 64 - 1, 1).tobytes()
+
+    def test_is_pcg64dxsm(self):
+        rng = chunk_generator(1, 0)
+        assert isinstance(rng.bit_generator, np.random.PCG64DXSM)
 
 
 class TestRunChunked:
@@ -146,6 +169,15 @@ class TestMCEstimate:
                          0, "demo")
         assert est.z_score(1.0000000000000004) == pytest.approx(-1 / 16)
         assert MCEstimate(0.0, 0.0, 10, 0, "demo").z_score(0.0) == 0.0
+
+    def test_z_score_rounding_floor_grows_with_the_log(self):
+        # white heat weights are exp of a sum of n logs, exact up to the
+        # rounding of exp at an argument near -n log 2, so every row reads
+        # at rounding level against its exact oracle 2^-n
+        for n in range(1, 1023):
+            query = ChaosQuery(EquationKind("heat"), KernelSpec("white"), n)
+            est = jn_exp_time_mc(query, 10, 0)
+            assert abs(est.z_score(exact_moment(query))) < 1.0, n
 
     def test_error_bound_includes_bias(self):
         est = MCEstimate(2.0, 0.0, 100, 0, "demo",
