@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -53,6 +52,8 @@ __all__ = [
 R_CAP = 800.0
 R_FLOOR = 50.0
 DEFAULT_TAIL_FRAC = 1e-4
+# log(max/min) of the normal doubles
+_LOG_RANGE = math.log(sys.float_info.max) - math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,9 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
     The exponential-time heat moment T_n is 2^-n for white noise and
     ``t1_exact`` at n = 1 for every family; the wave moment is T_n times
     ``wave_heat_factor``.  A fixed-time target follows by ``_at_time``.
-    A moment below the normal double range is a parameter error.
+    A moment outside the normal double range is a parameter error, and so
+    is a fixed-time target with no closed form whose time factor alone
+    puts it there.
     """
     eq, kernel, n = query.eq, query.kernel, query.n
     if n == 0:
@@ -117,6 +120,8 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
     elif n == 1:
         moment = t1_exact(kernel, eq.beta_l)
     else:
+        if query.t is not None:
+            _log_time_factor(query)  # raises where t alone decides the range
         return None
     if eq.is_wave:
         moment *= wave_heat_factor(n, kernel.alpha_eff, eq.beta_l)
@@ -126,28 +131,44 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
     return moment if query.t is None else _at_time(query, moment)
 
 
+def _out_of_range(what: str, query: ChaosQuery, log_value: float):
+    side = "below" if log_value < 0.0 else "beyond"
+    return ParameterError(f"fixed-time {what} at n={query.n}, t={query.t!r} "
+                          f"is exp({log_value:.6g}), {side} the double range")
+
+
+def _log_time_factor(query: ChaosQuery) -> float:
+    """log(t^(a n) / Gamma(a n + 1)), a = ``scaling_exponent``.  Past
+    log(max/min) in size no normal moment brings J_n(t) into the double
+    range, so it raises there, before anything is drawn."""
+    an = scaling_exponent(query.eq, query.kernel.alpha_eff) * query.n
+    log_factor = an * math.log(query.t) - math.lgamma(an + 1.0)
+    if abs(log_factor) > _LOG_RANGE:
+        raise _out_of_range("factor t^(a n)/Gamma(a n + 1)", query, log_factor)
+    return log_factor
+
+
 def _at_time(query: ChaosQuery, moment: float) -> float:
     """J_n(t) = t^(a n) moment / Gamma(a n + 1) from the exponential-time
     moment E[J_n(tau)], with a = ``scaling_exponent``: the scaling law
     J_n(t) = t^(a n) J_n(1) averaged over tau.  Where a factor of it
     leaves the double range the identity is evaluated in log space; a
-    value beyond that range is a parameter error."""
-    n, t = query.n, query.t
-    an = scaling_exponent(query.eq, query.kernel.alpha_eff) * n
+    value outside the normal range is a parameter error."""
+    an = scaling_exponent(query.eq, query.kernel.alpha_eff) * query.n
     try:
-        value = t ** an * moment / math.gamma(an + 1.0)
+        value = query.t ** an * moment / math.gamma(an + 1.0)
     except OverflowError:
         value = math.inf
-    if value < math.inf:
+    if sys.float_info.min <= value < math.inf:
         return value
-    log_value = an * math.log(t) + math.log(moment) - math.lgamma(an + 1.0)
+    log_value = _log_time_factor(query) + math.log(moment)
     try:
-        return math.exp(log_value)
+        value = math.exp(log_value)
     except OverflowError:
-        raise ParameterError(
-            f"fixed-time moment at n={n}, t={t!r} is exp({log_value:.6g}), "
-            "beyond the double range"
-        ) from None
+        value = math.inf
+    if sys.float_info.min <= value < math.inf:
+        return value
+    raise _out_of_range("moment", query, log_value)
 
 
 # ----------------------------------------------------------------------
@@ -172,12 +193,12 @@ class _SpatialSampler:
     classical heat-side Laplace factor 1/(1 + eta^2): no truncation bias,
     and exactly constant heat-side weights.
 
-    ``sample`` returns (eta_norm, log_ratio) where log_ratio is the log
-    of the product of mu-density / proposal-density factors.  A chunk is
-    drawn into a per-thread workspace that outlives it, with the sample
-    axis last: an (n, m) array, (n, d, m) in d >= 2, whose row for each
-    factor takes the next m draws of a flat stream.  It is transformed
-    there in place, to the bits of the plain array expressions.
+    ``sample`` returns (eta_norm, log_ratio), new arrays the caller owns,
+    where log_ratio is the log of the product of mu-density /
+    proposal-density factors.  A chunk keeps the sample axis last: an
+    (n, m) array, (n, d, m) in d >= 2, whose row for each factor takes
+    the next m draws of a flat stream, transformed in place to the bits
+    of the plain array expressions.
     """
 
     def __init__(self, kernel: KernelSpec, n: int, beta_l: float):
@@ -189,7 +210,6 @@ class _SpatialSampler:
         self.alpha = a = kernel.alpha_eff
         self.n = n
         self.eta_mode = kernel.family == "white"
-        self._local = threading.local()
         if self.eta_mode:
             self.weight_const = kernel.constant * math.pi  # full Cauchy mass
             # drawn directly from the untruncated law, with no rejection
@@ -230,21 +250,11 @@ class _SpatialSampler:
             r = R_CAP
         return float(min(max(r, R_FLOOR), R_CAP))
 
-    def _scratch(self, size: int) -> np.ndarray:
-        """The first size floats of the calling thread's workspace, valid
-        until its next call: an anonymous mapping, so chunks reuse its pages
-        and it leaves no holes in the heap when the sampler goes."""
-        ws = getattr(self._local, "ws", None)
-        if ws is None or ws.size < size:
-            import mmap  # loaded with the first workspace, not the module
-            ws = self._local.ws = np.frombuffer(mmap.mmap(-1, 8 * size))
-        return ws[:size]
-
     def _envelope_round(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """The radii accepted among k envelope candidates."""
         a, p1 = self.alpha, self._p1
         c2 = (1.0 - self.R ** (a - 2.0)) / (1.0 - p1)
-        u, v, r = uvr = self._scratch(3 * k).reshape(3, k)
+        u, v, r = uvr = np.empty((3, k))
         rng.random(out=uvr[:2])  # u's k draws, then v's
         low = u < p1
         # both powers are finite for every u, each taken in place on a whole
@@ -271,12 +281,11 @@ class _SpatialSampler:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def sample(self, rng: np.random.Generator, m: int):
-        """Draw m paths of n partial sums; returns (eta_norm, log_ratio),
-        eta_norm an (n, m) view of the thread's workspace."""
+        """Draw m paths of n partial sums: (eta_norm (n, m), log_ratio)."""
         n, d = self.n, self.d
         if self.eta_mode:
             # standard Cauchy by inversion, tan((u - 1/2) pi)
-            eta = rng.random(out=self._scratch(n * m).reshape(n, m))
+            eta = rng.random((n, m))
             eta -= 0.5
             eta *= math.pi
             np.tan(eta, out=eta)
@@ -285,13 +294,12 @@ class _SpatialSampler:
         else:
             r = self._radii(rng, n * m).reshape(n, m)
             if d == 1:
-                x = rng.random(out=self._scratch(n * m).reshape(n, m))
+                x = rng.random((n, m))
                 x -= 0.5
                 np.copysign(r, x, out=x)
             else:
-                ws = self._scratch((d + 1) * n * m)
-                x = rng.standard_normal(out=ws[n * m:].reshape(n, d, m))
-                norm = ws[:n * m].reshape(n, m)
+                x = rng.standard_normal((n, d, m))
+                norm = np.empty((n, m))
                 np.sqrt(_sq_norms(x, out=norm), out=norm)
                 x *= np.divide(r, norm, out=norm)[:, None]
             for j in range(1, n):
@@ -357,6 +365,7 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
     eq, kernel, n, t = query.eq, query.kernel, query.n, query.t
     if t is None:
         raise ParameterError("fixed-time target needs t")
+    _log_time_factor(query)  # raises before any draw where t alone decides
     label = f"jn_fixed/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}/t{t:g}"
     est = _laplace_mc(query, label, n_samples, seed, threads)
     mean = _at_time(query, est.mean)

@@ -26,21 +26,14 @@ __all__ = [
     "wave_heat_link_residual",
 ]
 
-# Below this argument sin(x)/x uses its Taylor polynomial; the direct
-# quotient loses half the significant digits near 0.
-_SINC_SWITCH = 1e-4
-
-
 def _sinc(x):
-    """sin(x)/x as a fresh array, with its series branch where needed."""
+    """sin(x)/x as a fresh array, 1 at x = 0.  The quotient itself is
+    accurate to about one unit of rounding down to the smallest x."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore"):
         out = np.sin(x, out=np.empty(x.shape))
-        out /= x  # 0/0 only at x = 0, which the series overwrites
-    small = np.abs(x) < _SINC_SWITCH
-    if small.any():
-        x2 = x[small] ** 2
-        out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+        out /= x  # 0/0 only at x = 0
+    np.putmask(out, x == 0.0, 1.0)
     return out
 
 

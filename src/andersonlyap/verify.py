@@ -175,17 +175,14 @@ def _white_moments(seed, threads):
     for n in (1, 2, 3):
         q = ChaosQuery(EquationKind("heat"), KernelSpec("white"), n)
         est = jn_exp_time_mc(q, 100_000, seed, threads=threads)
-        ref = exact_moment(q)
-        slack = 3.0 * est.std_error + 16.0 * np.finfo(float).eps * ref
-        worst = max(worst, abs(est.mean - ref) - slack)
-    return _check("white_noise_chaos_moments", max(worst, 0.0), 0.0,
-                  "flat-kernel moments against 2^-n, three orders")
+        worst = max(worst, abs(est.z_score(exact_moment(q))))
+    return _check("white_noise_chaos_moments", worst, 3.0,
+                  "flat-kernel moments against 2^-n, three orders, |z|")
 
 
 def _flat_control():
-    est = rho_eigen(1, 1.0, profile="flat", R=50.0, m=2048, refine_tol=1.0)
-    ref = math.atan(50.0) / math.pi
-    dev = abs(est.value - ref)
+    est = rho_eigen(1, 1.0, profile="flat")
+    dev = abs(est.value - math.atan(est.grid_radius) / math.pi)
     return _check("eigensolver_flat_control", dev, 1e-9,
                   "rank-one control against its truncated closed form")
 

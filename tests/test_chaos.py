@@ -23,6 +23,7 @@ from andersonlyap.chaos import (
 )
 from andersonlyap.asymptotics import scaling_exponent, wave_heat_factor
 from andersonlyap.errors import ConvergenceError, ParameterError
+from andersonlyap import mc
 from andersonlyap.mc import chunk_generator
 from andersonlyap.propagators import laplace_green_sq
 from andersonlyap.spectral import EquationKind, KernelSpec, riesz_constant
@@ -283,7 +284,6 @@ def test_sample_is_the_plain_array_expressions(kernel, n):
     m = 1000
     sampler = _SpatialSampler(kernel, n, 2.0)
     eta_norm, log_ratio = sampler.sample(chunk_generator(5, 0), m)
-    eta_norm = eta_norm.copy()  # a view of the workspace _radii reuses
     rng = chunk_generator(5, 0)
     if kernel.family == "white":
         eta = np.tan((rng.random((n, m)) - 0.5) * math.pi)
@@ -304,11 +304,25 @@ def test_sample_is_the_plain_array_expressions(kernel, n):
     np.testing.assert_allclose(log_ratio, want_log, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("kernel", [
+    WHITE, KernelSpec("riesz", d=1, alpha=0.5),
+    KernelSpec("riesz", d=2, alpha=0.8),
+])
+def test_sample_owns_its_arrays(kernel):
+    # a caller may keep a chunk while the same thread draws the next one
+    sampler = _SpatialSampler(kernel, 3, 2.0)
+    eta_norm, log_ratio = sampler.sample(chunk_generator(5, 0), 1000)
+    kept = eta_norm.copy(), log_ratio.copy()
+    sampler.sample(chunk_generator(6, 0), 1000)
+    assert np.array_equal(eta_norm, kept[0])
+    assert np.array_equal(log_ratio, kept[1])
+
+
 @pytest.mark.parametrize("fn, query", [
     (jn_exp_time_mc, ChaosQuery(WAVE, KernelSpec("riesz", d=2, alpha=0.8), 2)),
     (jn_fixed_time, ChaosQuery(WAVE, WHITE, 3, t=1.0)),
 ])
-def test_workspace_is_per_thread(fn, query):
+def test_six_switching_threads_equal_one(fn, query):
     # more workers than cores and a short switch interval: chunks that
     # shared a sampler workspace would overwrite each other's draws
     ref = fn(query, 6 * 65_536 + 5, 3)
@@ -466,6 +480,31 @@ class TestRangeRules:
             with pytest.raises(ParameterError,
                                match=f"at n={n}, .* underflows the double"):
                 exact_moment(ChaosQuery(HEAT, WHITE, n, t))
+
+    def test_fixed_time_moment_below_range_is_a_parameter_error(self):
+        # 2^-3 t^1.5 / Gamma(2.5) is exp(-1038.53): it read 0.0
+        with pytest.raises(ParameterError, match=(
+                r"moment at n=3, t=1e-300 is exp\(-1038.53\), below the")):
+            exact_moment(ChaosQuery(HEAT, WHITE, 3, t=1e-300))
+        with pytest.raises(ParameterError, match="n=2, .* below the double"):
+            jn_fixed_time(ChaosQuery(HEAT, RIESZ, 2, t=1e-300), 1000, 0)
+
+    @pytest.mark.parametrize("eq, n, t, side", [(HEAT, 3, 1e-300, "below"),
+                                                (WAVE, 4, 1e100, "beyond")])
+    def test_time_factor_out_of_range_draws_nothing(self, monkeypatch, eq, n,
+                                                    t, side):
+        # t^(a n)/Gamma(a n + 1) is past log(max/min) = 1418.18 in size:
+        # no normal moment brings the row back, closed form known or not
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a row its time factor rules out")
+
+        monkeypatch.setattr(mc, "run_chunked", no_draws)
+        q = ChaosQuery(eq, RIESZ, n, t)
+        match = f"factor .* at n={n}, .* {side} the double range"
+        with pytest.raises(ParameterError, match=match):
+            exact_moment(q)
+        with pytest.raises(ParameterError, match=match):
+            jn_fixed_time(q, 1000, 0)
 
 
 class TestFixedTimeMC:

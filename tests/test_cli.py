@@ -374,15 +374,16 @@ class TestChaosCommand:
 
     def test_fixed_time_oracle_past_gamma_overflow(self, capsys):
         # Gamma(2n + 1) overflows from n = 86 on; the oracle goes to log
-        # space there instead of raising
+        # space there instead of raising (at t = 1 it leaves the normal
+        # range from n = 80 on, which is a parameter error)
         code, out, _ = run_cli(capsys, "chaos", "--family", "white", "--eq",
-                               "wave", "--t", "1", "--n", "90", "--samples",
+                               "wave", "--t", "10", "--n", "90", "--samples",
                                "200", "--threads", "1", "--format", "json")
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [r["n"] for r in rows] == list(range(91))
-        assert all(r["oracle"] is not None and r["oracle"] >= 0.0
-                   for r in rows)
+        assert all(r["oracle"] is not None
+                   and r["oracle"] >= sys.float_info.min for r in rows)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fixed_time_oracle_overflow_named(self, capsys):
@@ -404,18 +405,52 @@ class TestChaosCommand:
         row = json.loads(out)["rows"][5]
         assert row["oracle"] > 1e291 and abs(row["z"]) < 3.0
 
+    @staticmethod
+    def _no_draws(monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking every time factor")
+
+        monkeypatch.setattr(mc, "run_chunked", no_draws)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_huge_wave_time_exits_2_quietly(self, capsys):
-        # no closed form from n = 2 on: the estimate of J_2(1e100), about
-        # 1e500, meets the oracle's range rule and exits 2 without a warning
+    def test_huge_wave_time_exits_2_quietly(self, capsys, monkeypatch):
+        # no closed form from n = 2 on, but the n = 3 time factor alone,
+        # t^(a n)/Gamma(a n + 1) = exp(1717), is past log(max/min): the
+        # oracles rule the row out before any draw, without a warning
+        self._no_draws(monkeypatch)
         code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
                                  "1", "--alpha", "0.5", "--eq", "wave", "--t",
                                  "1e100", "--n", "4", "--samples", "1000",
                                  "--threads", "1")
         assert code == EXIT_PARAMETER
         assert out == ""
-        assert "fixed-time moment at n=2, t=1e+100 is exp(" in err
+        assert "fixed-time factor t^(a n)/Gamma(a n + 1) at n=3, t=1e+100 " \
+               "is exp(" in err
         assert "beyond the double range" in err
+
+    def test_tiny_time_exits_2_unsampled(self, capsys, monkeypatch):
+        # the n = 3 time factor is exp(-1555): rows 2 and 3 printed 0 +- 0
+        self._no_draws(monkeypatch)
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "1", "--alpha", "0.5", "--eq", "heat", "--t",
+                                 "1e-300", "--n", "3", "--samples", "1000",
+                                 "--threads", "1")
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert "at n=3, t=1e-300 is exp(" in err
+        assert "below the double range" in err
+
+    def test_tiny_time_moment_exits_2_after_its_draw(self, capsys):
+        # the n = 2 factor is in range, so J_2(1e-300), about exp(-1035),
+        # is drawn and then meets the range rule; it printed 0 +- 0
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "1", "--alpha", "0.5", "--eq", "heat", "--t",
+                                 "1e-300", "--n", "2", "--samples", "1000",
+                                 "--threads", "1")
+        assert code == EXIT_PARAMETER
+        assert out == ""
+        assert "fixed-time moment at n=2, t=1e-300 is exp(" in err
+        assert "below the double range" in err
 
 
 class TestFormats:

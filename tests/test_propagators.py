@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from andersonlyap.errors import ParameterError
 from andersonlyap.propagators import (
-    _SINC_SWITCH,
     _sinc,
     fourier_green_sq,
     laplace_green_sq,
@@ -140,25 +139,20 @@ class TestContract:
         laplace_green_sq(eq, 0.8, r)
         assert np.array_equal(t, t0) and np.array_equal(r, r0)
 
-    def test_sinc_series_bits(self):
-        # below the switch the value is the Taylor polynomial itself, bit
-        # for bit, whatever the neighbours in the array
-        small = [0.0, -0.0, 1e-300, 3e-9, -5e-5, 0.99 * _SINC_SWITCH]
-        x = np.array(small + [_SINC_SWITCH, 0.5, -2.0, 1e100])
-        out = _sinc(x)
-        for xi, got in zip(small, out):
-            x2 = xi * xi
-            assert got == 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-        for xi, got in zip(x[len(small):], out[len(small):]):
-            assert got == pytest.approx(math.sin(xi) / xi, rel=1e-15)
-        x2 = 2e-5 * 2e-5
-        assert _sinc(np.array(2e-5)) == 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-
-    def test_wave_series_branch_value(self):
-        t, r = 0.5, 1e-5
-        x2 = (t * r) ** 2
-        assert fourier_green_sq(WAVE, t, r) == (
-            t * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)) ** 2
+    def test_sinc_within_one_ulp(self):
+        # the plain quotient against 50-digit sin(x)/x, down to the
+        # smallest x: on [0, 0.1] sinc lies in (0.998, 1], so one ulp of
+        # 1.0 is eps
+        mp = pytest.importorskip("mpmath")
+        x = np.geomspace(1e-300, 0.1, 1750)
+        x = np.concatenate([[0.0, -0.0], x, -x])
+        got = _sinc(x)
+        with mp.workdps(50):
+            for xi, value in zip(x, got):
+                exact = mp.sin(xi) / xi if xi else mp.mpf(1)
+                assert abs(mp.mpf(value) - exact) <= np.finfo(float).eps
+        assert got[:2].tolist() == [1.0, 1.0]
+        assert fourier_green_sq(WAVE, 0.5, 0.0) == 0.25
 
 
 class TestWaveHeatLink:
