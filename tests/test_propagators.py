@@ -139,6 +139,36 @@ class TestContract:
         laplace_green_sq(eq, 0.8, r)
         assert np.array_equal(t, t0) and np.array_equal(r, r0)
 
+    def test_sinc_series_bits(self):
+        # below 1e-4 the Taylor polynomial 1 - x^2/6 + x^4/120 is sinc to
+        # double precision; the quotient gives its bits where it rounds to
+        # 1.0 and lies within eps of it elsewhere, whatever the neighbours
+        # in the array
+        ones = [0.0, -0.0, 1e-300, 3e-9]
+        small = ones + [-5e-5, 0.99e-4]
+        x = np.array(small + [1e-4, 0.5, -2.0, 1e100])
+        out = _sinc(x)
+        assert out[:len(ones)].tolist() == [1.0] * len(ones)
+        for xi, got in zip(small, out):
+            x2 = xi * xi
+            series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+            assert abs(got - series) <= np.finfo(float).eps
+        for xi, got in zip(x[len(small):], out[len(small):]):
+            assert got == pytest.approx(math.sin(xi) / xi, rel=1e-15)
+        assert _sinc(np.array(-5e-5)) == out[4]
+
+    def test_wave_series_branch_value(self):
+        # t r below 1e-4, where the deleted series branch used to apply:
+        # one rounding in the quotient, doubled by the square, plus the
+        # square's own
+        mp = pytest.importorskip("mpmath")
+        t, r = 0.5, 1e-5
+        got = fourier_green_sq(WAVE, t, r)
+        with mp.workdps(50):
+            exact = (mp.sin(mp.mpf(t) * mp.mpf(r)) / mp.mpf(r)) ** 2
+            assert abs(mp.mpf(got) / exact - 1) <= 1.5 * np.finfo(float).eps
+        assert fourier_green_sq(WAVE, t, 0.0) == t * t
+
     def test_sinc_within_one_ulp(self):
         # the plain quotient against 50-digit sin(x)/x, down to the
         # smallest x: on [0, 0.1] sinc lies in (0.998, 1], so one ulp of
@@ -152,7 +182,6 @@ class TestContract:
                 exact = mp.sin(xi) / xi if xi else mp.mpf(1)
                 assert abs(mp.mpf(value) - exact) <= np.finfo(float).eps
         assert got[:2].tolist() == [1.0, 1.0]
-        assert fourier_green_sq(WAVE, 0.5, 0.0) == 0.25
 
 
 class TestWaveHeatLink:
