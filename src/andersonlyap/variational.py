@@ -24,8 +24,11 @@ by Nystrom discretization and power iteration:
   positive half of the 2m-point grid is the m-point radial grid.
 * d = 2: the same radial reduction, but the angular average is a
   hypergeometric closed form, summed in numpy at every entry of a dense
-  symmetric m x m matrix: a series in (s/r)^2 away from the diagonal,
-  one in ((r-s)/(r+s))^2 near it.
+  symmetric matrix: a series in (s/r)^2 away from the diagonal, one in
+  ((r-s)/(r+s))^2 near it.  The kernel is homogeneous of degree
+  alpha - 2, so a solve fills the matrix once, on the unit grid
+  r = i + 1/2, growing it by new rows only as the grid refines; at
+  spacing h a level uses h^(alpha-2) times its leading block.
 
 The integrable diagonal singularity |xi - eta|^(alpha - d) is replaced
 on diagonal cells by its exact cell average, restoring the first-order
@@ -168,7 +171,7 @@ def _kernel_column_1d(profile: str, d: int, alpha: float, h: float,
     return c * (_sphere_area(3) / 2.0) * col
 
 
-def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):
+def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters, v0=None):
     # d = 3: m is the radial count; the grid holds 2m points, h = R/m
     odd = d == 3
     n = 2 * m if odd else m
@@ -183,7 +186,8 @@ def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters):
         # rounding would otherwise feed the larger even eigenvector
         return 0.5 * (y - y[::-1]) if odd else y
 
-    v0 = (xi if odd else 1.0) / (1.0 + xi * xi)
+    if v0 is None:
+        v0 = (xi if odd else 1.0) / (1.0 + xi * xi)
     return power_iteration(matvec, v0, tol, max_iters)
 
 
@@ -289,25 +293,32 @@ def _diag_angular_avg(alpha, r, h, profile2d):
     return two_rs ** ((alpha - 2.0) / 2.0) * profile2d.g_at_1
 
 
-def _solve_radial(alpha, beta_l, R, m, tol, max_iters):
-    h = R / m
-    r = (np.arange(m) + 0.5) * h
-    profile2d = _AngularProfile2D(alpha)
-    # the strict lower triangle, 32 rows at a time, mirrored as it goes
-    ang = np.zeros((m, m))
-    for i0 in range(0, m, 32):
-        i1 = min(m, i0 + 32)
-        ra, rb = np.broadcast_arrays(r[i0:i1, None], r[:i1])
-        low = rb < ra
-        blk = np.zeros(ra.shape)
-        blk[low] = profile2d(ra[low], rb[low])
-        ang[i0:i1, :i1] = blk
-        ang[:i1, i0:i1] += blk.T
-    np.fill_diagonal(ang, _diag_angular_avg(alpha, r, h, profile2d))
-
-    u = np.sqrt(h * _sphere_area(2) * riesz_constant(2, alpha) * r
-                / (1.0 + r ** beta_l))
-    v0 = np.sqrt(r) / (1.0 + r * r)
+def _solve_radial(alpha, beta_l, R, m, tol, max_iters, v0=None, unit=None):
+    # unit: [the unit-grid angular matrix], shared and grown by one solve
+    unit = unit or [np.zeros((0, 0))]
+    m0, h, r = len(unit[0]), R / m, np.arange(m) + 0.5
+    if m > m0:
+        # the old matrix becomes the leading block and is released; the new
+        # rows' strict lower triangle is filled 32 rows at a time, mirrored
+        profile2d = _AngularProfile2D(alpha)
+        ang = np.zeros((m, m))
+        ang[:m0, :m0] = unit.pop()
+        unit.append(ang)
+        for i0 in range(m0, m, 32):
+            i1 = min(m, i0 + 32)
+            ra, rb = np.broadcast_arrays(r[i0:i1, None], r[:i1])
+            low = rb < ra
+            blk = np.zeros(ra.shape)
+            blk[low] = profile2d(ra[low], rb[low])
+            ang[i0:i1, :i1] = blk
+            ang[:i1, i0:i1] += blk.T
+        np.fill_diagonal(ang[m0:, m0:],
+                         _diag_angular_avg(alpha, r[m0:], 1.0, profile2d))
+    ang, r = unit[0][:m, :m], r * h
+    u = np.sqrt(h ** (alpha - 1.0) * _sphere_area(2) * riesz_constant(2, alpha)
+                * r / (1.0 + r ** beta_l))
+    if v0 is None:
+        v0 = np.sqrt(r) / (1.0 + r * r)
     return power_iteration(lambda v: u * (ang @ (u * v)), v0, tol, max_iters)
 
 
@@ -353,9 +364,11 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
 
     The value is computed at m and 2m points (the Richardson pair); if
     the pair disagrees by more than refine_tol relatively the grid is
-    doubled, at most twice.  The returned value is the finer of the
-    final pair; truncation-radius adequacy is reported separately
-    through the analytic tail bound in the metadata.
+    doubled, at most twice.  Each finer level's power iteration starts
+    from the coarser eigenvector, linearly interpolated, and
+    power_iterations counts every level.  The returned value is the
+    finer of the final pair; truncation-radius adequacy is reported
+    separately through the analytic tail bound in the metadata.
     """
     if profile not in ("riesz", "flat"):
         raise ParameterError(f"unknown kernel profile {profile!r}")
@@ -385,14 +398,19 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
                              "outside the double range")
 
     if d == 2:
-        solve = partial(_solve_radial, alpha, beta_l, R)
+        solve = partial(_solve_radial, alpha, beta_l, R,
+                        unit=[np.zeros((0, 0))])
     else:
         solve = partial(_solve_1d, profile, d, alpha, beta_l, R)
 
     refinements = 0
-    lam_c, _, it_c, _ = solve(m, tol, max_iters)
+    lam_c, vec, iters, _ = solve(m, tol, max_iters)
     while True:
-        lam_f, _, it_f, res_f = solve(2 * m, tol, max_iters)
+        # warm start: the coarser eigenvector at the fine cell centres
+        x = np.arange(2 * vec.size) / 2.0
+        lam_f, vec, it, res_f = solve(2 * m, tol, max_iters,
+                                      np.interp(x - 0.25, x[::2], vec))
+        iters += it
         gap = abs(lam_f - lam_c) / abs(lam_f)
         if gap <= refine_tol or refinements >= MAX_GRID_REFINEMENTS:
             break
@@ -400,7 +418,7 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         # side is monitored by the analytic truncation bound instead
         m *= 2
         refinements += 1
-        lam_c, it_c = lam_f, it_f
+        lam_c = lam_f
 
     params = {
         "d": d,
@@ -418,7 +436,7 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         value=lam_f,
         grid_radius=R,
         grid_points=2 * m,
-        power_iterations=it_c + it_f,
+        power_iterations=iters,
         residual=res_f,
         richardson_pair=(lam_c, lam_f),
         params=params,

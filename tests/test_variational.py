@@ -275,7 +275,8 @@ class TestRadialSolver:
         assert est.value == pytest.approx(0.5356237121276748, rel=1e-12)
         assert est.richardson_pair[0] == pytest.approx(0.5344618992477286,
                                                        rel=1e-12)
-        assert est.power_iterations == 86
+        # every level counted: 43 + 32 + 30 + 28, each warm-started
+        assert est.power_iterations == 133
 
     @pytest.mark.parametrize("alpha,value", [
         (0.5, 0.7154459175312442),
@@ -289,6 +290,78 @@ class TestRadialSolver:
         assert est.value == pytest.approx(value, rel=1e-9)
         assert est.grid_points == 1200
         assert est.params["grid_refinements"] == 0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_unit_matrix_scales_to_any_spacing(self, alpha):
+        # the direct fill at spacing h, the reference: h^(alpha-2) times
+        # the leading block of the unit-grid matrix must reproduce it
+        m, h = 40, 30.0 / 40
+        r = (np.arange(m) + 0.5) * h
+        prof = _AngularProfile2D(alpha)
+        ra, rb = np.maximum.outer(r, r), np.minimum.outer(r, r)
+        off = ~np.eye(m, dtype=bool)
+        direct = np.zeros((m, m))
+        direct[off] = prof(ra[off], rb[off])
+        np.fill_diagonal(direct,
+                         variational._diag_angular_avg(alpha, r, h, prof))
+        unit = [np.zeros((0, 0))]
+        variational._solve_radial(alpha, 2.0, 30.0, 2 * m, DEFAULT_TOL,
+                                  100, unit=unit)
+        np.testing.assert_allclose(h ** (alpha - 2.0) * unit[0][:m, :m],
+                                   direct, rtol=1e-13, atol=0.0)
+
+    def test_refinement_grows_one_unit_matrix(self, monkeypatch):
+        # grids 600 to 4800: each lower-triangle entry of the final
+        # 4800-point unit matrix is evaluated once (for alpha > 1 the
+        # diagonal needs no profile call)
+        evaluated = []
+        profile = variational._AngularProfile2D.__call__
+
+        def counted(self, ra, rb):
+            evaluated.append(ra.size)
+            return profile(self, ra, rb)
+
+        monkeypatch.setattr(variational._AngularProfile2D, "__call__",
+                            counted)
+        est = rho_eigen(2, 1.1)
+        assert est.grid_points == 4800
+        assert est.params["grid_refinements"] == 2
+        assert sum(evaluated) == 4800 * 4799 // 2
+        assert est.value == pytest.approx(1.1596412876923086, rel=1e-12)
+
+    def test_warm_start_matches_cold_levels(self, monkeypatch):
+        # each finer level starts from the coarser eigenvector; every
+        # level must give what a cold solve of it gives, and over these
+        # cases (not in each: d = 2 alpha = 1 takes one more) the
+        # iteration total falls
+        solvers = {name: getattr(variational, name)
+                   for name in ("_solve_1d", "_solve_radial")}
+        warm_total = cold_total = 0
+        for d, alpha, profile in [(1, 0.5, "riesz"), (1, 0.9, "riesz"),
+                                  (1, 1.0, "flat"), (2, 0.5, "riesz"),
+                                  (2, 1.0, "riesz"), (2, 1.5, "riesz"),
+                                  (3, 0.5, "riesz"), (3, 1.0, "riesz"),
+                                  (3, 1.5, "riesz")]:
+            name, n_args = ("_solve_radial", 6) if d == 2 else ("_solve_1d", 8)
+            warm, cold = [], []
+
+            def recorded(*args, solve=solvers[name], n_args=n_args,
+                         warm=warm, cold=cold, **kwargs):
+                out = solve(*args, **kwargs)
+                warm.append(out[2])
+                cold.append(solve(*args[:n_args]))  # no start vector
+                return out
+
+            monkeypatch.setattr(variational, name, recorded)
+            est = rho_eigen(d, alpha, profile=profile)
+            assert len(warm) == 2 + est.params["grid_refinements"]
+            assert est.power_iterations == sum(warm)
+            assert est.richardson_pair == pytest.approx(
+                (cold[-2][0], cold[-1][0]), rel=1e-12)
+            assert est.value == est.richardson_pair[1]
+            warm_total += sum(warm)
+            cold_total += sum(c[2] for c in cold)
+        assert warm_total < cold_total
 
 
 class TestAngularProfile2D:
