@@ -25,8 +25,7 @@ _EXPORTS = {
                      "jn_fixed_time", "log_rate_tn", "t1_exact"), "chaos"),
     **dict.fromkeys(("ConvergenceError", "ParameterError"), "errors"),
     "MCEstimate": "mc",
-    **dict.fromkeys(("fourier_green_sq", "laplace_green_sq",
-                     "wave_heat_link_residual"), "propagators"),
+    **dict.fromkeys(("fourier_green_sq", "laplace_green_sq"), "propagators"),
     **dict.fromkeys(("EquationKind", "KernelSpec", "c_h", "dalang_check",
                      "riesz_constant"), "spectral"),
     **dict.fromkeys(("RhoEstimate", "rho_eigen"), "variational"),

@@ -51,7 +51,7 @@ from .errors import ParameterError
 from .mc import MCEstimate, _sq_norms, estimate
 from .spectral import KernelSpec, require_admissible
 
-__all__ = ["tn_bm_oracle"]
+__all__ = ["check_oracle_args", "tn_bm_oracle"]
 
 MAX_REFINE_DEPTH = 4
 MAX_TIME_STEP = 0.1
@@ -307,15 +307,10 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     return zeta, scored
 
 
-def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
-                 seed: int, *, threads: int = 1) -> MCEstimate:
-    """Path estimate of T_n = E[zeta(tau)^n] / n!.
-
-    Independent of the Fourier-side estimators in both representation
-    and sampling machinery; agreement within combined error bars is the
-    strongest internal consistency check this package offers.
-    """
-    # Riesz noise against the classical Laplacian, the diffusion's generator
+def check_oracle_args(d: int, alpha: float, n: int, time_step: float):
+    """Raise ParameterError unless ``tn_bm_oracle`` takes these: Riesz
+    noise admissible against the classical Laplacian, the diffusion's
+    generator, an order n >= 1 and a time step within its bounds."""
     require_admissible(KernelSpec("riesz", d=d, alpha=alpha).alpha_eff)
     if n < 1:
         raise ParameterError(f"moment order n must be >= 1, got {n}")
@@ -326,6 +321,16 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
             f"ones lay out too many rows, got {time_step}"
         )
 
+
+def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
+                 seed: int, *, threads: int = 1) -> MCEstimate:
+    """Path estimate of T_n = E[zeta(tau)^n] / n!.
+
+    Independent of the Fourier-side estimators in both representation
+    and sampling machinery; agreement within combined error bars is the
+    strongest internal consistency check this package offers.
+    """
+    check_oracle_args(d, alpha, n, time_step)
     log_nfact = math.lgamma(n + 1)
     table = _mean_table(d, alpha)
     scored = []

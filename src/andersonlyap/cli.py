@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, get_args, get_type_hints
 
 from .asymptotics import at_growth, lambda2_closed_form, mittag_leffler
@@ -48,9 +48,8 @@ CONFIG_ENV = "ANDERSON_CONFIG"
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (flags over config file over defaults);
-    a solver setting left None takes ``rho_eigen``'s default.  The grid
-    (radius and points) is the solver's own and not a setting."""
+    """Resolved run configuration (flags over config file over defaults).
+    The eigensolver's grid and tolerances are its own, not settings."""
 
     command: str = "lyapunov"
     family: str = "white"
@@ -63,14 +62,12 @@ class RunConfig:
     t: Optional[float] = None
     samples: int = 1_000_000
     seed: int = 0
-    tol: Optional[float] = None
     rho: Optional[float] = None
     e_gamma: Optional[float] = None
     format: str = "table"
     out: Optional[str] = None
     # mc.MAX_THREADS caps it; this module loads no numpy, so not mc either
     threads: int = min(max(1, os.cpu_count() or 1), 256)
-    max_iters: Optional[int] = None
     method: str = "fourier"
     time_step: float = 2e-3
 
@@ -128,12 +125,11 @@ def load_config_file(path: str) -> dict:
 # The RunConfig settings each subcommand reads: its flags, besides
 # --format and --out.  A config file may set any of them for any command.
 _MODEL = ("family", "d", "alpha", "H", "eq", "beta_l")
-_SOLVER = ("tol", "max_iters")
 _COMMAND_KEYS = {
-    "lyapunov": _MODEL + _SOLVER + ("rho", "e_gamma"),
+    "lyapunov": _MODEL + ("rho", "e_gamma"),
     "chaos": _MODEL + ("n", "t", "samples", "seed", "threads", "method",
                        "time_step"),
-    "rho": ("family", "d", "alpha", "beta_l") + _SOLVER,
+    "rho": ("family", "d", "alpha", "beta_l"),
     "verify": ("seed", "threads"),
     "ml": ("t",),
 }
@@ -165,10 +161,6 @@ _READ_BY = {
     "eq": (lambda cfg: cfg.command != "chaos" or cfg.method != "bm",
            "--method bm estimates the heat moments T_n"),
     "time_step": (lambda cfg: cfg.method == "bm", "only --method bm reads it"),
-    **dict.fromkeys(_SOLVER, (
-        lambda cfg: cfg.command == "rho" or (cfg.family == "riesz"
-                                             and cfg.rho is None),
-        "lyapunov solves for rho only for riesz noise without --rho")),
 }
 
 
@@ -242,13 +234,11 @@ def _emit(cfg: RunConfig, payload, rows=None, title=""):
 
 def _solve_rho(cfg: RunConfig, kernel: KernelSpec):
     """The eigensolver's RhoEstimate for a checked Riesz or white kernel
-    on the solver's own grid; a Richardson pair that still disagrees after
-    the last refinement is a convergence error."""
+    on the solver's own grid and tolerances; a Richardson pair that still
+    disagrees after the last refinement is a convergence error."""
     from .variational import rho_eigen
 
-    solver = {"tol": cfg.tol, "max_iters": cfg.max_iters}
     est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l,
-                    **{k: v for k, v in solver.items() if v is not None},
                     profile="flat" if kernel.family == "white" else "riesz")
     gap, refine_tol = est.params["richardson_gap"], est.params["refine_tol"]
     if not gap <= refine_tol:
@@ -283,6 +273,8 @@ def cmd_chaos(cfg: RunConfig) -> int:
     kernel = cfg.kernel()
     eq = cfg.equation()
     if cfg.method == "bm":
+        from .brownian import check_oracle_args, tn_bm_oracle
+
         if cfg.beta_l != 2.0:
             raise ParameterError(
                 "the Brownian oracle represents the classical Laplacian only"
@@ -296,16 +288,19 @@ def cmd_chaos(cfg: RunConfig) -> int:
                 f"t = {cfg.t} does not apply to the Brownian oracle, which "
                 "estimates the exponential-time moments T_n"
             )
+        # the oracle's rules, n >= 1 among them, refuse an empty range
+        check_oracle_args(cfg.d, cfg.alpha, cfg.n, cfg.time_step)
         # the path functional estimates the heat-side moments T_n
         eq = EquationKind("heat")
-    queries = [ChaosQuery(eq, kernel, n, cfg.t)
-               for n in range(1 if cfg.method == "bm" else 0, cfg.n + 1)]
+    # ChaosQuery's n >= 0 at the top order refuses an empty range
+    top = ChaosQuery(eq, kernel, cfg.n, cfg.t)
+    queries = [replace(top, n=n)
+               for n in range(1 if cfg.method == "bm" else 0, top.n + 1)]
     # every oracle first: a moment past the double range exits 2 unsampled
     oracles = [exact_moment(query) for query in queries]
     rows = []
     for query, oracle in zip(queries, oracles):
         if cfg.method == "bm":
-            from .brownian import tn_bm_oracle
             est = tn_bm_oracle(cfg.d, cfg.alpha, query.n, cfg.samples,
                                cfg.time_step, cfg.seed, threads=cfg.threads)
         elif cfg.t is None:

@@ -177,8 +177,13 @@ def estimate(draw, n_samples: int, seed: int, label: str, order: int,
     A mean below the normal range raises.  The target gains
     ``|zero-variance`` where no weight differed beyond rounding (the
     integrand may still vary where no draw landed) and ``|low-confidence``
-    past N_CONFIDENT; ``params`` gains the bare label's sub-seed."""
+    past N_CONFIDENT; ``params`` gains the bare label's sub-seed.  An
+    order from 1 up needs 2 samples: one has no spread to measure."""
     subseed = derive_seed(seed, label)
+    if order >= 1 and n_samples < 2:
+        raise ParameterError(
+            f"n_samples must be at least 2 for the standard error of "
+            f"{label}, got {n_samples}")
     mean, std_error = run_chunked(draw, n_samples, subseed, threads=threads,
                                   chunk_size=chunk_size)
     if mean < sys.float_info.min:

@@ -20,11 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .spectral import EquationKind
 
-__all__ = [
-    "fourier_green_sq",
-    "laplace_green_sq",
-    "wave_heat_link_residual",
-]
+__all__ = ["fourier_green_sq", "laplace_green_sq"]
 
 def _sinc(x):
     """sin(x)/x as a fresh array, 1 at x = 0.  The quotient itself is
@@ -64,21 +60,9 @@ def laplace_green_sq(eq: EquationKind, beta: float, r):
     out += 0.25 * beta * beta if eq.is_wave else beta
     np.divide(1.0, out, out=out)
     if eq.is_wave:
-        # written as a product so it is bitwise the heat transform at
-        # rate beta^2/4 times 1/(2 beta): the link identity holds with
-        # residual exactly zero
+        # the heat transform at rate beta^2/4 times 1/(2 beta), in that
+        # order: the wave weights of the Monte Carlo, and so its pinned
+        # draws, are built on these bits
         out *= 0.5 / beta
     return float(out) if out.ndim == 0 else out
 
-
-def wave_heat_link_residual(beta: float, r, beta_l: float = 2.0):
-    """Defect of the identity  I^w_beta = 1/(2*beta) * I^h_{beta^2/4}.
-
-    Identically zero up to floating-point rounding; exposed so the
-    identity can be audited on any grid."""
-    wave = EquationKind("wave", beta_l)
-    heat = EquationKind("heat", beta_l)
-    lhs = laplace_green_sq(wave, beta, r)
-    rhs = (0.5 / beta) * np.asarray(laplace_green_sq(heat, 0.25 * beta * beta, r))
-    out = lhs - rhs
-    return float(out) if np.ndim(out) == 0 else out

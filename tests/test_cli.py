@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import andersonlyap
 import andersonlyap.verify
-from andersonlyap import mc
+from andersonlyap import mc, variational
 from andersonlyap.asymptotics import _log_functionals
 from andersonlyap.cli import (
     EXIT_CONVERGENCE,
@@ -141,11 +141,7 @@ class TestExitCodes:
          "beta_l must lie in (0, 2], got 5.0"),
         (["--family", "white", "--beta-l", "7"],
          "beta_l must lie in (0, 2], got 7.0"),
-        (["--family", "riesz", "--d", "1", "--alpha", "0.5", "--tol", "nan"],
-         "tol=nan"),
-        (["--family", "riesz", "--d", "1", "--alpha", "0.5",
-          "--max-iters", "0"], "max_iters=0"),
-    ], ids=["riesz-beta-l-5", "white-beta-l-7", "tol-nan", "max-iters-0"])
+    ], ids=["riesz-beta-l-5", "white-beta-l-7"])
     def test_rho_rejects_inputs_outside_the_model(self, capsys, argv, named):
         code, out, err = run_cli(capsys, "rho", *argv)
         assert code == EXIT_PARAMETER
@@ -153,7 +149,9 @@ class TestExitCodes:
         assert named in err
 
     @pytest.mark.parametrize("flag, value", [("--grid-radius", "50"),
-                                             ("--grid-points", "64")])
+                                             ("--grid-points", "64"),
+                                             ("--tol", "nan"),
+                                             ("--max-iters", "0")])
     @pytest.mark.parametrize("argv", [
         ["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
         ["rho", "--family", "riesz", "--d", "1", "--alpha", "0.5"],
@@ -162,7 +160,8 @@ class TestExitCodes:
         ["ml", "--a", "1", "--x", "1"],
     ], ids=lambda argv: argv[0])
     def test_grid_flags_are_retired(self, capsys, argv, flag, value):
-        # the grid is the solver's own: no subcommand takes it as a flag
+        # the grid and tolerances are the solver's own: no subcommand
+        # takes them as flags
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, value])
         assert exc.value.code == EXIT_PARAMETER
@@ -170,17 +169,45 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
 
-    def test_convergence_error(self, capsys):
-        code, _, err = run_cli(capsys, "rho", "--family", "riesz", "--d", "1",
-                               "--alpha", "0.5",
-                               "--tol", "1e-15", "--max-iters", "3")
-        assert code == EXIT_CONVERGENCE
+    def test_convergence_error(self, capsys, monkeypatch):
+        # a power iteration held to 3 steps at tol 1e-15 cannot converge
+        power_iteration = variational.power_iteration
+        monkeypatch.setattr(
+            variational, "power_iteration",
+            lambda matvec, v0, tol, max_iters:
+                power_iteration(matvec, v0, 1e-15, 3))
+        code, out, err = run_cli(capsys, "rho", "--family", "riesz", "--d",
+                                 "1", "--alpha", "0.5")
+        assert (code, out) == (EXIT_CONVERGENCE, "")
+        assert "power iteration did not converge in 3 iterations" in err
         assert "residual" in err
 
     def test_zero_samples_is_parameter_error(self, capsys):
         code, _, err = run_cli(capsys, "chaos", "--samples", "0")
         assert code == EXIT_PARAMETER
         assert "n_samples" in err
+
+    def test_one_sample_has_no_error_bar(self, capsys):
+        # J_0's one exact weight passes; J_1 from one draw has no spread
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "1", "--alpha", "0.5", "--n", "2",
+                                 "--samples", "1")
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert "n_samples must be at least 2" in err and "/n1" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--family", "white", "--n", "-1"), "n must be >= 0, got -1"),
+        (("--family", "riesz", "--d", "1", "--alpha", "0.5", "--method",
+          "bm", "--n", "0"), "n must be >= 1, got 0"),
+    ], ids=["fourier", "bm"])
+    def test_empty_order_range(self, capsys, monkeypatch, argv, named):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew for an empty order range")
+
+        monkeypatch.setattr(mc, "run_chunked", no_draws)
+        code, out, err = run_cli(capsys, "chaos", *argv)
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert named in err
 
     @pytest.mark.parametrize("rho", ["inf", "nan", "0"])
     def test_bad_rho_named(self, capsys, rho):
@@ -317,6 +344,23 @@ class TestExitCodes:
         data = json.loads(out)
         failed = [c["name"] for c in data["checks"] if not c["passed"]]
         assert failed == ["exponent_identity_residual"]
+
+    def test_verify_guards_the_wave_heat_link(self, capsys, monkeypatch):
+        # a wave transform off I^w_beta = (2 beta)^-1 I^h_{beta^2/4} by a
+        # relative 1e-5 fails the time quadrature, which reads it
+        laplace_green_sq = andersonlyap.verify.laplace_green_sq
+
+        def off_the_link(eq, beta, r):
+            value = laplace_green_sq(eq, beta, r)
+            return value * (1.0 + 1e-5) if eq.is_wave else value
+
+        monkeypatch.setattr(andersonlyap.verify, "laplace_green_sq",
+                            off_the_link)
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == EXIT_VERIFY
+        data = json.loads(out)
+        failed = [c["name"] for c in data["checks"] if not c["passed"]]
+        assert failed == ["laplace_transform_quadrature"]
 
 
 class TestChaosCommand:
@@ -534,7 +578,8 @@ class TestConfigPrecedence:
         assert out == ""
         assert f"{cfg}:2: unknown key 'command'" in err
 
-    @pytest.mark.parametrize("key", ["grid_radius", "grid_points"])
+    @pytest.mark.parametrize("key", ["grid_radius", "grid_points", "tol",
+                                     "max_iters"])
     @pytest.mark.parametrize("command", ["lyapunov", "rho"])
     def test_retired_grid_key_rejected(self, capsys, tmp_path, monkeypatch,
                                        key, command):
@@ -581,7 +626,7 @@ class TestFlagTable:
         options = [opt for p in sub.choices.values() for a in p._actions
                    for opt in a.option_strings
                    if opt.startswith("--") and opt != "--help"]
-        assert len(options) == 45
+        assert len(options) == 41
 
     @pytest.mark.parametrize("argv", [
         ["lyapunov", "--family", "white", "--samples", "5"],
@@ -600,9 +645,10 @@ class TestFlagTable:
         (["rho", "--family", "white", "--alpha", "0.3"], "--alpha"),
         (["lyapunov", "--family", "white", "--d", "3", "--alpha", "1.7",
           "--H", "0.1"], "--d"),
+        (["chaos", "--family", "white", "--samples", "100", "--d", "2"],
+         "--d"),
         (["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5",
-          "--rho", "1.0", "--tol", "1e-9"], "--tol"),
-        (["lyapunov", "--family", "white", "--tol", "1e-9"], "--tol"),
+          "--H", "0.3"], "--H"),
         (["lyapunov", "--family", "riesz", "--d", "1", "--alpha", "0.5",
           "--e-gamma", "1.0"], "--e-gamma"),
         (["lyapunov", "--family", "fractional", "--e-gamma", "1.0",
@@ -625,8 +671,7 @@ class TestFlagTable:
     def test_config_keys_the_family_does_not_read_stay_accepted(
             self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "anderson.cfg"
-        cfg.write_text("d = 3\nalpha = 1.7\nH = 0.1\ntol = 1e-9\n"
-                       "time_step = 0.01\n")
+        cfg.write_text("d = 3\nalpha = 1.7\nH = 0.1\ntime_step = 0.01\n")
         monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
         code, out, _ = run_cli(capsys, "lyapunov", "--family", "white",
                                "--format", "json")
@@ -692,6 +737,16 @@ class TestVerifyDeterminism:
                                  "--out", str(p))
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_nine_checks(self):
+        report = andersonlyap.verify.run_verification(seed=0)
+        assert [c["name"] for c in report["checks"]] == [
+            "white_noise_exact_exponents", "exponent_identity_residual",
+            "laplace_transform_quadrature", "mittag_leffler_values",
+            "mittag_leffler_branch_consistency", "growth_rate_deviation",
+            "chaos_time_scaling", "white_noise_chaos_moments",
+            "eigensolver_flat_control"]
+        assert report["all_passed"]
 
 
 class TestMlCommand:

@@ -144,13 +144,18 @@ ESTIMATORS = [
 
 @pytest.mark.parametrize("label, run, underflow_n", ESTIMATORS)
 def test_both_estimators_share_one_pipeline(label, run, underflow_n):
-    # one sample has no spread, and past N_CONFIDENT the weights' variance
-    # grows; neither suffix moves the sub-stream
-    for n, m, suffix in ((2, 500, ""), (2, 1, "|zero-variance"),
+    # past N_CONFIDENT the weights' variance grows; the suffix does not
+    # move the sub-stream
+    for n, m, suffix in ((2, 500, ""),
                          (mc.N_CONFIDENT + 1, 500, "|low-confidence")):
         est = run(n, m)
         assert est.target == label(n) + suffix
         assert est.params["subseed"] == derive_seed(4, label(n))
+    # one sample has no spread to measure
+    with pytest.raises(ParameterError, match=re.escape(
+            f"n_samples must be at least 2 for the standard error of "
+            f"{label(2)}, got 1")):
+        run(2, 1)
     message = (f"the estimate of {label(underflow_n)}, 0, underflows the "
                "double range")
     with pytest.raises(ConvergenceError, match=re.escape(message)):

@@ -1,11 +1,9 @@
-"""Propagator transforms: closed forms, quadrature and the exact link."""
+"""Propagator transforms: closed forms and quadrature."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from andersonlyap.errors import ParameterError
@@ -13,7 +11,6 @@ from andersonlyap.propagators import (
     _sinc,
     fourier_green_sq,
     laplace_green_sq,
-    wave_heat_link_residual,
 )
 from andersonlyap.spectral import EquationKind
 
@@ -182,21 +179,6 @@ class TestContract:
                 exact = mp.sin(xi) / xi if xi else mp.mpf(1)
                 assert abs(mp.mpf(value) - exact) <= np.finfo(float).eps
         assert got[:2].tolist() == [1.0, 1.0]
-
-
-class TestWaveHeatLink:
-    @pytest.mark.parametrize("beta,r", [(2.0, 1.0), (0.5, 10.0), (7.0, 0.0)])
-    def test_examples(self, beta, r):
-        assert abs(wave_heat_link_residual(beta, r)) <= 1e-15
-
-    @given(
-        st.floats(1e-3, 1e3),
-        st.floats(0.0, 1e3),
-        st.floats(0.3, 2.0),
-    )
-    @settings(max_examples=80)
-    def test_identically_zero(self, beta, r, beta_l):
-        assert abs(wave_heat_link_residual(beta, r, beta_l)) <= 1e-15
 
 
 class TestEquationKind:
