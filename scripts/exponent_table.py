@@ -3,6 +3,8 @@
 
 For each alpha the variational constant is solved once and the wave and
 heat exponents are derived, together with the route-consistency gap.
+Exits 2 on a parameter error and 3 when a solve misses its Richardson
+tolerance, as the CLI does, printing no table.
 
     python3 scripts/exponent_table.py --alphas 0.3 0.5 0.8 --format csv
 """
@@ -16,6 +18,7 @@ from andersonlyap import (
     lambda2_closed_form,
     rho_eigen,
 )
+from andersonlyap.cli import run_with_exit_codes
 from andersonlyap.reporting import csv_render, table_render
 
 
@@ -30,7 +33,7 @@ def main():
 
     rows = []
     for alpha in args.alphas:
-        est = rho_eigen(args.d, alpha)
+        est = rho_eigen(args.d, alpha).require_refined()
         kernel = KernelSpec("riesz", d=args.d, alpha=alpha)
         wave = lambda2_closed_form(EquationKind("wave"), kernel,
                                    rho=est.value)
@@ -49,4 +52,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_with_exit_codes(main))

@@ -8,7 +8,9 @@ where one exists (T_1).  The two estimates are compared by z, which
 divides by both error bounds (truncation bias included), and by z_se,
 which divides by the standard errors alone.  The rate sequence is
 compared against log(rho) from the eigensolver, printed with its
-Richardson gap and the tolerance that gap should meet.
+Richardson gap and the tolerance that gap meets.  Exits 2 on a
+parameter error and 3 on a convergence error, as the CLI does, printing
+no table.
 
     python3 scripts/moment_crosscheck.py --alpha 0.5 --n-max 4
 """
@@ -19,6 +21,7 @@ import sys
 
 from andersonlyap import (ChaosQuery, EquationKind, KernelSpec, exact_moment,
                           log_rate_tn, rho_eigen, tn_bm_oracle)
+from andersonlyap.cli import run_with_exit_codes
 from andersonlyap.reporting import table_render
 
 
@@ -33,6 +36,8 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    # a rho that misses its Richardson tolerance exits 3 before any draw
+    est = rho_eigen(args.d, args.alpha).require_refined()
     heat = EquationKind("heat")
     kernel = KernelSpec("riesz", d=args.d, alpha=args.alpha)
     rows = []
@@ -54,7 +59,6 @@ def main():
             "z_se": gap / sigma_se if sigma_se else 0.0,
             "rate": rate,
         })
-    est = rho_eigen(args.d, args.alpha)
     gap, refine_tol = est.params["richardson_gap"], est.params["refine_tol"]
     sys.stdout.write(table_render(rows, title="exponential-time moments"))
     sys.stdout.write(
@@ -65,4 +69,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_with_exit_codes(main))

@@ -2,7 +2,8 @@
 """Discretization study for the variational constant.
 
 Tabulates rho over a (grid points, radius) ladder so truncation and
-quadrature errors can be read off separately.
+quadrature errors can be read off separately.  Exits 2 on a parameter
+error and 3 on a convergence error, as the CLI does, printing no table.
 
     python3 scripts/rho_convergence.py --alpha 0.5 --format csv
 """
@@ -12,6 +13,7 @@ import sys
 import time
 
 from andersonlyap import rho_eigen
+from andersonlyap.cli import run_with_exit_codes
 from andersonlyap.reporting import csv_render, table_render
 
 
@@ -46,4 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_with_exit_codes(main))

@@ -202,10 +202,6 @@ class _SpatialSampler:
     """
 
     def __init__(self, kernel: KernelSpec, n: int, beta_l: float):
-        if kernel.family not in ("riesz", "white"):
-            raise ParameterError(
-                f"chaos Monte Carlo supports riesz/white kernels, got {kernel.family}"
-            )
         self.d = kernel.d
         self.alpha = a = kernel.alpha_eff
         self.n = n
@@ -327,6 +323,10 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
     at the partial sums against mu^(x)n.  J_0 = 1 is one unit weight on
     the same pipeline, so every order checks the seed."""
     eq, kernel, n = query.eq, query.kernel, query.n
+    if kernel.family not in ("riesz", "white"):
+        raise ParameterError(
+            f"chaos Monte Carlo supports riesz/white kernels, got {kernel.family}"
+        )
     params = {"family": kernel.family, "d": kernel.d,
               "alpha_eff": kernel.alpha_eff, "eq": eq.kind,
               "beta_l": eq.beta_l, "n": n, "R": None, "tail_frac_bound": 0.0,
@@ -382,11 +382,7 @@ def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
     T_n is the heat-equation exponential-time moment ``estimate``; the
     standard error of the log is propagated by the delta method.
     """
-    if d == 1 and alpha == 1.0:
-        # flat-density analog of the critical Riesz case
-        kernel = KernelSpec("white")
-    else:
-        kernel = KernelSpec("riesz", d=d, alpha=alpha)
+    kernel = KernelSpec("riesz", d=d, alpha=alpha)
     eq = EquationKind("heat")
     rows = []
     for n in range(1, n_max + 1):

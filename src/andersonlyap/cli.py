@@ -154,12 +154,14 @@ _HELP = {
 _RIESZ = (lambda cfg: cfg.family == "riesz", "only the riesz family reads it")
 _FRACTIONAL = (lambda cfg: cfg.family == "fractional",
                "only the fractional family reads it")
+_BM = (lambda cfg: cfg.command != "chaos" or cfg.method != "bm",
+       "--method bm estimates the exponential-time heat moments T_n of "
+       "the classical Laplacian")
 _READ_BY = {
     "d": _RIESZ, "alpha": _RIESZ, "H": _FRACTIONAL, "e_gamma": _FRACTIONAL,
     "rho": (lambda cfg: cfg.family != "fractional",
             "the fractional family derives rho from --e-gamma"),
-    "eq": (lambda cfg: cfg.command != "chaos" or cfg.method != "bm",
-           "--method bm estimates the heat moments T_n"),
+    "eq": _BM, "beta_l": _BM, "t": _BM,
     "time_step": (lambda cfg: cfg.method == "bm", "only --method bm reads it"),
 }
 
@@ -233,21 +235,12 @@ def _emit(cfg: RunConfig, payload, rows=None, title=""):
 
 
 def _solve_rho(cfg: RunConfig, kernel: KernelSpec):
-    """The eigensolver's RhoEstimate for a checked Riesz or white kernel
-    on the solver's own grid and tolerances; a Richardson pair that still
-    disagrees after the last refinement is a convergence error."""
+    """The refined RhoEstimate of a checked Riesz or white kernel."""
     from .variational import rho_eigen
 
-    est = rho_eigen(cfg.d, cfg.alpha, cfg.beta_l,
-                    profile="flat" if kernel.family == "white" else "riesz")
-    gap, refine_tol = est.params["richardson_gap"], est.params["refine_tol"]
-    if not gap <= refine_tol:
-        raise ConvergenceError(
-            f"rho grid refinement stopped at {est.grid_points} points with "
-            f"richardson_gap {gap:.3e} above refine_tol {refine_tol:.3e}",
-            gap,
-        )
-    return est
+    return rho_eigen(cfg.d, cfg.alpha, cfg.beta_l,
+                     profile="flat" if kernel.family == "white"
+                     else "riesz").require_refined()
 
 
 def cmd_lyapunov(cfg: RunConfig) -> int:
@@ -270,28 +263,20 @@ def cmd_lyapunov(cfg: RunConfig) -> int:
 def cmd_chaos(cfg: RunConfig) -> int:
     from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc, jn_fixed_time
 
-    kernel = cfg.kernel()
-    eq = cfg.equation()
     if cfg.method == "bm":
         from .brownian import check_oracle_args, tn_bm_oracle
 
-        if cfg.beta_l != 2.0:
-            raise ParameterError(
-                "the Brownian oracle represents the classical Laplacian only"
-            )
         if cfg.family != "riesz":
             raise ParameterError(
                 "the Brownian oracle is defined for the Riesz family only"
             )
-        if cfg.t is not None:
-            raise ParameterError(
-                f"t = {cfg.t} does not apply to the Brownian oracle, which "
-                "estimates the exponential-time moments T_n"
-            )
         # the oracle's rules, n >= 1 among them, refuse an empty range
         check_oracle_args(cfg.d, cfg.alpha, cfg.n, cfg.time_step)
-        # the path functional estimates the heat-side moments T_n
-        eq = EquationKind("heat")
+        # the oracle's own eq, beta_l and t, whatever a config file sets;
+        # _READ_BY refuses the flags that would set others
+        cfg = replace(cfg, eq="heat", beta_l=2.0, t=None)
+    kernel = cfg.kernel()
+    eq = cfg.equation()
     # ChaosQuery's n >= 0 at the top order refuses an empty range
     top = ChaosQuery(eq, kernel, cfg.n, cfg.t)
     queries = [replace(top, n=n)
@@ -364,15 +349,11 @@ def cmd_ml(cfg: RunConfig, a: float, xs, growth_c: Optional[float]) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def run_with_exit_codes(run):
+    """run()'s return value, or 2 for a parameter error and 3 for a
+    convergence error, with the message on stderr; the scripts share it."""
     try:
-        cfg = resolve_config(args)
-        if args.command == "ml":
-            return cmd_ml(cfg, args.a, args.x, args.growth_c)
-        return {"lyapunov": cmd_lyapunov, "chaos": cmd_chaos,
-                "rho": cmd_rho, "verify": cmd_verify}[args.command](cfg)
+        return run()
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
@@ -380,6 +361,15 @@ def main(argv=None) -> int:
         print(f"convergence error: {exc} (residual={exc.residual})",
               file=sys.stderr)
         return EXIT_CONVERGENCE
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    commands = {"lyapunov": cmd_lyapunov, "chaos": cmd_chaos, "rho": cmd_rho,
+                "verify": cmd_verify,
+                "ml": lambda cfg: cmd_ml(cfg, args.a, args.x, args.growth_c)}
+    return run_with_exit_codes(
+        lambda: commands[args.command](resolve_config(args)))
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ MAX_GRID_REFINEMENTS = 2
 
 @dataclass(frozen=True)
 class RhoEstimate:
-    """Converged top-eigenvalue result with its discretization audit trail."""
+    """Top-eigenvalue result with its discretization audit trail."""
 
     value: float
     grid_radius: float
@@ -77,6 +77,17 @@ class RhoEstimate:
     residual: float
     richardson_pair: Optional[tuple] = None
     params: dict = field(default_factory=dict)
+
+    def require_refined(self) -> "RhoEstimate":
+        """self, unless its final Richardson pair still disagrees by more
+        than refine_tol: that is a convergence error."""
+        gap, tol = self.params["richardson_gap"], self.params["refine_tol"]
+        if not gap <= tol:
+            raise ConvergenceError(
+                f"rho grid refinement stopped at {self.grid_points} points "
+                f"with richardson_gap {gap:.3e} above refine_tol {tol:.3e}",
+                gap)
+        return self
 
 
 def power_iteration(matvec, v0: np.ndarray, tol: float, max_iters: int):
@@ -353,7 +364,6 @@ def _truncation_bound_1d(profile, d, alpha, beta_l, R) -> float:
 
 def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
               R: float = DEFAULT_RADIUS, m: Optional[int] = None,
-              tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
               *, profile: str = "riesz",
               refine_tol: float = DEFAULT_REFINE_TOL) -> RhoEstimate:
     """Top eigenvalue of the weighted Riesz operator (the constant rho).
@@ -366,7 +376,9 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
     the pair disagrees by more than refine_tol relatively the grid is
     doubled, at most twice.  Each finer level's power iteration starts
     from the coarser eigenvector, linearly interpolated, and
-    power_iterations counts every level.  The returned value is the
+    power_iterations counts every level, each run to DEFAULT_TOL within
+    DEFAULT_MAX_ITERS steps.  A pair that still disagrees is returned
+    all the same (see ``require_refined``).  The returned value is the
     finer of the final pair; truncation-radius adequacy is reported
     separately through the analytic tail bound in the metadata.
     """
@@ -387,11 +399,9 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         )
     if m is None:
         m = DEFAULT_POINTS if d == 1 else DEFAULT_POINTS_RADIAL
-    if not (0.0 < R < math.inf and 0.0 < tol < math.inf and m >= 1
-            and max_iters >= 1):
+    if not (0.0 < R < math.inf and m >= 1):
         raise ParameterError(
-            "R and tol must be positive and finite, m and max_iters at "
-            f"least 1; got R={R}, m={m}, tol={tol}, max_iters={max_iters}"
+            f"R must be positive and finite, m at least 1; got R={R}, m={m}"
         )
     if not R < math.sqrt(sys.float_info.max / 2.0):  # 2 R^2 stays finite
         raise ParameterError(f"grid radius R={R!r} puts the grid weights "
@@ -404,11 +414,11 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         solve = partial(_solve_1d, profile, d, alpha, beta_l, R)
 
     refinements = 0
-    lam_c, vec, iters, _ = solve(m, tol, max_iters)
+    lam_c, vec, iters, _ = solve(m, DEFAULT_TOL, DEFAULT_MAX_ITERS)
     while True:
         # warm start: the coarser eigenvector at the fine cell centres
         x = np.arange(2 * vec.size) / 2.0
-        lam_f, vec, it, res_f = solve(2 * m, tol, max_iters,
+        lam_f, vec, it, res_f = solve(2 * m, DEFAULT_TOL, DEFAULT_MAX_ITERS,
                                       np.interp(x - 0.25, x[::2], vec))
         iters += it
         gap = abs(lam_f - lam_c) / abs(lam_f)

@@ -424,9 +424,11 @@ class TestExpTimeMC:
             ChaosQuery(EquationKind("heat", 0.4), RIESZ, 1)
 
     def test_fractional_kernel_rejected(self):
-        q = ChaosQuery(HEAT, KernelSpec("fractional", H=0.3), 1)
-        with pytest.raises(ParameterError):
-            jn_exp_time_mc(q, 1000, 0)
+        # J_0 needs no sampler, and is refused all the same
+        for n in (1, 0):
+            q = ChaosQuery(HEAT, KernelSpec("fractional", H=0.3), n)
+            with pytest.raises(ParameterError, match="riesz/white"):
+                jn_exp_time_mc(q, 1000, 0)
 
     def test_low_confidence_label(self):
         est = jn_exp_time_mc(ChaosQuery(HEAT, WHITE, 7), 2000, 0)
@@ -577,9 +579,9 @@ class TestFixedTimeCoverage:
 
 class TestLogRateTn:
     def test_white_analog_exact_rate(self):
-        rows = log_rate_tn(1, 1.0, 3, 100_000, 23)
-        for n, val, se, _ in rows:
-            assert abs(val - math.log(0.5)) <= 3.0 * se + 1e-12
+        # (d, alpha) names a Riesz kernel only, so alpha = d is refused
+        with pytest.raises(ParameterError, match="alpha must lie in"):
+            log_rate_tn(1, 1.0, 3, 100_000, 23)
 
     def test_riesz_trend_decreasing(self):
         rows = log_rate_tn(1, 0.5, 4, 150_000, 23)

@@ -321,11 +321,12 @@ class TestExitCodes:
         assert "at n=1023" in err and "underflows the double range" in err
 
     def test_bm_method_rejects_fixed_time(self, capsys):
-        code, _, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
-                               "1", "--alpha", "0.5", "--method", "bm",
-                               "--t", "2", "--n", "1", "--samples", "100")
-        assert code == EXIT_PARAMETER
-        assert "t = 2.0" in err
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "1", "--alpha", "0.5", "--method", "bm",
+                                 "--t", "2", "--n", "1", "--samples", "100")
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert ("--t would be ignored: --method bm estimates the "
+                "exponential-time heat moments T_n") in err
 
     def test_verify_injection_fails(self, capsys, monkeypatch):
         def wrong_residual(a, r):
@@ -660,6 +661,12 @@ class TestFlagTable:
         (["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
           "--method", "bm", "--n", "1", "--samples", "100", "--eq", "wave"],
          "--eq"),
+        (["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--method", "bm", "--n", "1", "--samples", "100", "--t", "2"],
+         "--t"),
+        (["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+          "--method", "bm", "--n", "1", "--samples", "100", "--beta-l", "2"],
+         "--beta-l"),
     ])
     def test_rejects_flag_the_family_or_mode_does_not_read(self, capsys, argv,
                                                            named):
@@ -678,6 +685,20 @@ class TestFlagTable:
         assert code == 0
         assert json.loads(out)["lambda2"] == pytest.approx(0.5 ** 0.5,
                                                            rel=1e-15)
+
+    def test_bm_ignores_config_keys_it_does_not_read(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # t and beta_l are read by ml, fixed-time rows and lyapunov
+        argv = ["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
+                "--method", "bm", "--n", "1", "--samples", "200",
+                "--format", "json"]
+        monkeypatch.delenv("ANDERSON_CONFIG", raising=False)
+        plain = run_cli(capsys, *argv)
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text("t = 2.0\nbeta_l = 1.5\neq = wave\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        assert run_cli(capsys, *argv) == plain
+        assert plain[0] == 0
 
     def test_readme_commands_parse(self):
         readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),

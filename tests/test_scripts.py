@@ -27,10 +27,36 @@ SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
     ],
 )
 def test_script_runs(script, args, header):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("ANDERSON_CONFIG", None)
-    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script)]
-                          + args, env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = _run(script, args)
     assert proc.returncode == 0, proc.stderr
     assert header in [line.split() for line in proc.stdout.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "script,args,code,message",
+    [
+        ("exponent_table.py", ["--alphas", "2.5"], 2,
+         "parameter error: alpha must lie in (0, d)"),
+        ("rho_convergence.py", ["--points", "0"], 2,
+         "parameter error: R must be positive and finite, m at least 1"),
+        ("moment_crosscheck.py", ["--n-max", "1", "--samples", "0"], 2,
+         "parameter error: n_samples must be at least 2"),
+        # a rho whose Richardson pair disagrees is not printed
+        ("exponent_table.py", ["--d", "3", "--alphas", "0.5"], 3,
+         "convergence error: rho grid refinement stopped at 4800 points"),
+    ],
+    ids=["alpha-past-d", "no-points", "no-samples", "unrefined-rho"],
+)
+def test_script_maps_errors_to_exit_codes(script, args, code, message):
+    proc = _run(script, args)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+
+
+def _run(script, args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("ANDERSON_CONFIG", None)
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, script)]
+                          + args, env=env, capture_output=True, text=True,
+                          timeout=120)

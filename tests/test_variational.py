@@ -161,10 +161,30 @@ class TestRieszSolver:
             rho_eigen(d, 0.5, R=R)
         assert named in str(err.value)
 
-    def test_non_convergence(self):
+    def test_non_convergence(self, monkeypatch):
+        # a power iteration held to 3 steps at tol 1e-15 cannot converge
+        iterate = variational.power_iteration
+        monkeypatch.setattr(
+            variational, "power_iteration",
+            lambda matvec, v0, tol, max_iters: iterate(matvec, v0, 1e-15, 3))
         with pytest.raises(ConvergenceError) as err:
-            rho_eigen(1, 0.5, m=256, tol=1e-15, max_iters=3)
+            rho_eigen(1, 0.5, m=256)
         assert err.value.residual is not None
+
+    @pytest.mark.parametrize("setting", [{"tol": 1e-12}, {"max_iters": 3}],
+                             ids=["tol", "max_iters"])
+    def test_tolerances_are_the_solvers_own(self, setting):
+        with pytest.raises(TypeError):
+            rho_eigen(1, 0.5, m=256, **setting)
+
+    def test_unrefined_pair_is_a_convergence_error(self):
+        est = rho_eigen(1, 0.5, m=256, refine_tol=1e-12)
+        assert est.params["richardson_gap"] > 1e-12
+        with pytest.raises(ConvergenceError, match="above refine_tol") as err:
+            est.require_refined()
+        assert err.value.residual == est.params["richardson_gap"]
+        relaxed = rho_eigen(1, 0.5, m=256, refine_tol=1.0)
+        assert relaxed.require_refined() is relaxed
 
 
 class TestTruncationBound:
