@@ -50,7 +50,24 @@ _LOG_SERIES_CUTOFF = math.log(30.0)
 # The band needs about 90/a terms: every order a >= 1e-3 converges.
 _SERIES_MAX_TERMS = 100_000
 _SERIES_REL_STOP = 1e-17
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # exp is finite up to it
+# The logs of the least and the greatest normal double: the range rule of
+# every value that leaves log space.
+LOG_NORMAL_MIN = math.log(sys.float_info.min)
+LOG_NORMAL_MAX = math.log(sys.float_info.max)
+
+
+def range_error(what: str, log_value: float) -> ParameterError:
+    """The error for ``what`` = exp(log_value) outside the normal doubles."""
+    side = "below" if log_value < 0.0 else "beyond"
+    return ParameterError(f"{what} is exp({log_value:.6g}), {side} the "
+                          "double range")
+
+
+def exp_normal(log_value: float, what: str) -> float:
+    """exp(log_value) as a normal double, or ``range_error``."""
+    if not LOG_NORMAL_MIN <= log_value <= LOG_NORMAL_MAX:
+        raise range_error(what, log_value)
+    return math.exp(log_value)
 
 
 def _series_log_ml(a: float, log_x: float) -> float:
@@ -84,7 +101,7 @@ def _asymptotic_log_ml(a: float, log_x: float) -> float:
     """log of (1/a) exp(x^(1/a)) - x^(-1)/Gamma(1-a) from log x, the two-term
     expansion valid for a in (0, 4) and large x (1/Gamma vanishes at the
     poles, so integer a loses the algebraic term exactly as it should)."""
-    if not log_x / a <= _LOG_DOUBLE_MAX:
+    if not log_x / a <= LOG_NORMAL_MAX:
         raise ParameterError(f"log E_{a}(x) exceeds the double range at "
                              f"log x = {log_x!r}")
     root = math.exp(log_x / a)
@@ -116,14 +133,7 @@ def log_mittag_leffler(a: float, x: float) -> float:
 def mittag_leffler(a: float, x: float) -> float:
     """E_a(x) = sum x^n / Gamma(a n + 1); exponential-family special
     cases: E_1(x) = exp(x), E_2(x^2) = cosh(x)."""
-    log_value = log_mittag_leffler(a, x)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise ParameterError(
-            f"E_{a}({x}) exceeds the double range (log value {log_value!r}); "
-            "use log_mittag_leffler"
-        ) from None
+    return exp_normal(log_mittag_leffler(a, x), f"E_{a}({x})")
 
 
 def at_growth(a: float, c: float, t: float) -> float:
@@ -272,10 +282,7 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
     else:
         gamma = math.log(rho)
     log_lam2 = gamma / a
-    if not abs(log_lam2) < 709.0:  # exp would leave the normal range
-        raise ParameterError(f"lambda_2 = exp({log_lam2!r}) is outside the "
-                             f"double range for rho={rho!r}")
-    lam2 = math.exp(log_lam2)
+    lam2 = exp_normal(log_lam2, f"lambda_2 at rho={rho!r}")
 
     lam1 = beta0 = gap = None
     if eq.beta_l == 2.0:
@@ -286,13 +293,12 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
                         + (2.0 - alpha) * log_e) / (6.0 - 2.0 * alpha)
             p = 2.0 / (2.0 - alpha)
             log_beta0 = _log_beta0(log_e2 - p * math.log(2.0), p)
-            beta0 = math.exp(log_beta0)
+            beta0 = exp_normal(log_beta0, f"beta0 at rho={rho!r}")
             logs = [log_lam2, log_lam1, log_beta0]
         else:
             log_lam1 = log_e2
             logs = [log_lam2, log_lam1]
-        # each route is lambda_2 up to rounding: the check above covers it
-        lam1 = math.exp(log_lam1)
+        lam1 = exp_normal(log_lam1, f"the variational lambda_2 at rho={rho!r}")
         gap = abs(math.expm1(min(logs) - max(logs)))  # max |x-y| / max(x, y)
 
     return LyapunovReport(

@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import scaling_exponent, wave_heat_factor
+from .asymptotics import (LOG_NORMAL_MAX, LOG_NORMAL_MIN, exp_normal,
+                          range_error, scaling_exponent, wave_heat_factor)
 from .errors import ParameterError
 from .mc import MCEstimate, _sq_norms, estimate
 from .propagators import laplace_green_sq
@@ -52,8 +53,6 @@ __all__ = [
 R_CAP = 800.0
 R_FLOOR = 50.0
 DEFAULT_TAIL_FRAC = 1e-4
-# log(max/min) of the normal doubles
-_LOG_RANGE = math.log(sys.float_info.max) - math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -131,20 +130,15 @@ def exact_moment(query: ChaosQuery) -> Optional[float]:
     return moment if query.t is None else _at_time(query, moment)
 
 
-def _out_of_range(what: str, query: ChaosQuery, log_value: float):
-    side = "below" if log_value < 0.0 else "beyond"
-    return ParameterError(f"fixed-time {what} at n={query.n}, t={query.t!r} "
-                          f"is exp({log_value:.6g}), {side} the double range")
-
-
 def _log_time_factor(query: ChaosQuery) -> float:
     """log(t^(a n) / Gamma(a n + 1)), a = ``scaling_exponent``.  Past
     log(max/min) in size no normal moment brings J_n(t) into the double
     range, so it raises there, before anything is drawn."""
     an = scaling_exponent(query.eq, query.kernel.alpha_eff) * query.n
     log_factor = an * math.log(query.t) - math.lgamma(an + 1.0)
-    if abs(log_factor) > _LOG_RANGE:
-        raise _out_of_range("factor t^(a n)/Gamma(a n + 1)", query, log_factor)
+    if abs(log_factor) > LOG_NORMAL_MAX - LOG_NORMAL_MIN:
+        raise range_error(f"fixed-time factor t^(a n)/Gamma(a n + 1) at "
+                          f"n={query.n}, t={query.t!r}", log_factor)
     return log_factor
 
 
@@ -155,20 +149,14 @@ def _at_time(query: ChaosQuery, moment: float) -> float:
     leaves the double range the identity is evaluated in log space; a
     value outside the normal range is a parameter error."""
     an = scaling_exponent(query.eq, query.kernel.alpha_eff) * query.n
-    try:
+    # the direct product, where neither t^(a n) nor Gamma(a n + 1) comes
+    # within a factor e of overflow
+    if max(an * math.log(query.t), math.lgamma(an + 1.0)) < LOG_NORMAL_MAX - 1:
         value = query.t ** an * moment / math.gamma(an + 1.0)
-    except OverflowError:
-        value = math.inf
-    if sys.float_info.min <= value < math.inf:
-        return value
-    log_value = _log_time_factor(query) + math.log(moment)
-    try:
-        value = math.exp(log_value)
-    except OverflowError:
-        value = math.inf
-    if sys.float_info.min <= value < math.inf:
-        return value
-    raise _out_of_range("moment", query, log_value)
+        if sys.float_info.min <= value < math.inf:
+            return value
+    return exp_normal(_log_time_factor(query) + math.log(moment),
+                      f"fixed-time moment at n={query.n}, t={query.t!r}")
 
 
 # ----------------------------------------------------------------------
@@ -236,15 +224,13 @@ class _SpatialSampler:
 
     def _radius_rule(self, tail_frac: float) -> float:
         # n * I_tail(R) / I_full <= tail_frac, with I_tail(R) <= R^(a-2)/(2-a)
-        # and I_full = _radial_mass(a, 2).  The power overflows near a = 2,
-        # past any cap.
+        # and I_full = _radial_mass(a, 2).  Near a = 2 the power would
+        # overflow: past 2 R_CAP its log alone gives the cap.
         a = self.alpha
         target = tail_frac * _radial_mass(a, 2.0) * (2.0 - a) / max(self.n, 1)
-        try:
-            r = target ** (1.0 / (a - 2.0))
-        except OverflowError:
-            r = R_CAP
-        return float(min(max(r, R_FLOOR), R_CAP))
+        if math.log(target) / (a - 2.0) >= math.log(2.0 * R_CAP):
+            return R_CAP
+        return float(min(max(target ** (1.0 / (a - 2.0)), R_FLOOR), R_CAP))
 
     def _envelope_round(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """The radii accepted among k envelope candidates."""
@@ -321,7 +307,7 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
     """Monte-Carlo estimate of E[J_n(tau)] on the sub-stream of ``label``:
     the n*d-dimensional integral of the rate-1 Laplace propagator factors
     at the partial sums against mu^(x)n.  J_0 = 1 is one unit weight on
-    the same pipeline, so every order checks the seed."""
+    the same pipeline, so every order checks the seed and the threads."""
     eq, kernel, n = query.eq, query.kernel, query.n
     if kernel.family not in ("riesz", "white"):
         raise ParameterError(
@@ -332,7 +318,8 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
               "beta_l": eq.beta_l, "n": n, "R": None, "tail_frac_bound": 0.0,
               "accept_rate": None}
     if n == 0:
-        return estimate(lambda rng, m: np.ones(m), 1, seed, label, n, params)
+        return estimate(lambda rng, m: np.ones(m), 1, seed, label, n, params,
+                        threads=threads)
     sampler = _SpatialSampler(kernel, n, eq.beta_l)
     params.update(R=sampler.R, tail_frac_bound=sampler.tail_frac_bound,
                   accept_rate=sampler.accept_rate)
@@ -376,7 +363,7 @@ def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
 
 
 def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
-                seed: int, *, threads: int = 1) -> list:
+                seed: int) -> list:
     """Rows (n, log(T_n)/n, se, estimate): the rate tends to log(rho).
 
     T_n is the heat-equation exponential-time moment ``estimate``; the
@@ -386,8 +373,7 @@ def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
     eq = EquationKind("heat")
     rows = []
     for n in range(1, n_max + 1):
-        est = jn_exp_time_mc(ChaosQuery(eq, kernel, n), samples_per_n, seed,
-                             threads=threads)
+        est = jn_exp_time_mc(ChaosQuery(eq, kernel, n), samples_per_n, seed)
         rows.append((n, math.log(est.mean) / n, est.std_error / (n * est.mean),
                      est))
     return rows

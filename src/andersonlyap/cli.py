@@ -89,6 +89,9 @@ _FIELD_TYPES = {
     name: next((a for a in get_args(hint) if a is not type(None)), hint)
     for name, hint in get_type_hints(RunConfig).items() if name != "command"
 }
+# the values a str setting takes, from a flag or from a config file
+_CHOICES = {"family": ["riesz", "fractional", "white"], "eq": ["wave", "heat"],
+            "format": ["json", "csv", "table"], "method": ["fourier", "bm"]}
 
 
 def load_config_file(path: str) -> dict:
@@ -111,14 +114,16 @@ def load_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _FIELD_TYPES:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _FIELD_TYPES[key]
+        kind, raw = _FIELD_TYPES[key], raw.strip()
         try:
-            values[key] = kind(raw.strip())
+            values[key] = kind(raw)
         except ValueError:
             raise ParameterError(
                 f"{path}:{lineno}: {key} needs a {kind.__name__} value, "
-                f"got {raw.strip()!r}"
-            ) from None
+                f"got {raw!r}") from None
+        if key in _CHOICES and values[key] not in _CHOICES[key]:
+            raise ParameterError(f"{path}:{lineno}: {key} must be one of "
+                                 f"{', '.join(_CHOICES[key])}, got {raw!r}")
     return values
 
 
@@ -133,8 +138,6 @@ _COMMAND_KEYS = {
     "verify": ("seed", "threads"),
     "ml": ("t",),
 }
-_CHOICES = {"family": ["riesz", "fractional", "white"], "eq": ["wave", "heat"],
-            "format": ["json", "csv", "table"], "method": ["fourier", "bm"]}
 _HELP = {
     "d": "spatial dimension (Riesz)",
     "alpha": "Riesz scaling exponent",
@@ -223,15 +226,18 @@ def _emit(cfg: RunConfig, payload, rows=None, title=""):
         kv = [{"field": k, "value": v} for k, v in flatten(payload).items()]
         text = table_render(kv, title)
     if cfg.out:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParameterError(
-                f"cannot write the report to {cfg.out}: {exc.strerror}"
-            ) from None
+        _write_out(cfg.out, text, "w")
     else:
         sys.stdout.write(text)
+
+
+def _write_out(path: str, text: str, mode: str):
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot write the report to {path}: {exc.strerror}") from None
 
 
 def _solve_rho(cfg: RunConfig, kernel: KernelSpec):
@@ -368,8 +374,14 @@ def main(argv=None) -> int:
     commands = {"lyapunov": cmd_lyapunov, "chaos": cmd_chaos, "rho": cmd_rho,
                 "verify": cmd_verify,
                 "ml": lambda cfg: cmd_ml(cfg, args.a, args.x, args.growth_c)}
-    return run_with_exit_codes(
-        lambda: commands[args.command](resolve_config(args)))
+
+    def run():
+        cfg = resolve_config(args)
+        if cfg.out:  # appending nothing finds an unwritable path before work
+            _write_out(cfg.out, "", "a")
+        return commands[args.command](cfg)
+
+    return run_with_exit_codes(run)
 
 
 if __name__ == "__main__":

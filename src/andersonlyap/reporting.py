@@ -4,7 +4,8 @@ The stdlib json encoder renders floats with shortest-roundtrip repr,
 which is stable but not the fixed 17-significant-digit form the output
 contract pins down, and it cannot be overridden for the float type.
 The renderer here is a minimal serializer over plain data (dict, list,
-str, int, float, bool, None) with insertion-ordered keys, so two runs
+str, int, float, bool, None) with insertion-ordered keys, leaving only
+string escaping to the stdlib encoder, so two runs
 that compute identical numbers emit byte-identical documents on any
 platform or locale.
 """
@@ -27,9 +28,15 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _quote(s: str) -> str:
+    from json import dumps  # loaded by JSON output alone, not at every start
+
+    return dumps(s, ensure_ascii=False)
+
+
+def _render(obj, parts, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -37,7 +44,7 @@ def _render(obj, parts, indent, level):
     elif obj is False:
         parts.append("false")
     elif isinstance(obj, str):
-        parts.append(_escape(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
@@ -48,8 +55,8 @@ def _render(obj, parts, indent, level):
             return
         parts.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
-            parts.append(pad_in + _escape(str(k)) + ": ")
-            _render(v, parts, indent, level + 1)
+            parts.append(pad_in + _quote(str(k)) + ": ")
+            _render(v, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -59,33 +66,18 @@ def _render(obj, parts, indent, level):
         parts.append("[\n")
         for i, v in enumerate(obj):
             parts.append(pad_in)
-            _render(v, parts, indent, level + 1)
+            _render(v, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "]")
     else:
         raise TypeError(f"cannot render {type(obj).__name__} to JSON")
 
 
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def json_render(obj, indent: int = 2) -> str:
+def json_render(obj) -> str:
     """Render nested plain data as JSON with 17-significant-digit
-    floats and insertion-ordered keys."""
+    floats, insertion-ordered keys and a two-space indent."""
     parts = []
-    _render(obj, parts, indent, 0)
+    _render(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

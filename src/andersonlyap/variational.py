@@ -182,7 +182,7 @@ def _kernel_column_1d(profile: str, d: int, alpha: float, h: float,
     return c * (_sphere_area(3) / 2.0) * col
 
 
-def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters, v0=None):
+def _solve_1d(profile, d, alpha, beta_l, R, m, v0=None):
     # d = 3: m is the radial count; the grid holds 2m points, h = R/m
     odd = d == 3
     n = 2 * m if odd else m
@@ -199,7 +199,7 @@ def _solve_1d(profile, d, alpha, beta_l, R, m, tol, max_iters, v0=None):
 
     if v0 is None:
         v0 = (xi if odd else 1.0) / (1.0 + xi * xi)
-    return power_iteration(matvec, v0, tol, max_iters)
+    return power_iteration(matvec, v0, DEFAULT_TOL, DEFAULT_MAX_ITERS)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +304,7 @@ def _diag_angular_avg(alpha, r, h, profile2d):
     return two_rs ** ((alpha - 2.0) / 2.0) * profile2d.g_at_1
 
 
-def _solve_radial(alpha, beta_l, R, m, tol, max_iters, v0=None, unit=None):
+def _solve_radial(alpha, beta_l, R, m, v0=None, unit=None):
     # unit: [the unit-grid angular matrix], shared and grown by one solve
     unit = unit or [np.zeros((0, 0))]
     m0, h, r = len(unit[0]), R / m, np.arange(m) + 0.5
@@ -330,7 +330,8 @@ def _solve_radial(alpha, beta_l, R, m, tol, max_iters, v0=None, unit=None):
                 * r / (1.0 + r ** beta_l))
     if v0 is None:
         v0 = np.sqrt(r) / (1.0 + r * r)
-    return power_iteration(lambda v: u * (ang @ (u * v)), v0, tol, max_iters)
+    return power_iteration(lambda v: u * (ang @ (u * v)), v0, DEFAULT_TOL,
+                           DEFAULT_MAX_ITERS)
 
 
 # ----------------------------------------------------------------------
@@ -414,12 +415,11 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         solve = partial(_solve_1d, profile, d, alpha, beta_l, R)
 
     refinements = 0
-    lam_c, vec, iters, _ = solve(m, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+    lam_c, vec, iters, _ = solve(m)
     while True:
         # warm start: the coarser eigenvector at the fine cell centres
         x = np.arange(2 * vec.size) / 2.0
-        lam_f, vec, it, res_f = solve(2 * m, DEFAULT_TOL, DEFAULT_MAX_ITERS,
-                                      np.interp(x - 0.25, x[::2], vec))
+        lam_f, vec, it, res_f = solve(2 * m, np.interp(x - 0.25, x[::2], vec))
         iters += it
         gap = abs(lam_f - lam_c) / abs(lam_f)
         if gap <= refine_tol or refinements >= MAX_GRID_REFINEMENTS:

@@ -1,16 +1,20 @@
 """Mittag-Leffler evaluation, growth rates and exponent formulas."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andersonlyap.asymptotics import (
+    LOG_NORMAL_MAX,
+    LOG_NORMAL_MIN,
     _asymptotic_log_ml,
     _log_beta0,
     _series_log_ml,
     at_growth,
+    exp_normal,
     lambda2_closed_form,
     log_mittag_leffler,
     mittag_leffler,
@@ -118,6 +122,32 @@ class TestBeta0:
         beta = beta0(c, p)
         assert 4.0 * c * beta ** (-p) == pytest.approx(beta * beta,
                                                        rel=1e-13)
+
+
+class TestNormalRange:
+    """exp_normal: the one exit from log space of every reported value."""
+
+    def test_edges_are_normal(self):
+        top = exp_normal(LOG_NORMAL_MAX, "x")
+        assert sys.float_info.max * (1.0 - 1e-12) < top < math.inf
+        assert exp_normal(LOG_NORMAL_MIN, "x") >= sys.float_info.min
+
+    @pytest.mark.parametrize("log_value, side", [
+        (math.nextafter(LOG_NORMAL_MIN, -math.inf), "below"),
+        (-745.2, "below"),
+        (math.nextafter(LOG_NORMAL_MAX, math.inf), "beyond"),
+        (math.inf, "beyond"), (math.nan, "beyond")])
+    def test_outside_named(self, log_value, side):
+        with pytest.raises(ParameterError,
+                           match=rf"^x is exp\(.*\), {side} the double range"):
+            exp_normal(log_value, "x")
+
+    def test_top_of_the_range_reported(self):
+        # log lambda_2 = 709.5 lies past the old 709 cut, inside the range
+        rho = math.exp(0.75 * 709.5)
+        rep = lambda2_closed_form(HEAT, KernelSpec("riesz", d=1, alpha=0.5),
+                                  rho=rho)
+        assert rep.lambda2_thm2 == pytest.approx(math.exp(709.5), rel=1e-13)
 
 
 class TestClosedFormExponents:

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -233,6 +234,16 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER
         assert "rho=1e+30" in err and "double range" in err
 
+    def test_subnormal_lambda2_named(self, capsys):
+        # log lambda_2 = -708.846 lies below log(2.2e-308) = -708.396: the
+        # exponent would print as a subnormal
+        code, out, err = run_cli(capsys, "lyapunov", "--family", "riesz",
+                                 "--d", "1", "--alpha", "0.5", "--eq", "heat",
+                                 "--rho", "1.3e-231", "--format", "json")
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert "lambda_2 at rho=1.3e-231 is exp(-708.846), below the " \
+               "double range" in err
+
     @pytest.mark.parametrize("d", ["1", "3"])
     @pytest.mark.parametrize("alpha", ["1e-16", "1e-300"])
     def test_chaos_alpha_too_close_to_zero(self, capsys, d, alpha):
@@ -287,6 +298,16 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER
         assert out == ""
         assert "seed must lie in [0, 2**64), got -1" in err
+
+    @pytest.mark.parametrize("threads, named", [
+        ("0", "at least 1, got 0"), ("257", "at most 256, got 257")])
+    @pytest.mark.parametrize("t", [(), ("--t", "1.5")], ids=["exp", "fixed"])
+    def test_order_zero_checks_the_threads(self, capsys, t, threads, named):
+        code, out, err = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                                 "heat", "--n", "0", "--samples", "10",
+                                 "--threads", threads, *t)
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert f"threads must be {named}" in err
 
     def test_bm_underflow_exits_3(self, capsys):
         # every path's zeta^n / n! underflows long before n = 300
@@ -535,6 +556,32 @@ class TestFormats:
         assert out == ""
         assert str(path) in err
 
+    def test_unwritable_out_found_before_any_draw(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking --out")
+
+        monkeypatch.setattr(mc, "run_chunked", no_draws)
+        path = tmp_path / "absent" / "x.json"
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 "2", "--alpha", "0.8", "--n", "4",
+                                 "--samples", "2000", "--threads", "1",
+                                 "--out", str(path))
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert f"cannot write the report to {path}: " in err
+
+    def test_out_file_kept_until_the_report_is_written(self, capsys,
+                                                       tmp_path):
+        # the early check appends nothing, so a failed run leaves an
+        # earlier report as it was
+        path = tmp_path / "report.json"
+        path.write_text("earlier report\n")
+        code, _, _ = run_cli(capsys, "lyapunov", "--family", "riesz", "--d",
+                             "1", "--alpha", "0.5", "--rho", "-1",
+                             "--out", str(path))
+        assert code == EXIT_PARAMETER
+        assert path.read_text() == "earlier report\n"
+
 
 class TestConfigPrecedence:
     def test_config_file_used(self, capsys, tmp_path, monkeypatch):
@@ -599,6 +646,20 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "lyapunov")
         assert code == EXIT_PARAMETER
         assert f"{cfg}:2: d needs a int value, got 'abc'" in err
+
+    @pytest.mark.parametrize("key, value, command", [
+        ("method", "banana", "chaos"), ("format", "xml", "lyapunov"),
+        ("family", "Riesz", "rho"), ("eq", "schroedinger", "lyapunov")])
+    def test_value_outside_the_choices_names_line_and_key(
+            self, capsys, tmp_path, monkeypatch, key, value, command):
+        # the config file meets the choices the flag meets
+        cfg = tmp_path / "anderson.cfg"
+        cfg.write_text(f"samples = 100\n{key} = {value}\n")
+        monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, command)
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert f"{cfg}:2: {key} must be one of " in err
+        assert f"got {value!r}" in err
 
     def test_missing_file_named(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "absent.cfg"
@@ -713,6 +774,26 @@ class TestFlagTable:
         for line in lines:
             _build_parser().parse_args(shlex.split(line)[1:])
 
+    def test_readme_flag_table_matches_the_parser(self):
+        # README's subcommand table lists each parser's flags bar --format
+        # and --out, which every subcommand takes
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("| subcommand | flags |", 1)[1].split("\n\n")[0]
+        table = {cells[1].strip(" `"): set(re.findall(r"--[A-Za-z-]+",
+                                                       cells[2]))
+                 for cells in (line.split("|")
+                               for line in block.splitlines()[2:])}
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {name: {opt for a in p._actions for opt in a.option_strings
+                         if opt.startswith("--") and opt not in (
+                             "--help", "--format", "--out")}
+                  for name, p in sub.choices.items()}
+        assert table == parsed
+
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_rho_refuses_fractional(self, capsys, tmp_path, monkeypatch,
                                     route):
@@ -798,8 +879,8 @@ class TestMlCommand:
     def test_overflow_is_parameter_error(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--a", "3.9", "--x", "1e300")
         assert code == EXIT_PARAMETER
-        assert "exceeds the double range" in err
-        assert "log_mittag_leffler" in err
+        assert "E_3.9(1e+300) is exp(8.37678e+76), beyond the double range" \
+            in err
 
     def test_series_cap_is_convergence_error(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--a", "1e-300", "--x", "1")

@@ -107,8 +107,7 @@ class TestRieszSolver:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_eigenvector_even(self):
-        lam, vec, _, _ = _solve_1d("riesz", 1, 0.5, 2.0, 50.0, 1024, 1e-10,
-                                   5000)
+        lam, vec, _, _ = _solve_1d("riesz", 1, 0.5, 2.0, 50.0, 1024)
         assert lam > 0
         assert np.allclose(vec, vec[::-1], atol=1e-8)
 
@@ -116,10 +115,8 @@ class TestRieszSolver:
     def test_grid_convergence_monotone(self, alpha):
         gaps = []
         for m in (512, 1024, 2048):
-            lam_c, _, _, _ = _solve_1d("riesz", 1, alpha, 2.0, 50.0, m,
-                                       1e-10, 5000)
-            lam_f, _, _, _ = _solve_1d("riesz", 1, alpha, 2.0, 50.0, 2 * m,
-                                       1e-10, 5000)
+            lam_c, _, _, _ = _solve_1d("riesz", 1, alpha, 2.0, 50.0, m)
+            lam_f, _, _, _ = _solve_1d("riesz", 1, alpha, 2.0, 50.0, 2 * m)
             gaps.append(abs(lam_f - lam_c))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -325,8 +322,7 @@ class TestRadialSolver:
         np.fill_diagonal(direct,
                          variational._diag_angular_avg(alpha, r, h, prof))
         unit = [np.zeros((0, 0))]
-        variational._solve_radial(alpha, 2.0, 30.0, 2 * m, DEFAULT_TOL,
-                                  100, unit=unit)
+        variational._solve_radial(alpha, 2.0, 30.0, 2 * m, unit=unit)
         np.testing.assert_allclose(h ** (alpha - 2.0) * unit[0][:m, :m],
                                    direct, rtol=1e-13, atol=0.0)
 
@@ -362,7 +358,7 @@ class TestRadialSolver:
                                   (2, 1.0, "riesz"), (2, 1.5, "riesz"),
                                   (3, 0.5, "riesz"), (3, 1.0, "riesz"),
                                   (3, 1.5, "riesz")]:
-            name, n_args = ("_solve_radial", 6) if d == 2 else ("_solve_1d", 8)
+            name, n_args = ("_solve_radial", 4) if d == 2 else ("_solve_1d", 6)
             warm, cold = [], []
 
             def recorded(*args, solve=solvers[name], n_args=n_args,
