@@ -10,34 +10,37 @@ heat propagator exp(-t |xi|^2); a standard-speed motion would produce
 meant to cross-check.
 
 The singular integrand is accumulated over a Brownian-bridge
-bisection: an interval of length L is halved at its bridged midpoint
-whenever either endpoint lies within REFINE_MULT * sqrt(L) of the
-origin, up to MAX_REFINE_DEPTH = 4 times, so passages near the
-singularity are resolved at step/16.  The midpoint does not enter that
-test: an interval kept only when its own midpoint lands far from the
-origin would bias zeta low.  Positions keep their rows last, as a
-(d, rows) array, and are flat rows of scalars in d = 1.  Each depth
-draws midpoints for the split rows only and gathers their endpoints
-and midpoints straight into the arrays the next depth reads.  The split
-test and the scores run on blocks of SCORE_BLOCK rows, whose
-temporaries stay in cache; every draw and each path's sum of its
-scores stay chunk-wide, so no bit depends on the block size.
+bisection: an interval of length L is flagged whenever either endpoint
+lies within REFINE_MULT * sqrt(L) of the origin.  For n >= 2 a flagged
+interval is halved at its bridged midpoint, up to MAX_REFINE_DEPTH = 4
+times, so passages near the singularity are resolved at step/16.  T_1
+halves nothing: a flagged step keeps its length and takes the bridge
+integral below, whose expectation is that of zeta over the step.  The
+midpoint does not enter the test: an interval kept only when its own
+midpoint lands far from the origin would bias zeta low.  Positions keep
+their rows last, as a (d, rows) array, and are flat rows of scalars in
+d = 1.  Each depth draws midpoints for the split rows only and gathers
+their endpoints and midpoints straight into the arrays the next depth
+reads.  The split test and the scores run on blocks of SCORE_BLOCK
+rows, whose temporaries stay in cache; every draw and each path's sum
+of its scores stay chunk-wide, so no bit depends on the block size.
 Beyond ``mc``'s estimate pipeline and squared norm, this path
 estimator shares no machinery with the Fourier-side Monte Carlo, which
 is the point.
 
 An interval that retires is scored by a conditional mean given its two
-ends, with no draw.  Below the cap that is L E|mid|^(-alpha), the
+ends, with no draw.  Unflagged, that is L E|mid|^(-alpha), the
 midpoint being N(c, (L/2) I_d) about the centre c of the ends: the
 midpoint rule's own expectation, in closed form through Kummer's
-function.  At the cap it is the bridge's integral of E|B_s|^(-alpha)
-over (0, L), by 3 Gauss nodes in u on each half, s = (L/2) u^4 from
-the half's endpoint; that grading resolves the endpoint singularity the
-cap would otherwise leave as a bias.  Each score is at most a constant
-times L^(1 - alpha/2), its value with both ends at the origin, so every
-moment of zeta is finite and the error bar is a standard error for
-every n.  What remains is the step-size bias of the bisection, which
-the error bar does not include.
+function.  Flagged at the last depth, it is the bridge's integral of
+E|B_s|^(-alpha) over (0, L), by 3 Gauss nodes in u on each half,
+s = (L/2) u^4 from the half's endpoint; that grading resolves the
+endpoint singularity the midpoint rule would leave as a bias.  For
+n >= 2 every row left at the cap is scored so, flagged or not.  Each
+score is at most a constant times L^(1 - alpha/2), its value with both
+ends at the origin, so every moment of zeta is finite and the error bar
+is a standard error for every n.  What remains is the step-size bias
+of the scoring rules, which the error bar does not include.
 """
 
 from __future__ import annotations
@@ -212,7 +215,8 @@ def _depth_score(table, alpha, left, right, L):
     near = _norms(left)
     np.minimum(near, _norms(right), out=near)
     split = near < np.multiply(np.sqrt(L), REFINE_MULT)
-    # scoring every row costs less than gathering the retired ones
+    # scoring every row costs less than gathering the retired ones at
+    # depth 0, where most retire, and about as much below it
     w = _retired_score(table, alpha, left, right, L)
     w[split] = 0.0
     return w, split
@@ -238,16 +242,17 @@ def _gather_twice(x, idx):
 
 
 def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
-                dt: float, table) -> tuple[np.ndarray, list]:
+                dt: float, table, depth: int) -> tuple[np.ndarray, list]:
     """Simulate m independent paths to an exponential horizon; return
     each path's zeta and the number of intervals scored at each depth.
 
     Every step of every path is one row of a flat queue: a column of the
-    (d, rows) positions, a scalar in d = 1.  Each pass retires the
-    intervals not flagged near the origin, scored by their conditional
-    mean, then bridges the flagged ones' midpoints and gathers their
-    endpoints and midpoints straight into the next pass's rows.  The
-    rows left at the cap retire by the bridge integral.
+    (d, rows) positions, a scalar in d = 1.  Each of ``depth`` passes
+    retires the intervals not flagged near the origin, scored by their
+    conditional mean, then bridges the flagged ones' midpoints and
+    gathers their endpoints and midpoints straight into the next pass's
+    rows.  The rows left at the cap retire by the bridge integral.  At
+    depth 0 one split test runs and only the flagged steps reach the cap.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
@@ -268,7 +273,7 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
 
     zeta = np.zeros(m)
     scored = []
-    for _ in range(MAX_REFINE_DEPTH):
+    for _ in range(max(depth, 1)):
         w = np.empty(L.shape)
         split = np.empty(L.shape, bool)
         for rows in _blocks(L.size):
@@ -278,6 +283,12 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         zeta += np.bincount(path, w, minlength=m)
         scored.append(L.size - idx.size)
         del split, w
+        if depth == 0:
+            # nothing is halved: a flagged step keeps its length
+            left = np.take(left, idx, axis=-1)
+            right = np.take(right, idx, axis=-1)
+            L, path = L[idx], path[idx]
+            continue
         # [left, mid, right] of the split rows, so that the halves are
         # [left, mid] -> [mid, right]
         k = idx.size
@@ -333,18 +344,23 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
     check_oracle_args(d, alpha, n, time_step)
     log_nfact = math.lgamma(n + 1)
     table = _mean_table(d, alpha)
+    # the bridge integral's expectation is zeta's over its interval, so
+    # T_1 needs no refinement; higher moments do
+    depth = 0 if n == 1 else MAX_REFINE_DEPTH
     scored = []
 
     def draw(rng, m):
-        zeta, per_depth = _zeta_paths(rng, m, d, alpha, time_step, table)
+        zeta, per_depth = _zeta_paths(rng, m, d, alpha, time_step, table,
+                                      depth)
         scored.append(per_depth)
         return np.exp(n * np.log(np.maximum(zeta, 1e-300)) - log_nfact)
 
     label = f"tn_bm/d{d}_a{alpha:g}/n{n}/dt{time_step:g}"
-    # scored_per_depth: the intervals retired at each depth, summed over the
-    # chunks in any order once all are in
+    # scored_per_depth: the intervals retired at each depth, the last entry
+    # those scored by the bridge integral, summed over the chunks in any
+    # order once all are in
     params = {"d": d, "alpha": alpha, "n": n, "time_step": time_step,
-              "max_refine_depth": MAX_REFINE_DEPTH, "scored_per_depth": None}
+              "max_refine_depth": depth, "scored_per_depth": None}
     est = estimate(draw, n_paths, seed, label, n, params, threads=threads,
                    chunk_size=PATH_CHUNK)
     return replace(est, params={

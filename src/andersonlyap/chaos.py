@@ -318,8 +318,9 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
               "beta_l": eq.beta_l, "n": n, "R": None, "tail_frac_bound": 0.0,
               "accept_rate": None}
     if n == 0:
-        return estimate(lambda rng, m: np.ones(m), 1, seed, label, n, params,
-                        threads=threads)
+        # one weight answers any count, but a count below 1 is refused
+        return estimate(lambda rng, m: np.ones(m), min(n_samples, 1), seed,
+                        label, n, params, threads=threads)
     sampler = _SpatialSampler(kernel, n, eq.beta_l)
     params.update(R=sampler.R, tail_frac_bound=sampler.tail_frac_bound,
                   accept_rate=sampler.accept_rate)

@@ -65,13 +65,13 @@ class TestPathOracle:
 
     # the ids name the arguments alone, so a re-record keeps them
     @pytest.mark.parametrize("d,alpha,n,mean,std_error", [
-        pytest.param(1, 0.5, 1, 1.7377907055818727, 0.08491764759288703,
+        pytest.param(1, 0.5, 1, 1.738486666248416, 0.08496962457770654,
                      id="d1-a0.5-n1"),
         pytest.param(1, 0.5, 2, 2.6226210184428247, 0.2626377198295489,
                      id="d1-a0.5-n2"),
-        pytest.param(2, 0.8, 1, 1.3517732656718509, 0.05608473884146313,
+        pytest.param(2, 0.8, 1, 1.3505949952355047, 0.0561093117473431,
                      id="d2-a0.8-n1"),
-        pytest.param(3, 1.2, 1, 1.0881773531501913, 0.034344597192665416,
+        pytest.param(3, 1.2, 1, 1.083461721149663, 0.03423864884439825,
                      id="d3-a1.2-n1"),
     ])
     def test_pinned_draws(self, d, alpha, n, mean, std_error):
@@ -86,15 +86,18 @@ class TestPathOracle:
     def test_bits_do_not_depend_on_the_block_size(self, monkeypatch, d,
                                                   alpha, m):
         # one block, the default, and ragged blocks of 7 rows: the
-        # per-path sums stay chunk-wide, so every bit must agree
+        # per-path sums stay chunk-wide, so every bit must agree, at T_1's
+        # depth 0 and at the cap depth of n >= 2
         table = _mean_table(d, alpha)
-        runs = []
-        for block in (1 << 40, SCORE_BLOCK, 7):
-            monkeypatch.setattr(brownian, "SCORE_BLOCK", block)
-            zeta, scored = _zeta_paths(chunk_generator(11, 0), m, d, alpha,
-                                       2e-3, table)
-            runs.append((zeta.tobytes(), scored))
-        assert runs[0] == runs[1] == runs[2]
+        for depth in (0, MAX_REFINE_DEPTH):
+            runs = []
+            for block in (1 << 40, SCORE_BLOCK, 7):
+                monkeypatch.setattr(brownian, "SCORE_BLOCK", block)
+                zeta, scored = _zeta_paths(chunk_generator(11, 0), m, d,
+                                           alpha, 2e-3, table, depth)
+                runs.append((zeta.tobytes(), scored))
+            assert runs[0] == runs[1] == runs[2]
+            assert len(scored) == max(depth, 1) + 1
 
     def test_low_confidence_label(self):
         # labelled past N_CONFIDENT like the Fourier rows; the label
@@ -115,24 +118,39 @@ class TestPathOracle:
     @pytest.mark.parametrize("d,alpha", ROW_LAYOUTS)
     def test_scored_per_depth(self, d, alpha):
         n_paths, dt = 2 * PATH_CHUNK + 1, 2e-3
-        a = tn_bm_oracle(d, alpha, 1, n_paths, dt, 5)
-        b = tn_bm_oracle(d, alpha, 1, n_paths, dt, 5, threads=2)
-        hist = a.params["scored_per_depth"]
-        assert hist == b.params["scored_per_depth"]
-        assert len(hist) == MAX_REFINE_DEPTH + 1 and hist[-1] > 0
-        # the rows at depth k + 1 are the halves of those split at depth
-        # k, so unwinding from the last depth recovers the step count
-        rows = 0
-        for scored in reversed(hist):
-            assert rows % 2 == 0
-            rows = scored + rows // 2
-        # each chunk's stream draws its exponential horizons first
-        tau = np.concatenate([
-            chunk_generator(a.params["subseed"], i).exponential(1.0, m)
-            for i, m in enumerate((PATH_CHUNK, PATH_CHUNK, 1))
-        ])
-        steps = np.maximum(np.ceil(np.minimum(tau, TAU_CLIP) / dt), 1).sum()
-        assert rows == steps and sum(hist) >= steps
+        for n, depth in ((1, 0), (2, MAX_REFINE_DEPTH)):
+            a = tn_bm_oracle(d, alpha, n, n_paths, dt, 5)
+            b = tn_bm_oracle(d, alpha, n, n_paths, dt, 5, threads=2)
+            assert a.params["max_refine_depth"] == depth
+            hist = a.params["scored_per_depth"]
+            assert hist == b.params["scored_per_depth"]
+            assert len(hist) == max(depth, 1) + 1 and hist[-1] > 0
+            # each chunk's stream draws its exponential horizons first
+            tau = np.concatenate([
+                chunk_generator(a.params["subseed"], i).exponential(1.0, m)
+                for i, m in enumerate((PATH_CHUNK, PATH_CHUNK, 1))
+            ])
+            steps = np.maximum(np.ceil(np.minimum(tau, TAU_CLIP) / dt), 1).sum()
+            if depth == 0:
+                # T_1 halves nothing: a step retires or takes the bridge
+                # integral at its own length
+                assert sum(hist) == steps
+                continue
+            # the rows at depth k + 1 are the halves of those split at
+            # depth k, so unwinding from the last depth recovers the
+            # step count
+            rows = 0
+            for scored in reversed(hist):
+                assert rows % 2 == 0
+                rows = scored + rows // 2
+            assert rows == steps and sum(hist) >= steps
+        # on one stream T_1 retires the steps that n >= 2 retires at depth
+        # 0, so its bridge-scored steps are those flagged near the origin
+        table = _mean_table(d, alpha)
+        retired = [_zeta_paths(chunk_generator(11, 0), PATH_CHUNK, d, alpha,
+                               dt, table, depth)[1][0]
+                   for depth in (0, MAX_REFINE_DEPTH)]
+        assert retired[0] == retired[1]
 
     @pytest.mark.parametrize(
         "d,alpha,n,dt",

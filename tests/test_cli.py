@@ -309,6 +309,21 @@ class TestExitCodes:
         assert (code, out) == (EXIT_PARAMETER, "")
         assert f"threads must be {named}" in err
 
+    @pytest.mark.parametrize("t", [(), ("--t", "1.5")], ids=["exp", "fixed"])
+    def test_order_zero_checks_the_samples(self, capsys, t):
+        # one weight answers J_0, yet a count below 1 is refused like any
+        # other order's, and one sample still passes
+        for samples in ("0", "-5"):
+            code, out, err = run_cli(capsys, "chaos", "--family", "white",
+                                     "--eq", "heat", "--n", "0", "--samples",
+                                     samples, "--format", "json", *t)
+            assert (code, out) == (EXIT_PARAMETER, "")
+            assert f"n_samples must be positive, got {samples}" in err
+        code, out, _ = run_cli(capsys, "chaos", "--family", "white", "--eq",
+                               "heat", "--n", "0", "--samples", "1",
+                               "--format", "json", *t)
+        assert code == 0 and json.loads(out)["rows"][0]["mean"] == 1.0
+
     def test_bm_underflow_exits_3(self, capsys):
         # every path's zeta^n / n! underflows long before n = 300
         code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
