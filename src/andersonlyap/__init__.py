@@ -22,12 +22,12 @@ _EXPORTS = {
                      "scaling_exponent", "wave_heat_factor"), "asymptotics"),
     "tn_bm_oracle": "brownian",
     **dict.fromkeys(("ChaosQuery", "exact_moment", "jn_exp_time_mc",
-                     "jn_fixed_time", "log_rate_tn", "t1_exact"), "chaos"),
+                     "jn_fixed_time", "log_rate_tn"), "chaos"),
     **dict.fromkeys(("ConvergenceError", "ParameterError"), "errors"),
     "MCEstimate": "mc",
     **dict.fromkeys(("fourier_green_sq", "laplace_green_sq"), "propagators"),
     **dict.fromkeys(("EquationKind", "KernelSpec", "c_h", "dalang_check",
-                     "riesz_constant"), "spectral"),
+                     "riesz_constant", "t1_exact"), "spectral"),
     **dict.fromkeys(("RhoEstimate", "rho_eigen"), "variational"),
     "run_verification": "verify",
 }

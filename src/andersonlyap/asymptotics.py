@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConvergenceError, ParameterError
-from .spectral import EquationKind, KernelSpec, require_admissible
+from .spectral import EquationKind, KernelSpec, require_admissible, t1_exact
 
 __all__ = [
     "LyapunovReport",
@@ -245,7 +245,8 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
     """Second-order Lyapunov exponent of E|u(t,x)|^2, both routes.
 
     Riesz / white noise: ``rho`` is the variational constant (white
-    noise defaults to its exact value 1/2).  Fractional family:
+    noise, whose operator is rank one, defaults to its exact value
+    ``t1_exact``, 1/2 at beta_l = 2).  Fractional family:
     ``e_gamma`` supplies the rough-noise functional value, the one
     quantity this package has no numerical oracle for; an effective rho
     is derived from it so every family flows through the same algebra.
@@ -268,10 +269,9 @@ def lambda2_closed_form(eq: EquationKind, kernel: KernelSpec,
         e2 = e_gamma * 2.0 ** (-(1.0 - kernel.H) / kernel.H)
         rho = e2 ** ((2.0 - alpha) / 2.0)
     elif rho is None:
-        if kernel.family == "white":
-            rho = 0.5
-        else:
+        if kernel.family != "white":
             raise ParameterError("Riesz family needs rho")
+        rho = t1_exact(kernel, eq.beta_l)
     if not (math.isfinite(rho) and rho > 0.0):
         raise ParameterError(f"rho must be positive and finite, got {rho}")
 

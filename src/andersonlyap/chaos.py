@@ -9,12 +9,13 @@ an isotropic proposal with radial density proportional to
 r^(alpha-1) / (1 + r^2) truncated to r <= R, matching both the spectral
 singularity at 0 and the Lorentzian decay of the propagator factors;
 for the flat white-noise density the eta_i decouple and are drawn
-directly from the untruncated Cauchy law.  Any truncation bias is
-bounded in closed form, like the proposal's normalizer, and reported
-with each estimate: the module needs numpy only.  A chunk of m samples
-keeps its sample axis last, as n rows of m partial sums (n x d x m in
-d >= 2), so the partial sums, norms and log-weight sums are contiguous
-numpy passes over whole rows.
+directly from the untruncated Cauchy law (weights of finite variance
+for beta_l > 3/2 only).  Any truncation bias is bounded in closed form,
+like the proposal's normalizer, and reported with each estimate: the
+module needs numpy only.  A chunk of m samples keeps its sample axis
+last, as n rows of m partial sums (n x d x m in d >= 2), so the partial
+sums, norms and log-weight sums are contiguous numpy passes over whole
+rows.
 
 A fixed-time term follows exactly from the same estimate: the scaling
 law J_n(t) = t^(a n) J_n(1), averaged over tau, gives J_n(t) =
@@ -35,14 +36,14 @@ from .asymptotics import (LOG_NORMAL_MAX, LOG_NORMAL_MIN, exp_normal,
 from .errors import ParameterError
 from .mc import MCEstimate, _sq_norms, estimate
 from .propagators import laplace_green_sq
-from .spectral import EquationKind, KernelSpec, _sphere_area, require_admissible
+from .spectral import (EquationKind, KernelSpec, _radial_mass, _radial_tail,
+                       _sphere_area, require_admissible, t1_exact)
 
 __all__ = [
     "ChaosQuery",
     "jn_exp_time_mc",
     "jn_fixed_time",
     "log_rate_tn",
-    "t1_exact",
     "exact_moment",
 ]
 
@@ -73,60 +74,35 @@ class ChaosQuery:
         require_admissible(self.kernel.alpha_eff, self.eq.beta_l)
 
 
-def _radial_mass(a: float, b: float) -> float:
-    """Radial Lorentzian mass: the integral over r > 0 of
-    r^(a-1) / (1 + r^b) dr = (pi/b) / sin(pi a/b), for 0 < a < b."""
-    return (math.pi / b) / math.sin(math.pi * a / b)
-
-
-def _radial_tail(a: float, b: float, R: float) -> float:
-    """Part of ``_radial_mass`` beyond r = R > 1: with u = r^b, B(x; p, 1-p)/b
-    at x = 1/(1+R^b), p = 1 - a/b, summed as sum_k (p)_k/k! x^(k+p)/(k+p),
-    whose positive terms fall by x < 1/2 or faster for any b (the
-    alternating series in R^-b needs about 40/(b log R) terms)."""
-    p, x = 1.0 - a / b, 1.0 / (1.0 + R ** b)
-    coef, total, k = x ** p, 0.0, 0
-    while coef / (k + p) > 1e-17 * total:
-        total += coef / (k + p)
-        coef *= x * (k + p) / (k + 1)
-        k += 1
-    return total / b
-
-
-def t1_exact(kernel: KernelSpec, beta_l: float = 2.0) -> float:
-    """Closed form of the first exponential-time heat moment
-    E[J_1^heat(tau)] = integral of mu(dxi) / (1 + |xi|^beta_l)."""
-    a = kernel.alpha_eff
-    require_admissible(a, beta_l)
-    return kernel.constant * _sphere_area(kernel.d) * _radial_mass(a, beta_l)
-
-
 def exact_moment(query: ChaosQuery) -> Optional[float]:
     """Closed form of the chaos term a query names, or None.
 
-    The exponential-time heat moment T_n is 2^-n for white noise and
-    ``t1_exact`` at n = 1 for every family; the wave moment is T_n times
-    ``wave_heat_factor``.  A fixed-time target follows by ``_at_time``.
-    A moment outside the normal double range is a parameter error, and so
-    is a fixed-time target with no closed form whose time factor alone
-    puts it there.
+    The exponential-time heat moment T_n is ``t1_exact`` at n = 1 for
+    every family, and T_1^n for white noise, whose factors decouple; the
+    wave moment is T_n times ``wave_heat_factor``.  A fixed-time target
+    follows by ``_at_time``.  A moment outside the normal double range
+    is a parameter error, and so is a fixed-time target with no closed
+    form whose time factor alone puts it there.
     """
     eq, kernel, n = query.eq, query.kernel, query.n
     if n == 0:
         return 1.0
-    if kernel.family == "white":
-        moment = 0.5 ** n
-    elif n == 1:
-        moment = t1_exact(kernel, eq.beta_l)
-    else:
+    if kernel.family != "white" and n > 1:
         if query.t is not None:
             _log_time_factor(query)  # raises where t alone decides the range
         return None
+    # per order: T_1, times the wave/heat factor for the wave equation
+    base = t1_exact(kernel, eq.beta_l)
     if eq.is_wave:
-        moment *= wave_heat_factor(n, kernel.alpha_eff, eq.beta_l)
+        base *= wave_heat_factor(1, kernel.alpha_eff, eq.beta_l)
+    what = f"the closed form of E[J_n(tau)] at n={n}"
+    log_moment = n * math.log(base)
+    # within a factor e of overflow the power is taken in log space
+    moment = (base ** n if log_moment < LOG_NORMAL_MAX - 1
+              else exp_normal(log_moment, what))
     if moment < sys.float_info.min:
-        raise ParameterError(f"the closed form of E[J_n(tau)] at n={n}, "
-                             f"{moment:.6g}, underflows the double range")
+        raise ParameterError(f"{what}, {moment:.6g}, underflows the double "
+                             "range")
     return moment if query.t is None else _at_time(query, moment)
 
 
@@ -179,7 +155,8 @@ class _SpatialSampler:
     eta_i themselves, so each eta_i is drawn independently from the
     untruncated Cauchy law, whose density is proportional to the
     classical heat-side Laplace factor 1/(1 + eta^2): no truncation bias,
-    and exactly constant heat-side weights.
+    exactly constant heat-side weights at beta_l = 2, and of finite
+    variance against 1/(1 + |eta|^beta_l) only for beta_l > 3/2.
 
     ``sample`` returns (eta_norm, log_ratio), new arrays the caller owns,
     where log_ratio is the log of the product of mu-density /
@@ -313,6 +290,11 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
         raise ParameterError(
             f"chaos Monte Carlo supports riesz/white kernels, got {kernel.family}"
         )
+    if kernel.family == "white" and eq.beta_l <= 1.5:
+        # Cauchy draws against 1/(1 + |eta|^beta_l): E[w^2] diverges
+        raise ParameterError(f"white-noise Monte Carlo needs beta_l > 3/2, "
+                             f"got beta_l={eq.beta_l!r}: the weights' "
+                             "variance is infinite")
     params = {"family": kernel.family, "d": kernel.d,
               "alpha_eff": kernel.alpha_eff, "eq": eq.kind,
               "beta_l": eq.beta_l, "n": n, "R": None, "tail_frac_bound": 0.0,

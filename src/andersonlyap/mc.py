@@ -100,7 +100,8 @@ def chunk_generator(subseed: int, chunk_index: int) -> np.random.Generator:
 def _sq_norms(x: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean norms over the coordinate axis, the second last:
     (n, d, m) -> (n, m) and (d, rows) -> (rows,), each a sum of d squares
-    in coordinate order.  The estimators keep the sample axis last."""
+    in coordinate order on C-ordered input (fresh arrays, ``np.take``); a
+    fancy-indexed gather is F-ordered, and its d = 3 sums move by an ulp."""
     return np.einsum("...ij,...ij->...j", x, x, out=out)
 
 

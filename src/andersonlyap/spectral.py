@@ -20,6 +20,8 @@ package checks its model inputs through it: d a positive integer and
 0 < alpha < d (Riesz), 1/4 < H < 1/2 (fractional), 0 < beta_l <= 2
 (dispersion), and admissibility, Dalang's condition alpha_eff < beta_l
 (``dalang_check`` tests it, ``require_admissible`` raises on it).
+The integral in that condition is ``t1_exact``, T_1: the first heat
+moment of every family, and for white noise (rank one) rho and T_1^n.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "c_h",
     "dalang_check",
     "require_admissible",
+    "t1_exact",
 ]
 
 
@@ -117,6 +120,30 @@ def require_admissible(alpha_eff: float, beta_l: float = 2.0) -> None:
         )
 
 
+def _radial_mass(a: float, b: float) -> float:
+    """Radial Lorentzian mass: the integral over r > 0 of
+    r^(a-1) / (1 + r^b) dr = (pi/b) / sin(pi a/b), for 0 < a < b."""
+    return (math.pi / b) / math.sin(math.pi * a / b)
+
+
+def _radial_tail(a: float, b: float, R: float) -> float:
+    """Part of ``_radial_mass`` beyond r = R > 0: with u = r^b, B(x; p, 1-p)/b
+    at x = 1/(1+R^b), p = 1 - a/b, summed as sum_k (p)_k/k! x^(k+p)/(k+p),
+    whose positive terms fall by x < 1/2 or faster for any b (the
+    alternating series in R^-b needs about 40/(b log R) terms).  Below
+    R = 1 the same series gives the head, B(1 - x; 1 - p, p)/b."""
+    p, x = 1.0 - a / b, 1.0 / (1.0 + R ** b)
+    head = R < 1.0
+    if head:
+        p, x = 1.0 - p, R ** b * x
+    coef, total, k = x ** p, 0.0, 0
+    while coef / (k + p) > 1e-17 * total:
+        total += coef / (k + p)
+        coef *= x * (k + p) / (k + 1)
+        k += 1
+    return _radial_mass(a, b) - total / b if head else total / b
+
+
 @dataclass(frozen=True)
 class EquationKind:
     """Equation selector: kind is "wave" or "heat", beta_l in (0, 2] is
@@ -190,3 +217,11 @@ class KernelSpec:
         elif self.family == "fractional":
             cfg["H"] = self.H
         return cfg
+
+
+def t1_exact(kernel: KernelSpec, beta_l: float = 2.0) -> float:
+    """Closed form of the first exponential-time heat moment
+    E[J_1^heat(tau)] = integral of mu(dxi) / (1 + |xi|^beta_l)."""
+    a = kernel.alpha_eff
+    require_admissible(a, beta_l)
+    return kernel.constant * _sphere_area(kernel.d) * _radial_mass(a, beta_l)

@@ -46,8 +46,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .spectral import (KernelSpec, _sphere_area, require_admissible,
-                       riesz_constant)
+from .spectral import (KernelSpec, _radial_tail, _sphere_area,
+                       require_admissible, riesz_constant)
 
 __all__ = [
     "RhoEstimate",
@@ -159,16 +159,14 @@ def _cell_avg_singular(alpha: float, h: float) -> float:
     return h ** (alpha - 1.0) * 2.0 ** (1.0 - alpha) / alpha
 
 
-def _kernel_column_1d(profile: str, d: int, alpha: float, h: float,
-                      m: int) -> np.ndarray:
+def _kernel_column_1d(kernel: KernelSpec, h: float, m: int) -> np.ndarray:
     """First column of the translation-invariant kernel factor on the
     uniform grid, diagonal entry replaced by its exact cell average.
-    d = 3 gives the odd-reduced radial kernel (module docstring)."""
-    if profile == "flat":
-        return np.full(m, 1.0 / (2.0 * math.pi))
-    c = riesz_constant(d, alpha)
+    d = 3 gives the odd-reduced radial kernel (module docstring); white
+    noise, alpha_eff = 1, gives the constant column 1/(2 pi)."""
+    c, alpha = kernel.constant, kernel.alpha_eff
     k = np.arange(m, dtype=float)
-    if d == 1:
+    if kernel.d == 1:
         with np.errstate(divide="ignore"):
             col = c * (k * h) ** (alpha - 1.0)
         col[0] = c * _cell_avg_singular(alpha, h)
@@ -182,14 +180,14 @@ def _kernel_column_1d(profile: str, d: int, alpha: float, h: float,
     return c * (_sphere_area(3) / 2.0) * col
 
 
-def _solve_1d(profile, d, alpha, beta_l, R, m, v0=None):
+def _solve_1d(kernel, beta_l, R, m, v0=None):
     # d = 3: m is the radial count; the grid holds 2m points, h = R/m
-    odd = d == 3
+    odd = kernel.d == 3
     n = 2 * m if odd else m
     h = 2.0 * R / n
     xi = -R + (np.arange(n) + 0.5) * h
     w = 1.0 / np.sqrt(1.0 + np.abs(xi) ** beta_l)
-    col = _kernel_column_1d(profile, d, alpha, h, n)
+    col = _kernel_column_1d(kernel, h, n)
     tmv = _toeplitz_matvec_factory(col)
 
     def matvec(v):
@@ -338,7 +336,7 @@ def _solve_radial(alpha, beta_l, R, m, v0=None, unit=None):
 # public entry point
 # ----------------------------------------------------------------------
 
-def _truncation_bound_1d(profile, d, alpha, beta_l, R) -> float:
+def _truncation_bound_1d(kernel, beta_l, R) -> float:
     """Schur-type bound on the operator mass beyond the grid: the
     kernel row integral over |eta| > R at the worst grid point xi = R,
 
@@ -347,20 +345,14 @@ def _truncation_bound_1d(profile, d, alpha, beta_l, R) -> float:
     bounded through (1 + (R+u)^beta_l)^(-1/2) <= (R+u)^(-beta_l/2) by
     the Beta integral c R^(alpha-b) Gamma(alpha) Gamma(b-alpha) / Gamma(b),
     b = beta_l/2.  The integral diverges for alpha >= b: +inf there."""
-    if profile == "flat":
-        # rank-one case: the truncation deficit of the eigenvalue is
-        # exactly 1/2 - arctan(R)/pi
-        return 0.5 - math.atan(R) / math.pi
-    b = beta_l / 2.0
+    if kernel.family == "white":
+        # rank one: the eigenvalue's deficit is exactly T_1's part beyond R
+        return kernel.constant * _sphere_area(1) * _radial_tail(1.0, beta_l, R)
+    alpha, b = kernel.alpha_eff, beta_l / 2.0
     if alpha >= b:
         return math.inf
-    return (
-        riesz_constant(d, alpha)
-        * R ** (alpha - b)
-        * math.gamma(alpha)
-        * math.gamma(b - alpha)
-        / math.gamma(b)
-    )
+    return (kernel.constant * R ** (alpha - b) * math.gamma(alpha)
+            * math.gamma(b - alpha) / math.gamma(b))
 
 
 def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
@@ -369,9 +361,10 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
               refine_tol: float = DEFAULT_REFINE_TOL) -> RhoEstimate:
     """Top eigenvalue of the weighted Riesz operator (the constant rho).
 
-    ``profile="flat"`` replaces the translation factor by the constant
-    1/(2*pi) (the white-noise control case, d = 1 only), whose exact
-    rank-one eigenvalue is arctan(R)/pi -> 1/2.
+    ``profile="flat"`` solves for the white-noise kernel instead (d = 1
+    only), whose translation factor is the constant 1/(2*pi): the exact
+    rank-one eigenvalue is T_1(beta_l) (``t1_exact``) less the tail
+    beyond R, which the metadata's ``truncation_bound`` then is.
 
     The value is computed at m and 2m points (the Richardson pair); if
     the pair disagrees by more than refine_tol relatively the grid is
@@ -412,7 +405,7 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         solve = partial(_solve_radial, alpha, beta_l, R,
                         unit=[np.zeros((0, 0))])
     else:
-        solve = partial(_solve_1d, profile, d, alpha, beta_l, R)
+        solve = partial(_solve_1d, kernel, beta_l, R)
 
     refinements = 0
     lam_c, vec, iters, _ = solve(m)
@@ -438,9 +431,8 @@ def rho_eigen(d: int, alpha: float, beta_l: float = 2.0,
         "refine_tol": refine_tol,
         "grid_refinements": refinements,
         "richardson_gap": gap,
-        "truncation_bound": _truncation_bound_1d(profile, d, alpha, beta_l, R)
-        if d == 1
-        else None,
+        "truncation_bound": (_truncation_bound_1d(kernel, beta_l, R)
+                             if d == 1 else None),
     }
     return RhoEstimate(
         value=lam_f,

@@ -24,7 +24,7 @@ from .asymptotics import (
 from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc
 from .mc import chunk_generator, derive_seed
 from .propagators import fourier_green_sq, laplace_green_sq
-from .spectral import EquationKind, KernelSpec, riesz_constant
+from .spectral import EquationKind, KernelSpec, riesz_constant, t1_exact
 from .variational import rho_eigen
 
 __all__ = ["run_verification", "j1_quadrature"]
@@ -161,7 +161,8 @@ def _white_moments(seed, threads):
 
 def _flat_control():
     est = rho_eigen(1, 1.0, profile="flat")
-    dev = abs(est.value - math.atan(est.grid_radius) / math.pi)
+    exact = t1_exact(KernelSpec("white")) - est.params["truncation_bound"]
+    dev = abs(est.value - exact)
     return _check("eigensolver_flat_control", dev, 1e-9,
                   "rank-one control against its truncated closed form")
 

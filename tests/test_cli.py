@@ -1019,6 +1019,9 @@ def test_every_lazy_export_resolves():
     for name, module in andersonlyap._EXPORTS.items():
         assert name in importlib.import_module(
             f"andersonlyap.{module}").__all__, name
+        # the table names each name's home, not a module that imports it
+        assert getattr(andersonlyap, name).__module__ == \
+            f"andersonlyap.{module}", name
 
 
 def test_every_public_name_has_a_caller():

@@ -15,7 +15,7 @@ from andersonlyap import variational
 from andersonlyap.asymptotics import _log_functionals, remark14_residual
 from andersonlyap.cli import main
 from andersonlyap.errors import ConvergenceError, ParameterError
-from andersonlyap.spectral import riesz_constant
+from andersonlyap.spectral import KernelSpec, riesz_constant
 from andersonlyap.variational import (
     DEFAULT_TOL,
     _AngularProfile2D,
@@ -32,7 +32,8 @@ def _matvec_1d(alpha, R, m, beta_l=2.0):
     h = 2.0 * R / m
     xi = -R + (np.arange(m) + 0.5) * h
     w = 1.0 / np.sqrt(1.0 + np.abs(xi) ** beta_l)
-    tmv = _toeplitz_matvec_factory(_kernel_column_1d("riesz", 1, alpha, h, m))
+    tmv = _toeplitz_matvec_factory(
+        _kernel_column_1d(KernelSpec("riesz", d=1, alpha=alpha), h, m))
     return lambda v: h * w * tmv(w * v), xi
 
 
@@ -107,7 +108,8 @@ class TestRieszSolver:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_eigenvector_even(self):
-        lam, vec, _, _ = _solve_1d("riesz", 1, 0.5, 2.0, 50.0, 1024)
+        lam, vec, _, _ = _solve_1d(KernelSpec("riesz", d=1, alpha=0.5), 2.0,
+                                   50.0, 1024)
         assert lam > 0
         assert np.allclose(vec, vec[::-1], atol=1e-8)
 
@@ -115,8 +117,9 @@ class TestRieszSolver:
     def test_grid_convergence_monotone(self, alpha):
         gaps = []
         for m in (512, 1024, 2048):
-            lam_c, _, _, _ = _solve_1d("riesz", 1, alpha, 2.0, 50.0, m)
-            lam_f, _, _, _ = _solve_1d("riesz", 1, alpha, 2.0, 50.0, 2 * m)
+            kernel = KernelSpec("riesz", d=1, alpha=alpha)
+            lam_c, _, _, _ = _solve_1d(kernel, 2.0, 50.0, m)
+            lam_f, _, _, _ = _solve_1d(kernel, 2.0, 50.0, 2 * m)
             gaps.append(abs(lam_f - lam_c))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -196,7 +199,8 @@ class TestTruncationBound:
         ref = riesz_constant(1, alpha) * (
             quad(f, 0.0, 1.0)[0] + quad(f, 1.0, math.inf)[0]
         )
-        bound = _truncation_bound_1d("riesz", 1, alpha, 2.0, R)
+        bound = _truncation_bound_1d(KernelSpec("riesz", d=1, alpha=alpha),
+                                     2.0, R)
         assert ref <= bound <= ref * (1.0 + 1e-3)
 
     def test_divergent_row_integral(self, capsys):
@@ -283,7 +287,7 @@ class TestRadialSolver:
         solve = variational._solve_1d
 
         def counted(*args):
-            calls.append(args[5])
+            calls.append(args[3])
             return solve(*args)
 
         monkeypatch.setattr(variational, "_solve_1d", counted)
@@ -358,7 +362,7 @@ class TestRadialSolver:
                                   (2, 1.0, "riesz"), (2, 1.5, "riesz"),
                                   (3, 0.5, "riesz"), (3, 1.0, "riesz"),
                                   (3, 1.5, "riesz")]:
-            name, n_args = ("_solve_radial", 4) if d == 2 else ("_solve_1d", 6)
+            name, n_args = ("_solve_radial", 4) if d == 2 else ("_solve_1d", 4)
             warm, cold = [], []
 
             def recorded(*args, solve=solvers[name], n_args=n_args,
