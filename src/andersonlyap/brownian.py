@@ -9,38 +9,43 @@ heat propagator exp(-t |xi|^2); a standard-speed motion would produce
 1/(1 + |xi|^2/2) factors instead of the 1/(1 + |xi|^2) this oracle is
 meant to cross-check.
 
-The singular integrand is accumulated over a Brownian-bridge
+For n >= 2 the singular integrand is accumulated over a Brownian-bridge
 bisection: an interval of length L is flagged whenever either endpoint
-lies within REFINE_MULT * sqrt(L) of the origin.  For n >= 2 a flagged
-interval is halved at its bridged midpoint, up to MAX_REFINE_DEPTH = 4
-times, so passages near the singularity are resolved at step/16.  T_1
-halves nothing: a flagged step keeps its length and takes the bridge
-integral below, whose expectation is that of zeta over the step.  The
-midpoint does not enter the test: an interval kept only when its own
-midpoint lands far from the origin would bias zeta low.  Positions keep
-their rows last, as a (d, rows) array, and are flat rows of scalars in
-d = 1.  Each depth draws midpoints for the split rows only and gathers
-their endpoints and midpoints straight into the arrays the next depth
-reads.  The split test and the scores run on blocks of SCORE_BLOCK
-rows, whose temporaries stay in cache; every draw and each path's sum
-of its scores stay chunk-wide, so no bit depends on the block size.
-Beyond ``mc``'s estimate pipeline and squared norm, this path
-estimator shares no machinery with the Fourier-side Monte Carlo, which
-is the point.
+lies within REFINE_MULT * sqrt(L) of the origin, and a flagged interval
+is halved at its bridged midpoint, up to MAX_REFINE_DEPTH = 4 times, so
+passages near the singularity are resolved at step/16.  The midpoint
+does not enter the test: an interval kept only when its own midpoint
+lands far from the origin would bias zeta low.  Positions keep their
+rows last, as a (d, rows) array, and are flat rows of scalars in d = 1.
+Each depth draws midpoints for the split rows only and gathers their
+endpoints and midpoints straight into the arrays the next depth reads.
+The split test and the scores run on blocks of SCORE_BLOCK rows, whose
+temporaries stay in cache; every draw and each path's sum of its scores
+stay chunk-wide, so no bit depends on the block size.  Beyond ``mc``'s
+estimate pipeline and squared norm, this path estimator shares no
+machinery with the Fourier-side Monte Carlo, which is the point.
 
 An interval that retires is scored by a conditional mean given its two
 ends, with no draw.  Unflagged, that is L E|mid|^(-alpha), the
 midpoint being N(c, (L/2) I_d) about the centre c of the ends: the
 midpoint rule's own expectation, in closed form through Kummer's
-function.  Flagged at the last depth, it is the bridge's integral of
-E|B_s|^(-alpha) over (0, L), by 3 Gauss nodes in u on each half,
-s = (L/2) u^4 from the half's endpoint; that grading resolves the
-endpoint singularity the midpoint rule would leave as a bias.  For
-n >= 2 every row left at the cap is scored so, flagged or not.  Each
+function.  At the last depth, flagged or not, it is the bridge's
+integral of E|B_s|^(-alpha) over (0, L), by 3 Gauss nodes in u on each
+half, s = (L/2) u^4 from the half's endpoint; that grading resolves the
+endpoint singularity s^(-alpha/2) the midpoint rule would leave as a
+bias, while 3 - 2 alpha >= 0, so the oracle refuses alpha > 3/2.  Each
 score is at most a constant times L^(1 - alpha/2), its value with both
 ends at the origin, so every moment of zeta is finite and the error bar
 is a standard error for every n.  What remains is the step-size bias
 of the scoring rules, which the error bar does not include.
+
+T_1 splits nothing.  The bridge integral is the conditional mean of
+zeta over an interval given its ends, so a T_1 built from bridge
+integrals alone has the same expectation on any grid.  T_1 lays each
+path out at 2^MAX_REFINE_DEPTH time steps, coarsening by the factor by
+which n >= 2 refines, and scores every step by the bridge integral: the
+conditional mean, given every 16th point, of the estimate that
+bridge-scores every time step, up to the rule's own error.
 """
 
 from __future__ import annotations
@@ -251,8 +256,8 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     retires the intervals not flagged near the origin, scored by their
     conditional mean, then bridges the flagged ones' midpoints and
     gathers their endpoints and midpoints straight into the next pass's
-    rows.  The rows left at the cap retire by the bridge integral.  At
-    depth 0 one split test runs and only the flagged steps reach the cap.
+    rows.  The rows left at the cap retire by the bridge integral, every
+    step of every path at depth 0.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
@@ -273,7 +278,7 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
 
     zeta = np.zeros(m)
     scored = []
-    for _ in range(max(depth, 1)):
+    for _ in range(depth):
         w = np.empty(L.shape)
         split = np.empty(L.shape, bool)
         for rows in _blocks(L.size):
@@ -283,12 +288,6 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         zeta += np.bincount(path, w, minlength=m)
         scored.append(L.size - idx.size)
         del split, w
-        if depth == 0:
-            # nothing is halved: a flagged step keeps its length
-            left = np.take(left, idx, axis=-1)
-            right = np.take(right, idx, axis=-1)
-            L, path = L[idx], path[idx]
-            continue
         # [left, mid, right] of the split rows, so that the halves are
         # [left, mid] -> [mid, right]
         k = idx.size
@@ -321,8 +320,15 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
 def check_oracle_args(d: int, alpha: float, n: int, time_step: float):
     """Raise ParameterError unless ``tn_bm_oracle`` takes these: Riesz
     noise admissible against the classical Laplacian, the diffusion's
-    generator, an order n >= 1 and a time step within its bounds."""
+    generator, with alpha <= 3/2, an order n >= 1 and a time step within
+    its bounds."""
     require_admissible(KernelSpec("riesz", d=d, alpha=alpha).alpha_eff)
+    if alpha > 1.5:
+        raise ParameterError(
+            f"alpha must be <= 3/2 for the path oracle, got {alpha}: its "
+            "bridge rule grades each half-step as s = (L/2) u^4, which "
+            "resolves the endpoint singularity s^(-alpha/2) only up to 3/2"
+        )
     if n < 1:
         raise ParameterError(f"moment order n must be >= 1, got {n}")
     if not MIN_TIME_STEP <= time_step <= MAX_TIME_STEP:
@@ -337,6 +343,11 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
                  seed: int, *, threads: int = 1) -> MCEstimate:
     """Path estimate of T_n = E[zeta(tau)^n] / n!.
 
+    For n >= 2 each path is laid out at ``time_step`` and halved near
+    the origin down to time_step / 2^MAX_REFINE_DEPTH.  T_1 is laid out
+    at 2^MAX_REFINE_DEPTH * time_step, bridge-scores every step and
+    halves nothing.
+
     Independent of the Fourier-side estimators in both representation
     and sampling machinery; agreement within combined error bars is the
     strongest internal consistency check this package offers.
@@ -344,14 +355,16 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
     check_oracle_args(d, alpha, n, time_step)
     log_nfact = math.lgamma(n + 1)
     table = _mean_table(d, alpha)
-    # the bridge integral's expectation is zeta's over its interval, so
-    # T_1 needs no refinement; higher moments do
-    depth = 0 if n == 1 else MAX_REFINE_DEPTH
+    # the bridge integral's expectation is zeta's over its interval on
+    # any grid, so T_1 needs no refinement; higher moments do
+    if n == 1:
+        depth, step = 0, time_step * 2 ** MAX_REFINE_DEPTH
+    else:
+        depth, step = MAX_REFINE_DEPTH, time_step
     scored = []
 
     def draw(rng, m):
-        zeta, per_depth = _zeta_paths(rng, m, d, alpha, time_step, table,
-                                      depth)
+        zeta, per_depth = _zeta_paths(rng, m, d, alpha, step, table, depth)
         scored.append(per_depth)
         return np.exp(n * np.log(np.maximum(zeta, 1e-300)) - log_nfact)
 

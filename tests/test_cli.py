@@ -275,6 +275,21 @@ class TestExitCodes:
         assert code == EXIT_PARAMETER
         assert "time_step must lie in [1e-05, 0.1]" in err
 
+    @pytest.mark.parametrize("d, alpha", [("3", "1.9"), ("2", "1.7")])
+    def test_bm_alpha_above_three_halves(self, capsys, d, alpha):
+        # the oracle's bridge rule grades its steps for alpha <= 3/2 only;
+        # past it T_1 read 34 % low at d = 3, alpha = 1.9
+        code, out, err = run_cli(capsys, "chaos", "--family", "riesz", "--d",
+                                 d, "--alpha", alpha, "--method", "bm",
+                                 "--n", "1", "--samples", "4000", "--format",
+                                 "json")
+        assert (code, out) == (EXIT_PARAMETER, "")
+        assert f"alpha must be <= 3/2 for the path oracle, got {alpha}" in err
+        code, _, _ = run_cli(capsys, "chaos", "--family", "riesz", "--d", d,
+                             "--alpha", "1.5", "--method", "bm", "--n", "1",
+                             "--samples", "200", "--format", "json")
+        assert code == 0
+
     @pytest.mark.parametrize("seed", ["-1", "-5", str(2 ** 64)])
     @pytest.mark.parametrize("argv", [
         ("chaos", "--family", "white", "--eq", "heat", "--n", "1",
