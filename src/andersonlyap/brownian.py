@@ -39,6 +39,16 @@ ends at the origin, so every moment of zeta is finite and the error bar
 is a standard error for every n.  What remains is the step-size bias
 of the scoring rules, which the error bar does not include.
 
+For n >= 2 the refinement is paid for on a subsample, as one level of
+a multilevel telescoping sum (Giles 2008).  Every path is scored at
+depth 0, its flagged steps by the bridge integral where they stand:
+zeta_0.  The paths at chunk-local index 0 mod REFINE_EVERY also split
+their flagged steps on down to the cap: zeta_4.  Each path's weight is
+zeta_0^n / n!, plus REFINE_EVERY (zeta_4^n - zeta_0^n) / n! on a
+refined path.  The choice of path reads no draw, so the mean is the
+depth-4 estimator's exactly; the weights, some of them negative, stay
+independent with one mean, and the error bar stays a standard error.
+
 T_1 splits nothing.  The bridge integral is the conditional mean of
 zeta over an interval given its ends, so a T_1 built from bridge
 integrals alone has the same expectation on any grid.  T_1 lays each
@@ -50,6 +60,7 @@ bridge-scores every time step, up to the rule's own error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -62,6 +73,17 @@ from .spectral import KernelSpec, require_admissible
 __all__ = ["check_oracle_args", "tn_bm_oracle"]
 
 MAX_REFINE_DEPTH = 4
+# For n >= 2, one path in this many refines past depth 0 and carries its
+# correction zeta_4^n - zeta_0^n, weighted by it.  One in k grows the
+# standard error by about sqrt(1 + (k - 1) r), r = Var(zeta_4^n -
+# zeta_0^n) / Var(zeta_4^n).  On 20k coupled paths at step 2e-3, r read
+# 3.4e-4 (n = 2) and 4.7e-4 (n = 3) at d = 1, alpha = 1/2, 3.1e-4 at
+# d = 2, alpha = 0.8 and 0.028 and 0.032 at d = 3, alpha = 3/2: k = 4
+# costs at most 5 %, k = 8 up to 10 %.  CPU of one n = 2 call, 2000
+# paths, 1 thread (2-vCPU Xeon): every path refining 0.174 s at d = 1,
+# k = 4 0.100 s, k = 8 0.082 s; at d = 3, alpha = 3/2, where little
+# refines, 0.123, 0.124 and 0.122 s.
+REFINE_EVERY = 4
 MAX_TIME_STEP = 0.1
 # Finer steps lay out too many rows: a chunk starts with about 1.3e7
 # rows at this floor (1.6e7 at the 99th percentile of chunks), and at
@@ -79,10 +101,12 @@ PATH_CHUNK = 128
 # calls, each of which hands the GIL between the workers of a chunked run.
 SCORE_BLOCK = 16384
 # Refine any substep of length L with an endpoint within
-# REFINE_MULT * sqrt(L) of the origin.  The bridged midpoint carries
-# noise of std sqrt(L/2), so a unit multiple leaves a percent-level
-# Jensen (convexity) bias in |x|^(-alpha) just outside the cutoff;
-# three noise widths push that bias below Monte-Carlo resolution.
+# REFINE_MULT * sqrt(L) of the origin.  A row that retires is scored by
+# the midpoint rule's conditional mean given its ends, whose error
+# against zeta's own conditional mean over the row grows as the ends
+# near the origin, and retiring drops the conditional variance of zeta
+# over the row from every higher moment; three sqrt(L) keep both below
+# Monte-Carlo resolution.
 REFINE_MULT = 3.0
 # Cells of the conditional-mean table, uniform in s = y^2 / (1 + y^2).
 MEAN_TABLE_CELLS = 2 ** 13
@@ -133,6 +157,7 @@ def _kummer_neg(a: float, b: float, z) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _mean_table(d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Values and cell slopes of H(s) = E|Z + y e|^(-alpha) (1 + y^2)^(alpha/2)
     on the MEAN_TABLE_CELLS + 1 nodes of s = y^2 / (1 + y^2) in [0, 1].
@@ -141,6 +166,7 @@ def _mean_table(d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     E|Z + y e|^(-alpha) = 2^(-alpha/2) Gamma((d - alpha)/2) / Gamma(d/2)
     M(alpha/2, d/2, -y^2/2); H tends to 1 as s -> 1, the last node.
     The slopes array carries a trailing 0 so that s = 1 reads node 1.
+    Both are cached per (d, alpha) and read-only.
     """
     a, b = 0.5 * alpha, 0.5 * d
     s = np.arange(MEAN_TABLE_CELLS) / MEAN_TABLE_CELLS
@@ -151,6 +177,7 @@ def _mean_table(d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     values[-1] = 1.0
     slopes = np.zeros_like(values)
     np.subtract(values[1:], values[:-1], out=slopes[:-1])
+    values.flags.writeable = slopes.flags.writeable = False
     return values, slopes
 
 
@@ -246,18 +273,35 @@ def _gather_twice(x, idx):
     return out
 
 
+def _cap_sums(table, alpha, left, right, L, path, m):
+    """Each of the m paths' sum of the bridge integrals of its rows."""
+    w = np.empty(L.shape)
+    for rows in _blocks(L.size):
+        w[rows] = _cap_score(table, alpha, left[..., rows], right[..., rows],
+                             L[rows])
+    return np.bincount(path, w, minlength=m)
+
+
 def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
-                dt: float, table, depth: int) -> tuple[np.ndarray, list]:
+                dt: float, table, depth: int):
     """Simulate m independent paths to an exponential horizon; return
-    each path's zeta and the number of intervals scored at each depth.
+    (zeta_0, zeta_refined, scored).
+
+    zeta_0 is each path's depth-0 estimate, zeta_refined the depth-
+    ``depth`` estimate of the refined paths, those at index 0,
+    REFINE_EVERY, 2 REFINE_EVERY, ..., and scored the number of rows
+    scored at each depth: every step at depth 0, then the refined
+    paths' rows only.
 
     Every step of every path is one row of a flat queue: a column of the
     (d, rows) positions, a scalar in d = 1.  Each of ``depth`` passes
     retires the intervals not flagged near the origin, scored by their
     conditional mean, then bridges the flagged ones' midpoints and
     gathers their endpoints and midpoints straight into the next pass's
-    rows.  The rows left at the cap retire by the bridge integral, every
-    step of every path at depth 0.
+    rows.  Depth 0 also scores its flagged steps by the bridge integral,
+    which completes zeta_0, and passes on only the refined paths' rows.
+    The rows left at the cap retire by the bridge integral, every step
+    of every path at depth 0.
     """
     tau = np.minimum(rng.exponential(1.0, m), TAU_CLIP)
     n_steps = np.maximum(np.ceil(tau / dt).astype(int), 1)
@@ -276,9 +320,9 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     left = np.subtract(right, inc, out=inc)
     del inc
 
-    zeta = np.zeros(m)
+    zeta = zeta_0 = np.zeros(m)
     scored = []
-    for _ in range(depth):
+    for level in range(depth):
         w = np.empty(L.shape)
         split = np.empty(L.shape, bool)
         for rows in _blocks(L.size):
@@ -288,6 +332,14 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         zeta += np.bincount(path, w, minlength=m)
         scored.append(L.size - idx.size)
         del split, w
+        if level == 0:
+            # the flagged steps alone, bridge-scored where they stand for
+            # zeta_0; only the refined paths' steps split further
+            left, right, L, path = (np.take(x, idx, axis=-1, mode="clip")
+                                    for x in (left, right, L, path))
+            zeta_0 = zeta + _cap_sums(table, alpha, left, right, L, path, m)
+            scored[0] += L.size
+            idx = np.flatnonzero(path % REFINE_EVERY == 0)
         # [left, mid, right] of the split rows, so that the halves are
         # [left, mid] -> [mid, right]
         k = idx.size
@@ -308,13 +360,9 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         pts[..., k:2 * k] = mid
         path = _gather_twice(path, idx)
         del idx, mid
-    w = np.empty(L.shape)
-    for rows in _blocks(L.size):
-        w[rows] = _cap_score(table, alpha, left[..., rows], right[..., rows],
-                             L[rows])
-    zeta += np.bincount(path, w, minlength=m)
+    zeta += _cap_sums(table, alpha, left, right, L, path, m)
     scored.append(L.size)
-    return zeta, scored
+    return zeta_0, zeta[::REFINE_EVERY], scored
 
 
 def check_oracle_args(d: int, alpha: float, n: int, time_step: float):
@@ -343,10 +391,15 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
                  seed: int, *, threads: int = 1) -> MCEstimate:
     """Path estimate of T_n = E[zeta(tau)^n] / n!.
 
-    For n >= 2 each path is laid out at ``time_step`` and halved near
-    the origin down to time_step / 2^MAX_REFINE_DEPTH.  T_1 is laid out
-    at 2^MAX_REFINE_DEPTH * time_step, bridge-scores every step and
-    halves nothing.
+    For n >= 2 each path is laid out at ``time_step`` and scored at depth
+    0, its flagged steps by the bridge integral: zeta_0.  One path in
+    REFINE_EVERY, fixed by its index in its chunk, also halves its
+    flagged steps down to time_step / 2^MAX_REFINE_DEPTH: zeta_4.  A
+    path's weight is zeta_0^n / n!, and a refined one adds REFINE_EVERY
+    (zeta_4^n - zeta_0^n) / n!, so the mean is the depth-4 estimator's
+    and the weights, some of them negative, stay independent.  T_1 is
+    laid out at 2^MAX_REFINE_DEPTH * time_step, bridge-scores every step
+    and halves nothing.
 
     Independent of the Fourier-side estimators in both representation
     and sampling machinery; agreement within combined error bars is the
@@ -363,17 +416,30 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
         depth, step = MAX_REFINE_DEPTH, time_step
     scored = []
 
-    def draw(rng, m):
-        zeta, per_depth = _zeta_paths(rng, m, d, alpha, step, table, depth)
-        scored.append(per_depth)
+    def power(zeta):
         return np.exp(n * np.log(np.maximum(zeta, 1e-300)) - log_nfact)
 
+    def draw(rng, m):
+        zeta_0, zeta_refined, per_depth = _zeta_paths(rng, m, d, alpha, step,
+                                                      table, depth)
+        scored.append(per_depth)
+        y = power(zeta_0)
+        if depth:
+            # REFINE_EVERY zeta_4^n - (REFINE_EVERY - 1) zeta_0^n, over n!,
+            # which is zeta_4^n / n! itself when every path refines
+            refined = y[::REFINE_EVERY]
+            refined *= 1 - REFINE_EVERY
+            refined += REFINE_EVERY * power(zeta_refined)
+        return y
+
     label = f"tn_bm/d{d}_a{alpha:g}/n{n}/dt{time_step:g}"
-    # scored_per_depth: the intervals retired at each depth, the last entry
-    # those scored by the bridge integral, summed over the chunks in any
-    # order once all are in
+    # scored_per_depth: the steps scored at depth 0, every step of every
+    # path, then the intervals the refined paths retire at each depth
+    # below, the last entry those scored by the bridge integral; summed
+    # over the chunks in any order once all are in
     params = {"d": d, "alpha": alpha, "n": n, "time_step": time_step,
-              "max_refine_depth": depth, "scored_per_depth": None}
+              "max_refine_depth": depth, "refine_every": REFINE_EVERY,
+              "scored_per_depth": None}
     est = estimate(draw, n_paths, seed, label, n, params, threads=threads,
                    chunk_size=PATH_CHUNK)
     return replace(est, params={

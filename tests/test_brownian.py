@@ -8,7 +8,8 @@ import pytest
 from andersonlyap import brownian
 from andersonlyap.brownian import (_CAP_NODES, KUMMER_SWITCH,
                                    MAX_REFINE_DEPTH, MEAN_TABLE_CELLS,
-                                   PATH_CHUNK, SCORE_BLOCK, TAU_CLIP,
+                                   PATH_CHUNK, REFINE_EVERY, SCORE_BLOCK,
+                                   TAU_CLIP,
                                    _bridge_mean, _cap_score, _kummer_neg,
                                    _mean_table, _retired_score, _zeta_paths,
                                    tn_bm_oracle)
@@ -22,6 +23,9 @@ SQRT_PI = 1.77245385090551602729816748334
 ROW_LAYOUTS = [(1, 0.5), (2, 0.8), (3, 1.2)]
 # every row layout plus the largest alpha the oracle is checked at
 MEAN_CASES = ROW_LAYOUTS + [(3, 1.5)]
+# T_2 by the one-dimensional Fourier integral, checked against mpmath to
+# 10 digits (ROADMAP item 18)
+T2_EXACT = {(1, 0.5): 2.7339459747, (3, 1.5): 1.9499819776}
 
 
 def combined_sigma(a, b):
@@ -67,7 +71,7 @@ class TestPathOracle:
     @pytest.mark.parametrize("d,alpha,n,mean,std_error", [
         pytest.param(1, 0.5, 1, 1.7946033054749477, 0.08796876156554001,
                      id="d1-a0.5-n1"),
-        pytest.param(1, 0.5, 2, 2.6226210184428247, 0.2626377198295489,
+        pytest.param(1, 0.5, 2, 2.6126880013718177, 0.2611513314062786,
                      id="d1-a0.5-n2"),
         pytest.param(2, 0.8, 1, 1.32415082387865, 0.05606663205703059,
                      id="d2-a0.8-n1"),
@@ -81,6 +85,15 @@ class TestPathOracle:
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
+    def test_every_path_refined_is_the_depth_4_estimate(self, monkeypatch):
+        # with REFINE_EVERY = 1 each weight is zeta_4^n / n! itself: the
+        # pinned value of the estimator that refined every path
+        monkeypatch.setattr(brownian, "REFINE_EVERY", 1)
+        est = tn_bm_oracle(1, 0.5, 2, 300, 2e-3, 7)
+        assert est.mean == pytest.approx(2.6226210184428247, rel=1e-12, abs=0)
+        assert est.std_error == pytest.approx(0.2626377198295489, rel=1e-12,
+                                              abs=0)
+
     @pytest.mark.parametrize("m", [1, PATH_CHUNK])
     @pytest.mark.parametrize("d,alpha", ROW_LAYOUTS)
     def test_bits_do_not_depend_on_the_block_size(self, monkeypatch, d,
@@ -93,11 +106,14 @@ class TestPathOracle:
             runs = []
             for block in (1 << 40, SCORE_BLOCK, 7):
                 monkeypatch.setattr(brownian, "SCORE_BLOCK", block)
-                zeta, scored = _zeta_paths(chunk_generator(11, 0), m, d,
-                                           alpha, 2e-3, table, depth)
-                runs.append((zeta.tobytes(), scored))
+                zeta_0, zeta_refined, scored = _zeta_paths(
+                    chunk_generator(11, 0), m, d, alpha, 2e-3, table, depth)
+                runs.append((zeta_0.tobytes(), zeta_refined.tobytes(),
+                             scored))
             assert runs[0] == runs[1] == runs[2]
             assert len(scored) == depth + 1
+            # paths 0, REFINE_EVERY, ... refine
+            assert zeta_refined.size == len(range(0, m, REFINE_EVERY))
 
     def test_low_confidence_label(self):
         # labelled past N_CONFIDENT like the Fourier rows; the label
@@ -116,12 +132,13 @@ class TestPathOracle:
             tn_bm_oracle(1, 0.5, 300, 100, 2e-3, 0)
 
     @pytest.mark.parametrize("d,alpha", ROW_LAYOUTS)
-    def test_scored_per_depth(self, d, alpha):
+    def test_scored_per_depth(self, monkeypatch, d, alpha):
         n_paths, dt = 2 * PATH_CHUNK + 1, 2e-3
         for n, depth in ((1, 0), (2, MAX_REFINE_DEPTH)):
             a = tn_bm_oracle(d, alpha, n, n_paths, dt, 5)
             b = tn_bm_oracle(d, alpha, n, n_paths, dt, 5, threads=2)
             assert a.params["max_refine_depth"] == depth
+            assert a.params["refine_every"] == REFINE_EVERY
             hist = a.params["scored_per_depth"]
             assert hist == b.params["scored_per_depth"]
             assert len(hist) == depth + 1 and hist[-1] > 0
@@ -131,21 +148,28 @@ class TestPathOracle:
                 for i, m in enumerate((PATH_CHUNK, PATH_CHUNK, 1))
             ])
             tau = np.minimum(tau, TAU_CLIP)
+            # depth 0 scores every step of every path; T_1 halves nothing
+            # and lays its steps out 2^MAX_REFINE_DEPTH times coarser
+            grid = dt * 2 ** MAX_REFINE_DEPTH if depth == 0 else dt
+            assert hist[0] == np.maximum(np.ceil(tau / grid), 1).sum()
             if depth == 0:
-                # T_1 halves nothing: it bridge-scores every step of a
-                # grid 2^MAX_REFINE_DEPTH times coarser than the time step
-                coarse = dt * 2 ** MAX_REFINE_DEPTH
-                assert hist == [np.maximum(np.ceil(tau / coarse), 1).sum()]
                 continue
-            steps = np.maximum(np.ceil(tau / dt), 1).sum()
-            # the rows at depth k + 1 are the halves of those split at
-            # depth k, so unwinding from the last depth recovers the
-            # step count
+            # the rows at depth k + 1 are the halves of those the refined
+            # paths split at depth k, so unwinding from the last depth
+            # recovers the flagged steps they split at depth 0
             rows = 0
-            for scored in reversed(hist):
+            for scored in reversed(hist[1:]):
                 assert rows % 2 == 0
                 rows = scored + rows // 2
-            assert rows == steps and sum(hist) >= steps
+            assert rows % 2 == 0 and 0 < rows // 2 < hist[0]
+            # refining every path scores the same steps at depth 0 and
+            # more rows at every depth below
+            monkeypatch.setattr(brownian, "REFINE_EVERY", 1)
+            full = tn_bm_oracle(d, alpha, n, n_paths, dt, 5)
+            monkeypatch.undo()
+            every = full.params["scored_per_depth"]
+            assert every[0] == hist[0]
+            assert all(e > h for e, h in zip(every[1:], hist[1:]))
 
     @pytest.mark.parametrize(
         "d,alpha,n,dt",
@@ -177,6 +201,16 @@ class TestPathOracle:
         se = math.hypot(*(e.std_error for e in ests)) / len(ests)
         exact = t1_exact(KernelSpec("riesz", d=d, alpha=alpha))
         assert abs(mean - exact) < 3.0 * se
+
+    @pytest.mark.parametrize("d,alpha", sorted(T2_EXACT))
+    def test_t2_covers_the_closed_form(self, d, alpha):
+        # five fixed seeds pooled, as for T_1: the two-level weights keep
+        # the depth-4 estimator's mean, so T_2 covers its closed form
+        ests = [tn_bm_oracle(d, alpha, 2, 10_000, 2e-3, seed)
+                for seed in (1, 2, 3, 4, 5)]
+        mean = sum(e.mean for e in ests) / len(ests)
+        se = math.hypot(*(e.std_error for e in ests)) / len(ests)
+        assert abs(mean - T2_EXACT[d, alpha]) < 3.0 * se
 
     def test_t1_no_cap_bias_at_large_alpha(self):
         # at d = 3, alpha = 1.5 scoring the cap-depth rows by their
