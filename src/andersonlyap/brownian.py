@@ -39,15 +39,21 @@ ends at the origin, so every moment of zeta is finite and the error bar
 is a standard error for every n.  What remains is the step-size bias
 of the scoring rules, which the error bar does not include.
 
-For n >= 2 the refinement is paid for on a subsample, as one level of
-a multilevel telescoping sum (Giles 2008).  Every path is scored at
-depth 0, its flagged steps by the bridge integral where they stand:
-zeta_0.  The paths at chunk-local index 0 mod REFINE_EVERY also split
-their flagged steps on down to the cap: zeta_4.  Each path's weight is
-zeta_0^n / n!, plus REFINE_EVERY (zeta_4^n - zeta_0^n) / n! on a
-refined path.  The choice of path reads no draw, so the mean is the
-depth-4 estimator's exactly; the weights, some of them negative, stay
-independent with one mean, and the error bar stays a standard error.
+In d = 1 the refinement is most of an n >= 2 path's work.  For alpha
+up to SUBSAMPLE_MAX_ALPHA, 2 <= n <= SUBSAMPLE_MAX_N and steps up to
+SUBSAMPLE_MAX_STEP it is paid for on a subsample, as one level of a
+multilevel telescoping sum (Giles 2008).  Every path is scored at depth
+0, its flagged steps by the bridge integral where they stand: zeta_0.
+The paths at chunk-local index 0 mod REFINE_EVERY also split their
+flagged steps on down to the cap: zeta_4.  Each path's weight is
+zeta_0^n / n!, plus w (zeta_4^n - zeta_0^n) / n! on a refined path, w
+being the chunk's path count over its refined count.  The choice of
+path reads no draw, so each chunk's sum has the depth-4 estimator's
+mean exactly.  The weights stay independent but, some of them
+negative, do not share one mean: their pooled spread carries the gap
+between the refined and unrefined paths' means, so the error bar errs
+large, by about (w - 1) (E zeta_4^n - E zeta_0^n)^2 / n!^2 in the
+variance.  Elsewhere every path refines.
 
 T_1 splits nothing.  The bridge integral is the conditional mean of
 zeta over an interval given its ends, so a T_1 built from bridge
@@ -73,17 +79,31 @@ from .spectral import KernelSpec, require_admissible
 __all__ = ["check_oracle_args", "tn_bm_oracle"]
 
 MAX_REFINE_DEPTH = 4
-# For n >= 2, one path in this many refines past depth 0 and carries its
-# correction zeta_4^n - zeta_0^n, weighted by it.  One in k grows the
-# standard error by about sqrt(1 + (k - 1) r), r = Var(zeta_4^n -
-# zeta_0^n) / Var(zeta_4^n).  On 20k coupled paths at step 2e-3, r read
-# 3.4e-4 (n = 2) and 4.7e-4 (n = 3) at d = 1, alpha = 1/2, 3.1e-4 at
-# d = 2, alpha = 0.8 and 0.028 and 0.032 at d = 3, alpha = 3/2: k = 4
-# costs at most 5 %, k = 8 up to 10 %.  CPU of one n = 2 call, 2000
-# paths, 1 thread (2-vCPU Xeon): every path refining 0.174 s at d = 1,
-# k = 4 0.100 s, k = 8 0.082 s; at d = 3, alpha = 3/2, where little
-# refines, 0.123, 0.124 and 0.122 s.
+# Where _refine_every subsamples, one path in REFINE_EVERY refines past
+# depth 0 and carries its correction zeta_4^n - zeta_0^n, weighted by
+# about REFINE_EVERY.  One in k grows the variance by (k - 1) r, r =
+# Var(zeta_4^n - zeta_0^n) / Var(zeta_4^n), and saves up to 1 - 1/k of
+# the refinement's CPU; the bounds below keep to where that was measured
+# to pay.  Every figure on 20k paths at step 2e-3 unless stated, r on
+# coupled paths, standard errors against every path refining at seeds
+# 99 and 123 (2-vCPU Xeon, 1 thread):
+# - d = 1, alpha = 1/2: r 3.1e-4, 3.8e-4, 4.0e-4 at n = 2, 4, 8 and
+#   1.2e-3 at n = 24; standard error -0.1 / -0.2 % (n = 2), +0.1 /
+#   -0.2 % (n = 4), -1.7 / +2.7 % (n = 8); CPU 1.7-2.0 s -> 0.9-1.2 s.
+#   r 1.2e-5 at alpha = 1/4.
+# - d = 1, alpha = 3/4 and 0.99: standard error +46 % and +38 % at n = 8,
+#   +21 % at alpha = 0.99, n = 4, where a few paths carry the moment.
+# - d = 1, alpha = 1/2, coarser steps: r 6.0e-3 and 0.022 at n = 4 and 8
+#   for step 0.02, 0.021 and 0.055 for step 0.1.
+# - d = 2: r 3e-4 to 8e-4 at alpha = 0.8 (n <= 10), 0.07, 0.13, 0.47 at
+#   alpha = 3/2 (n = 2, 4, 8); CPU of an n = 2 call only 7-13 % lower.
+# - d = 3, alpha = 3/2: r 0.02 to 0.13 (n = 2 to 10), standard error +4 %
+#   at n = 2 to +13 % at n = 10, CPU no lower: paths seldom near the
+#   origin leave refinement about 5 % of the work.
 REFINE_EVERY = 4
+SUBSAMPLE_MAX_ALPHA = 0.5
+SUBSAMPLE_MAX_N = 8
+SUBSAMPLE_MAX_STEP = 2e-3
 MAX_TIME_STEP = 0.1
 # Finer steps lay out too many rows: a chunk starts with about 1.3e7
 # rows at this floor (1.6e7 at the 99th percentile of chunks), and at
@@ -283,15 +303,15 @@ def _cap_sums(table, alpha, left, right, L, path, m):
 
 
 def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
-                dt: float, table, depth: int):
+                dt: float, table, depth: int, every: int):
     """Simulate m independent paths to an exponential horizon; return
     (zeta_0, zeta_refined, scored).
 
-    zeta_0 is each path's depth-0 estimate, zeta_refined the depth-
-    ``depth`` estimate of the refined paths, those at index 0,
-    REFINE_EVERY, 2 REFINE_EVERY, ..., and scored the number of rows
-    scored at each depth: every step at depth 0, then the refined
-    paths' rows only.
+    zeta_refined is the depth-``depth`` estimate of the refined paths,
+    those at index 0, every, 2 every, ...; scored is the number of rows
+    scored at each depth, the refined paths' only below depth 0.  With
+    every > 1, zeta_0 is each path's depth-0 estimate and depth 0's
+    entry counts every step; with every = 1 zeta_0 is None.
 
     Every step of every path is one row of a flat queue: a column of the
     (d, rows) positions, a scalar in d = 1.  Each of ``depth`` passes
@@ -299,7 +319,8 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     conditional mean, then bridges the flagged ones' midpoints and
     gathers their endpoints and midpoints straight into the next pass's
     rows.  Depth 0 also scores its flagged steps by the bridge integral,
-    which completes zeta_0, and passes on only the refined paths' rows.
+    which completes zeta_0, and passes on only the refined paths' rows,
+    when every > 1.
     The rows left at the cap retire by the bridge integral, every step
     of every path at depth 0.
     """
@@ -320,7 +341,8 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     left = np.subtract(right, inc, out=inc)
     del inc
 
-    zeta = zeta_0 = np.zeros(m)
+    zeta = np.zeros(m)
+    zeta_0 = None
     scored = []
     for level in range(depth):
         w = np.empty(L.shape)
@@ -332,14 +354,14 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         zeta += np.bincount(path, w, minlength=m)
         scored.append(L.size - idx.size)
         del split, w
-        if level == 0:
+        if level == 0 and every > 1:
             # the flagged steps alone, bridge-scored where they stand for
             # zeta_0; only the refined paths' steps split further
             left, right, L, path = (np.take(x, idx, axis=-1, mode="clip")
                                     for x in (left, right, L, path))
             zeta_0 = zeta + _cap_sums(table, alpha, left, right, L, path, m)
             scored[0] += L.size
-            idx = np.flatnonzero(path % REFINE_EVERY == 0)
+            idx = np.flatnonzero(path % every == 0)
         # [left, mid, right] of the split rows, so that the halves are
         # [left, mid] -> [mid, right]
         k = idx.size
@@ -362,7 +384,17 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
         del idx, mid
     zeta += _cap_sums(table, alpha, left, right, L, path, m)
     scored.append(L.size)
-    return zeta_0, zeta[::REFINE_EVERY], scored
+    return zeta_0, zeta[::every], scored
+
+
+def _refine_every(d: int, alpha: float, n: int,
+                  time_step: float) -> int:
+    """One path in this many refines past depth 0: REFINE_EVERY where
+    that was measured to pay, else 1, every path."""
+    if (d == 1 and alpha <= SUBSAMPLE_MAX_ALPHA and 2 <= n <= SUBSAMPLE_MAX_N
+            and time_step <= SUBSAMPLE_MAX_STEP):
+        return REFINE_EVERY
+    return 1
 
 
 def check_oracle_args(d: int, alpha: float, n: int, time_step: float):
@@ -391,15 +423,19 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
                  seed: int, *, threads: int = 1) -> MCEstimate:
     """Path estimate of T_n = E[zeta(tau)^n] / n!.
 
-    For n >= 2 each path is laid out at ``time_step`` and scored at depth
-    0, its flagged steps by the bridge integral: zeta_0.  One path in
-    REFINE_EVERY, fixed by its index in its chunk, also halves its
-    flagged steps down to time_step / 2^MAX_REFINE_DEPTH: zeta_4.  A
-    path's weight is zeta_0^n / n!, and a refined one adds REFINE_EVERY
-    (zeta_4^n - zeta_0^n) / n!, so the mean is the depth-4 estimator's
-    and the weights, some of them negative, stay independent.  T_1 is
-    laid out at 2^MAX_REFINE_DEPTH * time_step, bridge-scores every step
-    and halves nothing.
+    For n >= 2 each path is laid out at ``time_step`` and halved near
+    the origin down to time_step / 2^MAX_REFINE_DEPTH: zeta_4.  Where
+    ``_refine_every`` subsamples (d = 1, alpha <= SUBSAMPLE_MAX_ALPHA,
+    n <= SUBSAMPLE_MAX_N, steps up to SUBSAMPLE_MAX_STEP), every path is
+    also scored at depth 0, its flagged steps by the bridge integral:
+    zeta_0, and only one path in REFINE_EVERY, fixed by its index in its
+    chunk, halves on.  A path's weight is then zeta_0^n / n!, and a
+    refined one adds w (zeta_4^n - zeta_0^n) / n!, w the chunk's path
+    count over its refined count, so the mean is the depth-4
+    estimator's; the weights stay independent, some of them negative,
+    and the error bar errs large.  T_1 is laid out at
+    2^MAX_REFINE_DEPTH * time_step, bridge-scores every step and halves
+    nothing.
 
     Independent of the Fourier-side estimators in both representation
     and sampling machinery; agreement within combined error bars is the
@@ -414,6 +450,7 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
         depth, step = 0, time_step * 2 ** MAX_REFINE_DEPTH
     else:
         depth, step = MAX_REFINE_DEPTH, time_step
+    every = _refine_every(d, alpha, n, time_step)
     scored = []
 
     def power(zeta):
@@ -421,24 +458,28 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
 
     def draw(rng, m):
         zeta_0, zeta_refined, per_depth = _zeta_paths(rng, m, d, alpha, step,
-                                                      table, depth)
+                                                      table, depth, every)
         scored.append(per_depth)
+        if zeta_0 is None:
+            return power(zeta_refined)
+        # w zeta_4^n - (w - 1) zeta_0^n, over n!, on a refined path: the
+        # chunk's sum has the depth-4 mean for any m, not only m a
+        # multiple of every
+        w = m / zeta_refined.size
         y = power(zeta_0)
-        if depth:
-            # REFINE_EVERY zeta_4^n - (REFINE_EVERY - 1) zeta_0^n, over n!,
-            # which is zeta_4^n / n! itself when every path refines
-            refined = y[::REFINE_EVERY]
-            refined *= 1 - REFINE_EVERY
-            refined += REFINE_EVERY * power(zeta_refined)
+        refined = y[::every]
+        refined *= 1 - w
+        refined += w * power(zeta_refined)
         return y
 
     label = f"tn_bm/d{d}_a{alpha:g}/n{n}/dt{time_step:g}"
-    # scored_per_depth: the steps scored at depth 0, every step of every
-    # path, then the intervals the refined paths retire at each depth
-    # below, the last entry those scored by the bridge integral; summed
-    # over the chunks in any order once all are in
+    # scored_per_depth: the intervals retired at each depth, the last
+    # entry those scored by the bridge integral, the refined paths' only
+    # below depth 0, and with refine_every > 1 depth 0's entry counts
+    # every step, its flagged ones bridge-scored too; summed over the
+    # chunks in any order once all are in
     params = {"d": d, "alpha": alpha, "n": n, "time_step": time_step,
-              "max_refine_depth": depth, "refine_every": REFINE_EVERY,
+              "max_refine_depth": depth, "refine_every": every,
               "scored_per_depth": None}
     est = estimate(draw, n_paths, seed, label, n, params, threads=threads,
                    chunk_size=PATH_CHUNK)

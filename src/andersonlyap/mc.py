@@ -175,7 +175,7 @@ def estimate(draw, n_samples: int, seed: int, label: str, order: int,
              chunk_size: int = CHUNK_SIZE) -> MCEstimate:
     """The estimate of the moment of ``order`` that ``label`` names: the
     mean of ``draw(rng, m)``'s weights on the sub-stream of (seed, label).
-    A mean below the normal range raises.  The target gains
+    A negative mean, or one below the normal range, raises.  The target gains
     ``|zero-variance`` where no weight differed beyond rounding (the
     integrand may still vary where no draw landed) and ``|low-confidence``
     past N_CONFIDENT; ``params`` gains the bare label's sub-seed.  An
@@ -187,6 +187,10 @@ def estimate(draw, n_samples: int, seed: int, label: str, order: int,
             f"{label}, got {n_samples}")
     mean, std_error = run_chunked(draw, n_samples, subseed, threads=threads,
                                   chunk_size=chunk_size)
+    if mean <= -sys.float_info.min:
+        raise ConvergenceError(
+            f"the estimate of {label}, {mean:.6g}, is negative: its signed "
+            "weights cancel past the moment itself and need more samples")
     if mean < sys.float_info.min:
         raise ConvergenceError(
             f"the estimate of {label}, {mean:.6g}, underflows the double "

@@ -11,7 +11,8 @@ from andersonlyap.brownian import (_CAP_NODES, KUMMER_SWITCH,
                                    PATH_CHUNK, REFINE_EVERY, SCORE_BLOCK,
                                    TAU_CLIP,
                                    _bridge_mean, _cap_score, _kummer_neg,
-                                   _mean_table, _retired_score, _zeta_paths,
+                                   _mean_table, _refine_every,
+                                   _retired_score, _zeta_paths,
                                    tn_bm_oracle)
 from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc, t1_exact
 from andersonlyap.errors import ConvergenceError, ParameterError
@@ -26,6 +27,16 @@ MEAN_CASES = ROW_LAYOUTS + [(3, 1.5)]
 # T_2 by the one-dimensional Fourier integral, checked against mpmath to
 # 10 digits (ROADMAP item 18)
 T2_EXACT = {(1, 0.5): 2.7339459747, (3, 1.5): 1.9499819776}
+
+
+def unwind(scored_per_depth):
+    """The rows split at the first depth listed plus those it retired:
+    the rows at depth k + 1 are the halves of those split at depth k."""
+    rows = 0
+    for scored in reversed(scored_per_depth):
+        assert rows % 2 == 0
+        rows = scored + rows // 2
+    return rows
 
 
 def combined_sigma(a, b):
@@ -100,20 +111,51 @@ class TestPathOracle:
                                                   alpha, m):
         # one block, the default, and ragged blocks of 7 rows: the
         # per-path sums stay chunk-wide, so every bit must agree, at T_1's
-        # depth 0, which only bridge-scores, and at the cap depth of n >= 2
+        # depth 0, which only bridge-scores, and at the cap depth of n >= 2,
+        # every path refining or one in REFINE_EVERY
         table = _mean_table(d, alpha)
-        for depth in (0, MAX_REFINE_DEPTH):
+        for depth, every in ((0, 1), (MAX_REFINE_DEPTH, 1),
+                             (MAX_REFINE_DEPTH, REFINE_EVERY)):
             runs = []
             for block in (1 << 40, SCORE_BLOCK, 7):
                 monkeypatch.setattr(brownian, "SCORE_BLOCK", block)
                 zeta_0, zeta_refined, scored = _zeta_paths(
-                    chunk_generator(11, 0), m, d, alpha, 2e-3, table, depth)
-                runs.append((zeta_0.tobytes(), zeta_refined.tobytes(),
-                             scored))
+                    chunk_generator(11, 0), m, d, alpha, 2e-3, table, depth,
+                    every)
+                runs.append((zeta_0 is None or zeta_0.tobytes(),
+                             zeta_refined.tobytes(), scored))
             assert runs[0] == runs[1] == runs[2]
             assert len(scored) == depth + 1
-            # paths 0, REFINE_EVERY, ... refine
-            assert zeta_refined.size == len(range(0, m, REFINE_EVERY))
+            # paths 0, every, 2 every, ... refine; zeta_0 is kept only
+            # where some path does not
+            assert zeta_refined.size == len(range(0, m, every))
+            assert (zeta_0 is None) == (every == 1)
+
+    @pytest.mark.parametrize("d,alpha,n,time_step,every", [
+        (1, 0.5, 2, 2e-3, REFINE_EVERY),
+        (1, 0.25, 8, 1e-3, REFINE_EVERY),
+        (1, 0.5, 1, 2e-3, 1),    # T_1 halves nothing
+        (1, 0.5, 9, 2e-3, 1),    # past SUBSAMPLE_MAX_N
+        (1, 0.75, 2, 2e-3, 1),   # past SUBSAMPLE_MAX_ALPHA
+        (1, 0.5, 2, 4e-3, 1),    # past SUBSAMPLE_MAX_STEP
+        (2, 0.5, 2, 2e-3, 1),    # d >= 2 refines every path
+        (3, 1.5, 4, 2e-3, 1),
+    ])
+    def test_refine_every(self, d, alpha, n, time_step, every):
+        assert _refine_every(d, alpha, n, time_step) == every
+        est = tn_bm_oracle(d, alpha, n, 2, time_step, 3)
+        assert est.params["refine_every"] == every
+
+    def test_ragged_chunk_weights_its_correction_by_its_share(self):
+        # two paths, one of them refined: its correction is weighted by
+        # 2, so that the chunk's sum has the depth-4 mean
+        est = tn_bm_oracle(1, 0.5, 2, 2, 2e-3, 5)
+        zeta_0, zeta_4, _ = _zeta_paths(
+            chunk_generator(est.params["subseed"], 0), 2, 1, 0.5, 2e-3,
+            _mean_table(1, 0.5), MAX_REFINE_DEPTH, REFINE_EVERY)
+        y = zeta_0 ** 2 / 2
+        y[0] += 2 * (zeta_4[0] ** 2 / 2 - y[0])
+        assert est.mean == pytest.approx(y.mean(), rel=1e-12, abs=0)
 
     def test_low_confidence_label(self):
         # labelled past N_CONFIDENT like the Fourier rows; the label
@@ -138,9 +180,12 @@ class TestPathOracle:
             a = tn_bm_oracle(d, alpha, n, n_paths, dt, 5)
             b = tn_bm_oracle(d, alpha, n, n_paths, dt, 5, threads=2)
             assert a.params["max_refine_depth"] == depth
-            assert a.params["refine_every"] == REFINE_EVERY
+            # the d = 1 layout has alpha 1/2, where n = 2 subsamples
+            every = REFINE_EVERY if d == 1 and n == 2 else 1
+            assert a.params["refine_every"] == every
             hist = a.params["scored_per_depth"]
             assert hist == b.params["scored_per_depth"]
+            assert (a.mean, a.std_error) == (b.mean, b.std_error)
             assert len(hist) == depth + 1 and hist[-1] > 0
             # each chunk's stream draws its exponential horizons first
             tau = np.concatenate([
@@ -148,28 +193,32 @@ class TestPathOracle:
                 for i, m in enumerate((PATH_CHUNK, PATH_CHUNK, 1))
             ])
             tau = np.minimum(tau, TAU_CLIP)
-            # depth 0 scores every step of every path; T_1 halves nothing
-            # and lays its steps out 2^MAX_REFINE_DEPTH times coarser
-            grid = dt * 2 ** MAX_REFINE_DEPTH if depth == 0 else dt
-            assert hist[0] == np.maximum(np.ceil(tau / grid), 1).sum()
             if depth == 0:
+                # T_1 halves nothing: it bridge-scores every step of a
+                # grid 2^MAX_REFINE_DEPTH times coarser than the time step
+                coarse = dt * 2 ** MAX_REFINE_DEPTH
+                assert hist == [np.maximum(np.ceil(tau / coarse), 1).sum()]
                 continue
-            # the rows at depth k + 1 are the halves of those the refined
-            # paths split at depth k, so unwinding from the last depth
-            # recovers the flagged steps they split at depth 0
-            rows = 0
-            for scored in reversed(hist[1:]):
-                assert rows % 2 == 0
-                rows = scored + rows // 2
-            assert rows % 2 == 0 and 0 < rows // 2 < hist[0]
-            # refining every path scores the same steps at depth 0 and
-            # more rows at every depth below
+            steps = np.maximum(np.ceil(tau / dt), 1).sum()
+            if every == 1:
+                # the rows at depth k + 1 are the halves of those split at
+                # depth k, so unwinding from the last depth recovers the
+                # step count
+                assert unwind(hist) == steps and sum(hist) >= steps
+                continue
+            # depth 0 scores every step, its flagged ones bridge-scored;
+            # the depths below unwind to the refined paths' flagged steps,
+            # fewer than every path's
+            assert hist[0] == steps
             monkeypatch.setattr(brownian, "REFINE_EVERY", 1)
             full = tn_bm_oracle(d, alpha, n, n_paths, dt, 5)
             monkeypatch.undo()
-            every = full.params["scored_per_depth"]
-            assert every[0] == hist[0]
-            assert all(e > h for e, h in zip(every[1:], hist[1:]))
+            every_path = full.params["scored_per_depth"]
+            assert unwind(every_path) == steps
+            split = unwind(hist[1:])
+            assert split % 2 == 0
+            assert 0 < split // 2 < steps - every_path[0]
+            assert all(e > h for e, h in zip(every_path[1:], hist[1:]))
 
     @pytest.mark.parametrize(
         "d,alpha,n,dt",
@@ -204,8 +253,9 @@ class TestPathOracle:
 
     @pytest.mark.parametrize("d,alpha", sorted(T2_EXACT))
     def test_t2_covers_the_closed_form(self, d, alpha):
-        # five fixed seeds pooled, as for T_1: the two-level weights keep
-        # the depth-4 estimator's mean, so T_2 covers its closed form
+        # five fixed seeds pooled, as for T_1: at d = 1 the two-level
+        # weights keep the depth-4 estimator's mean, and at d = 3 every
+        # path refines, so T_2 covers its closed form at both
         ests = [tn_bm_oracle(d, alpha, 2, 10_000, 2e-3, seed)
                 for seed in (1, 2, 3, 4, 5)]
         mean = sum(e.mean for e in ests) / len(ests)

@@ -162,6 +162,20 @@ def test_both_estimators_share_one_pipeline(label, run, underflow_n):
         run(underflow_n, 200)
 
 
+
+@pytest.mark.parametrize("mean, message", [
+    (-0.25, "the estimate of signed, -0.25, is negative: its signed weights "
+            "cancel past the moment itself"),
+    (-1e-310, "the estimate of signed, -1e-310, underflows the double range"),
+])
+def test_negative_mean_has_its_own_message(mean, message):
+    # signed weights, such as the path oracle's two-level ones, can cancel
+    # below zero; a mean inside the subnormal range still reads as underflow
+    def signed(rng, m):
+        return np.full(m, mean)
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        mc.estimate(signed, 10, 1, "signed", 2, {})
+
 class TestMCEstimate:
     def test_z_score(self):
         est = MCEstimate(1.0, 0.1, 100, 0, "demo")
