@@ -9,11 +9,12 @@ heat propagator exp(-t |xi|^2); a standard-speed motion would produce
 1/(1 + |xi|^2/2) factors instead of the 1/(1 + |xi|^2) this oracle is
 meant to cross-check.
 
-For n >= 2 the singular integrand is accumulated over a Brownian-bridge
-bisection: an interval of length L is flagged whenever either endpoint
-lies within REFINE_MULT * sqrt(L) of the origin, and a flagged interval
-is halved at its bridged midpoint, up to MAX_REFINE_DEPTH = 4 times, so
-passages near the singularity are resolved at step/16.  The midpoint
+Each path is laid out at a fixed step and its singular integrand
+accumulated over a Brownian-bridge bisection: an interval of length L
+is flagged whenever either endpoint lies within REFINE_MULT * sqrt(L)
+of the origin, and a flagged interval is halved at its bridged
+midpoint.  ``oracle_plan`` sets, order by order, the step, how many
+times an interval may halve and which paths halve at all.  The midpoint
 does not enter the test: an interval kept only when its own midpoint
 lands far from the origin would bias zeta low.  Positions keep their
 rows last, as a (d, rows) array, and are flat rows of scalars in d = 1.
@@ -38,30 +39,6 @@ score is at most a constant times L^(1 - alpha/2), its value with both
 ends at the origin, so every moment of zeta is finite and the error bar
 is a standard error for every n.  What remains is the step-size bias
 of the scoring rules, which the error bar does not include.
-
-In d = 1 the refinement is most of an n >= 2 path's work.  For alpha
-up to SUBSAMPLE_MAX_ALPHA, 2 <= n <= SUBSAMPLE_MAX_N and steps up to
-SUBSAMPLE_MAX_STEP it is paid for on a subsample, as one level of a
-multilevel telescoping sum (Giles 2008).  Every path is scored at depth
-0, its flagged steps by the bridge integral where they stand: zeta_0.
-The paths at chunk-local index 0 mod REFINE_EVERY also split their
-flagged steps on down to the cap: zeta_4.  Each path's weight is
-zeta_0^n / n!, plus w (zeta_4^n - zeta_0^n) / n! on a refined path, w
-being the chunk's path count over its refined count.  The choice of
-path reads no draw, so each chunk's sum has the depth-4 estimator's
-mean exactly.  The weights stay independent but, some of them
-negative, do not share one mean: their pooled spread carries the gap
-between the refined and unrefined paths' means, so the error bar errs
-large, by about (w - 1) (E zeta_4^n - E zeta_0^n)^2 / n!^2 in the
-variance.  Elsewhere every path refines.
-
-T_1 splits nothing.  The bridge integral is the conditional mean of
-zeta over an interval given its ends, so a T_1 built from bridge
-integrals alone has the same expectation on any grid.  T_1 lays each
-path out at 2^MAX_REFINE_DEPTH time steps, coarsening by the factor by
-which n >= 2 refines, and scores every step by the bridge integral: the
-conditional mean, given every 16th point, of the estimate that
-bridge-scores every time step, up to the rule's own error.
 """
 
 from __future__ import annotations
@@ -76,10 +53,10 @@ from .errors import ParameterError
 from .mc import MCEstimate, _sq_norms, estimate
 from .spectral import KernelSpec, require_admissible
 
-__all__ = ["check_oracle_args", "tn_bm_oracle"]
+__all__ = ["oracle_plan", "tn_bm_oracle"]
 
 MAX_REFINE_DEPTH = 4
-# Where _refine_every subsamples, one path in REFINE_EVERY refines past
+# Where oracle_plan subsamples, one path in REFINE_EVERY refines past
 # depth 0 and carries its correction zeta_4^n - zeta_0^n, weighted by
 # about REFINE_EVERY.  One in k grows the variance by (k - 1) r, r =
 # Var(zeta_4^n - zeta_0^n) / Var(zeta_4^n), and saves up to 1 - 1/k of
@@ -387,21 +364,50 @@ def _zeta_paths(rng: np.random.Generator, m: int, d: int, alpha: float,
     return zeta_0, zeta[::every], scored
 
 
-def _refine_every(d: int, alpha: float, n: int,
-                  time_step: float) -> int:
-    """One path in this many refines past depth 0: REFINE_EVERY where
-    that was measured to pay, else 1, every path."""
-    if (d == 1 and alpha <= SUBSAMPLE_MAX_ALPHA and 2 <= n <= SUBSAMPLE_MAX_N
-            and time_step <= SUBSAMPLE_MAX_STEP):
-        return REFINE_EVERY
-    return 1
+def oracle_plan(d: int, alpha: float, n: int,
+                time_step: float) -> tuple[float, int, int]:
+    """(step, depth, every): how ``tn_bm_oracle`` runs the order n.
 
-
-def check_oracle_args(d: int, alpha: float, n: int, time_step: float):
-    """Raise ParameterError unless ``tn_bm_oracle`` takes these: Riesz
-    noise admissible against the classical Laplacian, the diffusion's
+    Raises ParameterError unless the oracle takes these: Riesz noise
+    admissible against the classical Laplacian, the diffusion's
     generator, with alpha <= 3/2, an order n >= 1 and a time step within
-    its bounds."""
+    [MIN_TIME_STEP, MAX_TIME_STEP].  Each path is laid out at ``step``
+    and its flagged intervals halve up to ``depth`` times; only the
+    paths at chunk-local index 0 mod ``every`` split past depth 0.  The
+    estimate's ``scored_per_depth`` counts the rows retired at each
+    depth, its last entry those the bridge integral scores.  Three
+    regimes:
+
+    - n = 1: (2^MAX_REFINE_DEPTH time_step, 0, 1).  The bridge integral
+      is the conditional mean of zeta over an interval given its ends,
+      so a T_1 of bridge integrals alone has the same mean on any grid.
+      T_1 coarsens by the factor by which n >= 2 refines and
+      bridge-scores every step, splitting nothing: the conditional mean,
+      given every 16th point, of the estimate that bridge-scores every
+      time step, up to the rule's own error.  Its one entry counts
+      every step.
+    - n >= 2 in d = 1 with alpha <= SUBSAMPLE_MAX_ALPHA,
+      n <= SUBSAMPLE_MAX_N and time_step <= SUBSAMPLE_MAX_STEP, where
+      refinement is most of the work: (time_step, MAX_REFINE_DEPTH,
+      REFINE_EVERY), one level of a multilevel telescoping sum (Giles
+      2008).  Every path is scored at depth 0, its flagged steps by the
+      bridge integral where they stand: zeta_0.  The refined paths also
+      split their flagged steps on down to the cap: zeta_4.  A path's
+      weight is zeta_0^n / n!, plus w (zeta_4^n - zeta_0^n) / n! on a
+      refined path, w the chunk's path count over its refined count.
+      The choice of path reads no draw, so each chunk's sum has the
+      depth-4 estimator's mean exactly.  The weights stay independent
+      but, some of them negative, do not share one mean: their pooled
+      spread carries the gap between the refined and unrefined paths'
+      means, so the error bar errs large, by about
+      (w - 1) (E zeta_4^n - E zeta_0^n)^2 / n!^2 in the variance.
+      Depth 0's entry counts every step, its flagged ones
+      bridge-scored; the entries below count the refined paths' rows.
+    - Every other n >= 2: (time_step, MAX_REFINE_DEPTH, 1), every path
+      halved down to time_step / 2^MAX_REFINE_DEPTH, its weight
+      zeta_4^n / n!.  The rows at depth k + 1 are the halves of those
+      split at depth k.
+    """
     require_admissible(KernelSpec("riesz", d=d, alpha=alpha).alpha_eff)
     if alpha > 1.5:
         raise ParameterError(
@@ -417,40 +423,26 @@ def check_oracle_args(d: int, alpha: float, n: int, time_step: float):
             "coarser steps defeat the sqrt-scale refinement rule, finer "
             f"ones lay out too many rows, got {time_step}"
         )
+    if n == 1:
+        return 2 ** MAX_REFINE_DEPTH * time_step, 0, 1
+    if (d == 1 and alpha <= SUBSAMPLE_MAX_ALPHA and n <= SUBSAMPLE_MAX_N
+            and time_step <= SUBSAMPLE_MAX_STEP):
+        return time_step, MAX_REFINE_DEPTH, REFINE_EVERY
+    return time_step, MAX_REFINE_DEPTH, 1
 
 
 def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
                  seed: int, *, threads: int = 1) -> MCEstimate:
-    """Path estimate of T_n = E[zeta(tau)^n] / n!.
-
-    For n >= 2 each path is laid out at ``time_step`` and halved near
-    the origin down to time_step / 2^MAX_REFINE_DEPTH: zeta_4.  Where
-    ``_refine_every`` subsamples (d = 1, alpha <= SUBSAMPLE_MAX_ALPHA,
-    n <= SUBSAMPLE_MAX_N, steps up to SUBSAMPLE_MAX_STEP), every path is
-    also scored at depth 0, its flagged steps by the bridge integral:
-    zeta_0, and only one path in REFINE_EVERY, fixed by its index in its
-    chunk, halves on.  A path's weight is then zeta_0^n / n!, and a
-    refined one adds w (zeta_4^n - zeta_0^n) / n!, w the chunk's path
-    count over its refined count, so the mean is the depth-4
-    estimator's; the weights stay independent, some of them negative,
-    and the error bar errs large.  T_1 is laid out at
-    2^MAX_REFINE_DEPTH * time_step, bridge-scores every step and halves
-    nothing.
+    """Path estimate of T_n = E[zeta(tau)^n] / n!, laid out by
+    ``oracle_plan``.
 
     Independent of the Fourier-side estimators in both representation
     and sampling machinery; agreement within combined error bars is the
     strongest internal consistency check this package offers.
     """
-    check_oracle_args(d, alpha, n, time_step)
+    step, depth, every = oracle_plan(d, alpha, n, time_step)
     log_nfact = math.lgamma(n + 1)
     table = _mean_table(d, alpha)
-    # the bridge integral's expectation is zeta's over its interval on
-    # any grid, so T_1 needs no refinement; higher moments do
-    if n == 1:
-        depth, step = 0, time_step * 2 ** MAX_REFINE_DEPTH
-    else:
-        depth, step = MAX_REFINE_DEPTH, time_step
-    every = _refine_every(d, alpha, n, time_step)
     scored = []
 
     def power(zeta):
@@ -473,11 +465,7 @@ def tn_bm_oracle(d: int, alpha: float, n: int, n_paths: int, time_step: float,
         return y
 
     label = f"tn_bm/d{d}_a{alpha:g}/n{n}/dt{time_step:g}"
-    # scored_per_depth: the intervals retired at each depth, the last
-    # entry those scored by the bridge integral, the refined paths' only
-    # below depth 0, and with refine_every > 1 depth 0's entry counts
-    # every step, its flagged ones bridge-scored too; summed over the
-    # chunks in any order once all are in
+    # scored_per_depth: summed over the chunks once all are in
     params = {"d": d, "alpha": alpha, "n": n, "time_step": time_step,
               "max_refine_depth": depth, "refine_every": every,
               "scored_per_depth": None}

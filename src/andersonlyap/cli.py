@@ -206,6 +206,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if reads is not None and not reads(cfg):
             raise ParameterError(
                 f"--{key.replace('_', '-')} would be ignored: {why_not}")
+    # ml's one flag outside RunConfig decides whether it reads --t
+    if args.command == "ml" and "t" in flags and args.growth_c is None:
+        raise ParameterError("--t would be ignored: only --growth-c reads it")
     return cfg
 
 
@@ -270,14 +273,14 @@ def cmd_chaos(cfg: RunConfig) -> int:
     from .chaos import ChaosQuery, exact_moment, jn_exp_time_mc, jn_fixed_time
 
     if cfg.method == "bm":
-        from .brownian import check_oracle_args, tn_bm_oracle
+        from .brownian import oracle_plan, tn_bm_oracle
 
         if cfg.family != "riesz":
             raise ParameterError(
                 "the Brownian oracle is defined for the Riesz family only"
             )
         # the oracle's rules, n >= 1 among them, refuse an empty range
-        check_oracle_args(cfg.d, cfg.alpha, cfg.n, cfg.time_step)
+        oracle_plan(cfg.d, cfg.alpha, cfg.n, cfg.time_step)
         # the oracle's own eq, beta_l and t, whatever a config file sets;
         # _READ_BY refuses the flags that would set others
         cfg = replace(cfg, eq="heat", beta_l=2.0, t=None)
@@ -364,8 +367,8 @@ def run_with_exit_codes(run):
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except ConvergenceError as exc:
-        print(f"convergence error: {exc} (residual={exc.residual})",
-              file=sys.stderr)
+        suffix = "" if exc.residual is None else f" (residual={exc.residual})"
+        print(f"convergence error: {exc}{suffix}", file=sys.stderr)
         return EXIT_CONVERGENCE
 
 

@@ -142,11 +142,13 @@ def j1_quadrature(t: float) -> float:
 
 
 def _scaling_law():
-    base = j1_quadrature(1.0)
-    worst = max(abs(j1_quadrature(t) / (t ** 0.75 * base) - 1.0)
-                for t in (0.5, 2.0, 4.0))
+    kernel = KernelSpec("riesz", d=1, alpha=0.5)
+    worst = max(abs(j1_quadrature(t) / exact_moment(
+        ChaosQuery(EquationKind("heat"), kernel, 1, t)) - 1.0)
+                for t in (0.5, 1.0, 2.0, 4.0))
     return _check("chaos_time_scaling", worst, 1e-6,
-                  "J_1(t) = t^(3/4) J_1(1) by deterministic quadrature")
+                  "J_1(t) by deterministic quadrature against the chaos "
+                  "module's closed form, t = 1/2 to 4")
 
 
 def _white_moments(seed, threads):

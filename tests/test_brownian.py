@@ -11,9 +11,9 @@ from andersonlyap.brownian import (_CAP_NODES, KUMMER_SWITCH,
                                    PATH_CHUNK, REFINE_EVERY, SCORE_BLOCK,
                                    TAU_CLIP,
                                    _bridge_mean, _cap_score, _kummer_neg,
-                                   _mean_table, _refine_every,
+                                   _mean_table,
                                    _retired_score, _zeta_paths,
-                                   tn_bm_oracle)
+                                   oracle_plan, tn_bm_oracle)
 from andersonlyap.chaos import ChaosQuery, jn_exp_time_mc, t1_exact
 from andersonlyap.errors import ConvergenceError, ParameterError
 from andersonlyap.mc import N_CONFIDENT, chunk_generator, derive_seed
@@ -88,6 +88,9 @@ class TestPathOracle:
                      id="d2-a0.8-n1"),
         pytest.param(3, 1.2, 1, 1.147017341221376, 0.03917380131234012,
                      id="d3-a1.2-n1"),
+        # every path refines: the third of oracle_plan's regimes
+        pytest.param(3, 1.5, 2, 1.863563296808625, 0.11178447922622727,
+                     id="d3-a1.5-n2"),
     ])
     def test_pinned_draws(self, d, alpha, n, mean, std_error):
         # any change to the draw order or the refinement rule moves these
@@ -135,6 +138,7 @@ class TestPathOracle:
         (1, 0.5, 2, 2e-3, REFINE_EVERY),
         (1, 0.25, 8, 1e-3, REFINE_EVERY),
         (1, 0.5, 1, 2e-3, 1),    # T_1 halves nothing
+        (3, 1.5, 1, 0.1, 1),
         (1, 0.5, 9, 2e-3, 1),    # past SUBSAMPLE_MAX_N
         (1, 0.75, 2, 2e-3, 1),   # past SUBSAMPLE_MAX_ALPHA
         (1, 0.5, 2, 4e-3, 1),    # past SUBSAMPLE_MAX_STEP
@@ -142,9 +146,13 @@ class TestPathOracle:
         (3, 1.5, 4, 2e-3, 1),
     ])
     def test_refine_every(self, d, alpha, n, time_step, every):
-        assert _refine_every(d, alpha, n, time_step) == every
+        # oracle_plan: T_1 lays its paths out 16 times coarser and halves
+        # nothing; n >= 2 lays them out at the step and halves to the cap
+        step, depth = (16 * time_step, 0) if n == 1 else (time_step, 4)
+        assert oracle_plan(d, alpha, n, time_step) == (step, depth, every)
         est = tn_bm_oracle(d, alpha, n, 2, time_step, 3)
-        assert est.params["refine_every"] == every
+        assert (est.params["max_refine_depth"],
+                est.params["refine_every"]) == (depth, every)
 
     def test_ragged_chunk_weights_its_correction_by_its_share(self):
         # two paths, one of them refined: its correction is weighted by

@@ -348,6 +348,8 @@ class TestExitCodes:
         assert code == EXIT_CONVERGENCE
         assert out == ""
         assert "underflows the double range" in err
+        # the error carries no residual, so none is printed
+        assert "residual=None" not in err
 
     def test_underflowed_estimate_exits_3(self, capsys):
         # the d = 3 rows underflow long before n = 150; none prints
@@ -396,6 +398,19 @@ class TestExitCodes:
         data = json.loads(out)
         failed = [c["name"] for c in data["checks"] if not c["passed"]]
         assert failed == ["exponent_identity_residual"]
+
+    def test_verify_guards_the_chaos_scaling_law(self, capsys, monkeypatch):
+        # a scaling exponent off by 1e-3 moves the closed-form J_1(t) by
+        # about 1e-3 at t = 4 against the quadrature, and only that check
+        # reads it
+        scaling_exponent = andersonlyap.chaos.scaling_exponent
+        monkeypatch.setattr(andersonlyap.chaos, "scaling_exponent",
+                            lambda *args: scaling_exponent(*args) + 1e-3)
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == EXIT_VERIFY
+        data = json.loads(out)
+        failed = [c["name"] for c in data["checks"] if not c["passed"]]
+        assert failed == ["chaos_time_scaling"]
 
     def test_verify_guards_the_wave_heat_link(self, capsys, monkeypatch):
         # a wave transform off I^w_beta = (2 beta)^-1 I^h_{beta^2/4} by a
@@ -700,9 +715,11 @@ class TestConfigPrecedence:
 
     def test_commands_ignore_keys_they_do_not_read(self, capsys, tmp_path,
                                                    monkeypatch):
-        # an inadmissible kernel: only the commands that build one fail
+        # an inadmissible kernel: only the commands that build one fail;
+        # ml reads t only with --growth-c, and a file's t stays accepted
         cfg = tmp_path / "anderson.cfg"
-        cfg.write_text("family = riesz\nd = 1\nalpha = 3\nthreads = 1\n")
+        cfg.write_text("family = riesz\nd = 1\nalpha = 3\nthreads = 1\n"
+                       "t = 5\n")
         monkeypatch.setenv("ANDERSON_CONFIG", str(cfg))
         assert run_cli(capsys, "ml", "--a", "1", "--x", "1")[0] == 0
         assert run_cli(capsys, "verify")[0] == 0
@@ -758,6 +775,8 @@ class TestFlagTable:
         (["chaos", "--family", "riesz", "--d", "1", "--alpha", "0.5",
           "--method", "bm", "--n", "1", "--samples", "100", "--beta-l", "2"],
          "--beta-l"),
+        # ml reads its growth time only with --growth-c
+        (["ml", "--a", "1", "--x", "1", "--t", "5"], "--t"),
     ])
     def test_rejects_flag_the_family_or_mode_does_not_read(self, capsys, argv,
                                                            named):
@@ -892,7 +911,8 @@ class TestMlCommand:
         code, out, _ = run_cli(capsys, "ml", "--a", "1.0", "--growth-c",
                                "2.0", "--t", "100", "--format", "json")
         assert code == 0
-        assert json.loads(out)["rows"][0]["growth_rate"] == pytest.approx(2.0)
+        row = json.loads(out)["rows"][0]
+        assert row["growth_rate"] == pytest.approx(2.0) and row["t"] == 100.0
 
     def test_growth_past_the_argument_range(self, capsys):
         # (c t)^a = 1e400 leaves the double range; the rate 1e200 does not
@@ -1024,6 +1044,25 @@ def test_chaos_loads_the_path_oracle_only_for_bm():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, True]"
+
+
+_THREADS_DEFAULT_SCRIPT = """
+import os
+os.cpu_count = lambda: 4096
+from andersonlyap import cli, mc
+print(cli.RunConfig().threads == mc.MAX_THREADS)
+"""
+
+
+def test_default_threads_stop_at_the_driver_cap():
+    # on a machine past the cap the CLI's default is mc.MAX_THREADS, which
+    # the CLI cannot import without numpy; this catches the two drifting
+    src = os.path.dirname(os.path.dirname(andersonlyap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_DEFAULT_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def test_every_lazy_export_resolves():
