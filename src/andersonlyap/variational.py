@@ -237,7 +237,8 @@ class _AngularProfile2D:
     the diagonal the DLMF 15.8.4 pair in w = ((ra-rb)/(ra+rb))^2, which
     stays below tanh(1/2)^2, gives (ra+rb)^(2p) [k_reg 2F1(-p, 1/2; 1-s; w)
     + k_sing w^s 2F1(1+p, 1/2; 1+s; w)], s = (alpha-1)/2.  As e = x - 1 -> 0
-    this gives g = g_at_1 + c_sing e^s + o(1) for alpha != 1, and
+    this gives g = 2^p k_reg + c_sing e^s + o(1) for alpha != 1 (the
+    constant is g(1) for alpha > 1, where g(1) is finite), and
     g = (sqrt(2)/pi) (c_log - log(e)/2) + o(1) for alpha = 1.
     """
 
@@ -252,7 +253,6 @@ class _AngularProfile2D:
             root_pi = math.sqrt(math.pi)
             self.k_reg = math.gamma(s) / (math.gamma(1.0 + p) * root_pi)
             self.k_sing = math.gamma(-s) / (math.gamma(-p) * root_pi)
-            self.g_at_1 = 2.0 ** p * self.k_reg
             # (2+e)^p w^s -> 2^(p-s) e^s = e^s / sqrt(2)
             self.c_sing = self.k_sing / math.sqrt(2.0)
 
@@ -283,15 +283,6 @@ def _diag_angular_avg(alpha, r, h, profile2d):
     with the |r-s|^(alpha-1) (or log) singularity averaged exactly and
     smooth cofactors frozen at s = r."""
     two_rs = 2.0 * r * r
-    if alpha < 1.0:
-        # singular part c_sing |r-s|^(alpha-1) (2rs)^(-1/2); remainder
-        # evaluated at half-cell offset
-        sing_avg = profile2d.c_sing * _cell_avg_singular(alpha, h) \
-            / np.sqrt(two_rs)
-        s_off = r + 0.5 * h
-        rem = profile2d(s_off, r) - profile2d.c_sing * (0.5 * h) ** (
-            alpha - 1.0) / np.sqrt(2.0 * r * s_off)
-        return sing_avg + rem
     if alpha == 1.0:
         # (sqrt(2)/pi) (c_log - log(x-1)/2) / sqrt(2rs) with
         # log(x-1) = 2 log|r-s| - log(2rs)
@@ -299,12 +290,18 @@ def _diag_angular_avg(alpha, r, h, profile2d):
             profile2d.c_log + 0.5 * np.log(two_rs) + 1.0 - math.log(h / 2.0)
         )
         return math.sqrt(2.0) / math.pi * const / np.sqrt(two_rs)
-    return two_rs ** ((alpha - 2.0) / 2.0) * profile2d.g_at_1
+    # singular part c_sing |r-s|^(alpha-1) (2rs)^(-1/2), its cell average
+    # finite for every alpha > 0; remainder evaluated at half-cell offset
+    sing_avg = profile2d.c_sing * _cell_avg_singular(alpha, h) \
+        / np.sqrt(two_rs)
+    s_off = r + 0.5 * h
+    rem = profile2d(s_off, r) - profile2d.c_sing * (0.5 * h) ** (
+        alpha - 1.0) / np.sqrt(2.0 * r * s_off)
+    return sing_avg + rem
 
 
-def _solve_radial(alpha, beta_l, R, m, v0=None, unit=None):
+def _solve_radial(alpha, beta_l, R, m, v0=None, *, unit):
     # unit: [the unit-grid angular matrix], shared and grown by one solve
-    unit = unit or [np.zeros((0, 0))]
     m0, h, r = len(unit[0]), R / m, np.arange(m) + 0.5
     if m > m0:
         # the old matrix becomes the leading block and is released; the new

@@ -24,6 +24,11 @@ SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
          ["--n-max", "1", "--samples", "2000", "--paths", "200"],
          ["n", "spectral_mc", "spectral_se", "path_mc", "path_se", "exact",
           "z", "z_se", "rate"]),
+        # d = 2 just above alpha = 1, where the diagonal cells need
+        # their singular part
+        ("exponent_table.py", ["--d", "2", "--alphas", "1.2"],
+         ["alpha", "rho", "richardson_gap", "lambda2_wave", "lambda2_heat",
+          "consistency_gap"]),
     ],
 )
 def test_script_runs(script, args, header):

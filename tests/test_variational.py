@@ -302,15 +302,23 @@ class TestRadialSolver:
     @pytest.mark.parametrize("alpha,value", [
         (0.5, 0.7154459175312442),
         (1.0, 0.9987933394089217),
-        (1.5, 2.9549321511578084),
+        (1.5, 2.953910693340849),
     ])
     def test_d2_default_grid(self, alpha, value):
         # values of the spline-tabulated angular kernel this evaluator
-        # replaced, whose interpolation error was about 1e-9
+        # replaced, whose interpolation error was about 1e-9; not so at
+        # alpha = 1.5, whose diagonal cells now take the alpha < 1 rule
         est = rho_eigen(2, alpha)
         assert est.value == pytest.approx(value, rel=1e-9)
         assert est.grid_points == 1200
         assert est.params["grid_refinements"] == 0
+
+    def test_d2_default_grid_is_converged_above_alpha_one(self):
+        # the default 1200-point value must sit near the 2400-point one,
+        # which a diagonal rule with an O(1) cell error does not
+        est = rho_eigen(2, 1.5)
+        fine = rho_eigen(2, 1.5, m=1200, refine_tol=1.0)
+        assert est.value == pytest.approx(fine.value, rel=1e-4)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_unit_matrix_scales_to_any_spacing(self, alpha):
@@ -332,8 +340,8 @@ class TestRadialSolver:
 
     def test_refinement_grows_one_unit_matrix(self, monkeypatch):
         # grids 600 to 4800: each lower-triangle entry of the final
-        # 4800-point unit matrix is evaluated once (for alpha > 1 the
-        # diagonal needs no profile call)
+        # 4800-point unit matrix is evaluated once, and each diagonal
+        # entry takes one call at its half-cell offset
         evaluated = []
         profile = variational._AngularProfile2D.__call__
 
@@ -343,11 +351,11 @@ class TestRadialSolver:
 
         monkeypatch.setattr(variational._AngularProfile2D, "__call__",
                             counted)
-        est = rho_eigen(2, 1.1)
+        est = rho_eigen(2, 1.1).require_refined()
         assert est.grid_points == 4800
         assert est.params["grid_refinements"] == 2
-        assert sum(evaluated) == 4800 * 4799 // 2
-        assert est.value == pytest.approx(1.1596412876923086, rel=1e-12)
+        assert sum(evaluated) == 4800 * 4799 // 2 + 4800
+        assert est.value == pytest.approx(1.1510364069151302, rel=1e-12)
 
     def test_warm_start_matches_cold_levels(self, monkeypatch):
         # each finer level starts from the coarser eigenvector; every
@@ -369,7 +377,9 @@ class TestRadialSolver:
                          warm=warm, cold=cold, **kwargs):
                 out = solve(*args, **kwargs)
                 warm.append(out[2])
-                cold.append(solve(*args[:n_args]))  # no start vector
+                # no start vector, and d = 2 on a unit matrix of its own
+                fresh = {"unit": [np.zeros((0, 0))]} if kwargs else {}
+                cold.append(solve(*args[:n_args], **fresh))
                 return out
 
             monkeypatch.setattr(variational, name, recorded)
@@ -438,15 +448,6 @@ class TestAngularProfile2D:
                 + mp.log(e) / 2
         prof = _AngularProfile2D(1.0)
         assert prof.c_log == pytest.approx(float(limit), rel=1e-14)
-
-    def test_value_at_one(self):
-        # alpha > 1: g(1) = 2^p 2F1(-p, 1/2; 1; 1), finite
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            p = mp.mpf(-0.25)
-            limit = 2 ** p * mp.hyp2f1(-p, mp.mpf(1) / 2, 1, 1)
-        prof = _AngularProfile2D(1.5)
-        assert prof.g_at_1 == pytest.approx(float(limit), rel=1e-14)
 
 
 def functionals(alpha, rho):
