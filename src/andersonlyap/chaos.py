@@ -279,13 +279,16 @@ def _kernel_tag(kernel: KernelSpec) -> str:
     return kernel.family
 
 
-def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
-                threads: int) -> MCEstimate:
-    """Monte-Carlo estimate of E[J_n(tau)] on the sub-stream of ``label``:
-    the n*d-dimensional integral of the rate-1 Laplace propagator factors
-    at the partial sums against mu^(x)n.  J_0 = 1 is one unit weight on
-    the same pipeline, so every order checks the seed and the threads."""
+def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
+                   threads: int = 1) -> MCEstimate:
+    """Monte-Carlo estimate of E[J_n(tau)], tau a unit-mean exponential
+    time: the n*d-dimensional integral of the rate-1 Laplace propagator
+    factors at the partial sums against mu^(x)n, on the sub-stream of
+    (seed, equation, kernel, n).  J_0 = 1 is one unit weight on the same
+    pipeline, so every order checks the seed and the threads."""
     eq, kernel, n = query.eq, query.kernel, query.n
+    if query.t is not None:
+        raise ParameterError(f"t = {query.t}: use jn_fixed_time for J_n(t)")
     if kernel.family not in ("riesz", "white"):
         raise ParameterError(
             f"chaos Monte Carlo supports riesz/white kernels, got {kernel.family}"
@@ -295,6 +298,7 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
         raise ParameterError(f"white-noise Monte Carlo needs beta_l > 3/2, "
                              f"got beta_l={eq.beta_l!r}: the weights' "
                              "variance is infinite")
+    label = f"jn_exp_time/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}"
     params = {"family": kernel.family, "d": kernel.d,
               "alpha_eff": kernel.alpha_eff, "eq": eq.kind,
               "beta_l": eq.beta_l, "n": n, "R": None, "tail_frac_bound": 0.0,
@@ -316,33 +320,21 @@ def _laplace_mc(query: ChaosQuery, label: str, n_samples: int, seed: int,
     return estimate(draw, n_samples, seed, label, n, params, threads=threads)
 
 
-def jn_exp_time_mc(query: ChaosQuery, n_samples: int, seed: int, *,
-                   threads: int = 1) -> MCEstimate:
-    """Monte-Carlo estimate of E[J_n(tau)], tau a unit-mean exponential
-    time."""
-    eq, kernel, n = query.eq, query.kernel, query.n
-    if query.t is not None:
-        raise ParameterError(f"t = {query.t}: use jn_fixed_time for J_n(t)")
-    label = f"jn_exp_time/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}"
-    return _laplace_mc(query, label, n_samples, seed, threads)
-
-
 def jn_fixed_time(query: ChaosQuery, n_samples: int, seed: int, *,
                   threads: int = 1) -> MCEstimate:
-    """Monte-Carlo estimate of the fixed-time chaos term J_n(t): the
-    estimate of E[J_n(tau)] on this target's own sub-stream, scaled to
-    time t by ``_at_time``.  J_0(t) = 1 is returned exactly."""
-    eq, kernel, n, t = query.eq, query.kernel, query.n, query.t
-    if t is None:
+    """Monte-Carlo estimate of J_n(t): the ``jn_exp_time_mc`` estimate of
+    E[J_n(tau)], its draws and target, scaled to time t by ``_at_time``.
+    J_0(t) = 1 is returned exactly."""
+    if query.t is None:
         raise ParameterError("fixed-time target needs t")
     _log_time_factor(query)  # raises before any draw where t alone decides
-    label = f"jn_fixed/{eq.kind}/b{eq.beta_l:g}/{_kernel_tag(kernel)}/n{n}/t{t:g}"
-    est = _laplace_mc(query, label, n_samples, seed, threads)
+    est = jn_exp_time_mc(replace(query, t=None), n_samples, seed,
+                         threads=threads)
     mean = _at_time(query, est.mean)
     # one factor scales the mean, the error and the bias bound alike
     std_error = mean * (est.std_error / est.mean)
     return replace(est, mean=mean, std_error=std_error,
-                   params={**est.params, "t": t})
+                   params={**est.params, "t": query.t})
 
 
 def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
@@ -350,8 +342,11 @@ def log_rate_tn(d: int, alpha: float, n_max: int, samples_per_n: int,
     """Rows (n, log(T_n)/n, se, estimate): the rate tends to log(rho).
 
     T_n is the heat-equation exponential-time moment ``estimate``; the
-    standard error of the log is propagated by the delta method.
+    standard error of the log is propagated by the delta method.  An
+    empty order range, n_max below 1, is a parameter error.
     """
+    if n_max < 1:
+        raise ParameterError(f"n_max must be at least 1, got {n_max}")
     kernel = KernelSpec("riesz", d=d, alpha=alpha)
     eq = EquationKind("heat")
     rows = []

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from andersonlyap.chaos import (
     _radial_mass,
     _radial_tail,
     _SpatialSampler,
+    _at_time,
     exact_moment,
     jn_exp_time_mc,
     jn_fixed_time,
@@ -223,9 +225,10 @@ class TestProposal:
 # (eq, kernel, n, t, mean, std_error) at 70,000 samples and seed 19: one
 # full and one partial chunk.  The white heat row's weights are constant,
 # so it pins no std_error, only its zero-variance label.  A fixed-time row
-# is the exponential-time estimate on its own sub-stream, scaled by the
-# time identity; the n = 9 one is checked at 1 and 3 threads.  The ids
-# name the arguments alone, so a re-record keeps them.
+# is the exponential-time estimate of its (equation, kernel, n), drawn on
+# that row's stream and scaled by the time identity; the n = 9 one is
+# checked at 1 and 3 threads.  The ids name the arguments alone, so a
+# re-record keeps them.
 PINNED = [
     pytest.param("heat", RIESZ, 3, None,
                  4.0598504648885, 0.01957449396164246,
@@ -237,10 +240,10 @@ PINNED = [
                  1.8502041072250464, 0.007587961006464743,
                  id="heat-riesz_d3_a1.5-n2"),
     pytest.param("wave", RIESZ, 3, 2.0,
-                 0.14731902925488907, 0.000665347449149376,
+                 0.14872653288470028, 0.0006697007282068073,
                  id="wave-riesz_d1_a0.5-n3-t2"),
     pytest.param("wave", WHITE, 3, 1.0,
-                 0.00017445974583332836, 6.448959304111863e-07,
+                 0.00017339744293929746, 6.381511281015352e-07,
                  id="wave-white-n3-t1"),
     pytest.param("heat", WHITE, 4, None, 0.0625, None,
                  id="heat-white-n4"),
@@ -248,7 +251,7 @@ PINNED = [
                  26.29446215662793, 0.45607759142483817,
                  id="heat-riesz_d1_a0.5-n8"),
     pytest.param("heat", KernelSpec("riesz", d=2, alpha=0.8), 9, 1.0,
-                 0.0016342090046269776, 0.00014211825007108265,
+                 0.0014470780468671712, 5.843611554581852e-05,
                  id="heat-riesz_d2_a0.8-n9-t1"),
 ]
 
@@ -545,6 +548,22 @@ class TestFixedTimeMC:
         b = jn_fixed_time(q, 150_000, 5, threads=3)
         assert math.isfinite(a.mean) and a.mean > 0
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
+    @pytest.mark.parametrize("kernel, t", [(RIESZ, 2.0), (WHITE, 1.0)],
+                             ids=["riesz_d1_a0.5-t2", "white-t1"])
+    def test_is_the_exp_time_estimate_scaled(self, kernel, t):
+        # one stream per integral: J_n(t) scales the exponential-time
+        # estimate itself, its draws, target and sub-seed, to the bit
+        q = ChaosQuery(WAVE, kernel, 3, t)
+        for threads in (1, 3):
+            got = jn_fixed_time(q, 150_000, 5, threads=threads)
+            base = jn_exp_time_mc(replace(q, t=None), 150_000, 5,
+                                  threads=threads)
+            mean = _at_time(q, base.mean)
+            assert got.mean == mean
+            assert got.std_error == mean * (base.std_error / base.mean)
+            assert got.target == base.target
+            assert got.params == {**base.params, "t": t}
 
     def test_needs_time(self):
         for t in (-1.0, math.nan, math.inf):

@@ -46,11 +46,15 @@ def test_script_runs(script, args, header):
          "parameter error: R must be positive and finite, m at least 1"),
         ("moment_crosscheck.py", ["--n-max", "1", "--samples", "0"], 2,
          "parameter error: n_samples must be at least 2"),
+        # an empty order range prints no empty table
+        ("moment_crosscheck.py", ["--n-max", "0"], 2,
+         "parameter error: n_max must be at least 1, got 0"),
         # a rho whose Richardson pair disagrees is not printed
         ("exponent_table.py", ["--d", "3", "--alphas", "0.5"], 3,
          "convergence error: rho grid refinement stopped at 4800 points"),
     ],
-    ids=["alpha-past-d", "no-points", "no-samples", "unrefined-rho"],
+    ids=["alpha-past-d", "no-points", "no-samples", "no-orders",
+         "unrefined-rho"],
 )
 def test_script_maps_errors_to_exit_codes(script, args, code, message):
     proc = _run(script, args)
